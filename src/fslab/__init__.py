@@ -9,7 +9,6 @@ value), :mod:`fslab.extremal` for the witnesses that attain them, and
 
 from .bounds import (
     BoundReport,
-    FunctionalParams,
     KM_SIGN_NOTE,
     REDUCTION_PRESETS,
     bound_complex,
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .extremal import (
     ExtremalConfig,
-    LiberaTransform,
     extremal_config,
     extremal_member,
     libera_transform,
@@ -51,7 +49,6 @@ from .members import (
     member_from_pq,
     membership_spotcheck,
     rotate,
-    rotate_member,
     shift_measure,
     starlike_from_q,
 )
@@ -69,7 +66,6 @@ from .series import (
     TOL_DIV,
     ps_derivative,
     ps_div,
-    ps_eval,
     ps_linear,
     ps_mul,
     ps_shift,
@@ -86,10 +82,8 @@ __all__ = [
     "DomainError",
     "ExtremalConfig",
     "FslabError",
-    "FunctionalParams",
     "HerglotzMeasure",
     "KM_SIGN_NOTE",
-    "LiberaTransform",
     "NearSingular",
     "PowerSeries",
     "REDUCTION_PRESETS",
@@ -118,13 +112,11 @@ __all__ = [
     "psi",
     "ps_derivative",
     "ps_div",
-    "ps_eval",
     "ps_linear",
     "ps_mul",
     "ps_shift",
     "reduction_bound",
     "rotate",
-    "rotate_member",
     "sample_measure",
     "sharp_witness",
     "sharpness_residual",

@@ -82,7 +82,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DomainError
 from .members import ClassParams
@@ -106,27 +105,14 @@ REDUCTION_PRESETS: dict[str, tuple[dict[str, float], tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class FunctionalParams:
-    """Functional-side arguments: mu itself plus derived quantities.
-
-    rho = mu * sigma / tau**2 is the value of mu after passing to the
-    second-order transform; it is populated only for real mu with a class
-    context attached. nu carries the generic quadratic-functional parameter
-    used by the Caratheodory-coefficient bound.
-    """
-
-    mu: complex
-    nu: Optional[complex] = None
-    rho: Optional[float] = None
-
-    @classmethod
-    def with_class(cls, mu: float, params: ClassParams) -> "FunctionalParams":
-        if isinstance(mu, complex):
-            raise DomainError("rho substitution is defined for real mu only")
-        if not math.isfinite(mu):
-            raise DomainError(f"mu must be finite, got {mu!r}")
-        return cls(mu=mu, rho=mu * params.sigma / params.tau**2)
+def _rho(params: ClassParams, mu: float) -> float:
+    """rho = mu sigma / tau**2: real mu after passing to the second-order
+    transform (defined for finite real mu only)."""
+    if isinstance(mu, complex):
+        raise DomainError("rho substitution is defined for real mu only")
+    if not math.isfinite(mu):
+        raise DomainError(f"mu must be finite, got {mu!r}")
+    return mu * params.sigma / params.tau**2
 
 
 @dataclass(frozen=True)
@@ -138,9 +124,6 @@ class BoundReport:
     breakpoints: tuple[float, float, float]
     scaled_value: float  # bound on 3 sigma |a_3 - mu a_2**2|
     value: float  # bound on |a_3 - mu a_2**2|
-    psi_beta: float
-    psi_alpha: float
-    psi_zero: float
 
 
 def psi(params: ClassParams, s: float) -> float:
@@ -172,7 +155,7 @@ def branch_value(params: ClassParams, mu: float, case_id: int) -> float:
     if case_id not in (1, 2, 3, 4):
         raise DomainError(f"case_id must be 1..4, got {case_id}")
     a, b = params.alpha, params.beta
-    rho = FunctionalParams.with_class(mu, params).rho
+    rho = _rho(params, mu)
     big_a = 3.0 - 2.0 * b
     big_b = 3.0 - 2.0 * a - b
     big_c = 2.0 - a - b
@@ -219,9 +202,6 @@ def bound_real(params: ClassParams, mu: float) -> BoundReport:
         breakpoints=(mu1, mu2, mu3),
         scaled_value=scaled,
         value=scaled / (3.0 * params.sigma),
-        psi_beta=psi(params, params.beta),
-        psi_alpha=psi(params, params.alpha),
-        psi_zero=psi(params, 0.0),
     )
 
 
@@ -234,7 +214,7 @@ def two_atom_extreme(params: ClassParams, mu: float) -> tuple[float, float]:
     that order (ties keep the earlier one). x_v is skipped when Q is linear.
     """
     u, v = 1.0 - params.alpha, 1.0 - params.beta
-    rho = FunctionalParams.with_class(mu, params).rho
+    rho = _rho(params, mu)
     qa = u * (4.0 - 3.0 * rho * u)
     qb = 2.0 * u * v * (2.0 - 3.0 * rho)
     qc = v + 2.0 * v * v - 2.0 * u - 3.0 * rho * v * v

@@ -18,8 +18,6 @@ Exit codes: 0 success, 1 usage, 2 domain error, 3 verification failure.
 verify exits 3 wherever the search beats the bound beyond tolerance; for real
 mu on the known case-3/4 window with alpha > 0 that is the expected outcome
 (see fslab.bounds), not a tool defect.
-The FSLAB_THREADS environment variable caps the search worker count; it never
-affects results (per-sample seeding plus deterministic reduction).
 """
 
 from __future__ import annotations

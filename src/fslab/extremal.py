@@ -30,19 +30,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import bound_real, bound_sharp, breakpoints, two_atom_extreme
 from .errors import CaseRangeError, DomainError
 from .members import (
     ClassMember,
     ClassParams,
     HerglotzMeasure,
-    SPOTCHECK_TOL,
+    _grid_spotcheck,
     fs_functional,
     member_from_pq,
 )
-from .series import DEFAULT_ORDER, PowerSeries, ps_div
+from .series import DEFAULT_ORDER
 
 # Absolute slack when accepting mu at the ends of the case-2 window and when
 # clamping the induced c_1 back into [0, 2]; covers breakpoint roundoff only.
@@ -58,20 +56,14 @@ class ExtremalConfig:
     q_measure: HerglotzMeasure
 
 
-@dataclass(frozen=True)
-class LiberaTransform:
-    """Coefficients A_k of the transformed function (A[0] = 0, A[1] = 1)."""
-
-    coeffs: tuple[complex, ...]
-
-
-def libera_transform(member: ClassMember) -> LiberaTransform:
-    """Apply the second-order transform coefficientwise: A_k = (D_k / k) a_k."""
+def libera_transform(member: ClassMember) -> tuple[complex, ...]:
+    """Coefficients A_k = (D_k / k) a_k of the transformed function
+    (A[0] = 0, A[1] = 1)."""
     a, d = member.a, member.d
     out = [0.0 + 0.0j]
     for k in range(1, len(a)):
         out.append((d[k] / k) * a[k])
-    return LiberaTransform(tuple(out))
+    return tuple(out)
 
 
 def transform_spotcheck(
@@ -82,14 +74,9 @@ def transform_spotcheck(
     z F' has coefficient k A_k = D_k a_k, which is exactly the numerator of
     the defining inequality, so this doubles as an independent route to it.
     """
-    if not 0.0 < radius <= 0.5:
-        raise ValueError("radius must lie in (0, 0.5]")
-    big_a = libera_transform(member).coeffs
+    big_a = libera_transform(member)
     num = tuple(k * big_a[k] for k in range(len(big_a)))
-    ratio = ps_div(PowerSeries(num[1:]), PowerSeries(member.b[1:]))
-    pts = radius * np.exp(2j * np.pi * np.arange(grid) / grid)
-    vals = np.polynomial.polynomial.polyval(pts, np.asarray(ratio.coeffs))
-    return bool(vals.real.min() > member.params.alpha - SPOTCHECK_TOL)
+    return _grid_spotcheck(member, num, radius, grid)
 
 
 def _case2_p_measure(params: ClassParams, mu: float) -> HerglotzMeasure:

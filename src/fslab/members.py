@@ -248,24 +248,23 @@ def shift_measure(measure: HerglotzMeasure, theta: float) -> HerglotzMeasure:
     return HerglotzMeasure(tuple((w, t + theta) for w, t in measure.atoms))
 
 
-def rotate_member(member: ClassMember, theta: float) -> ClassMember:
-    """Rebuild the member after rotating both measures by theta.
+def _grid_spotcheck(
+    member: ClassMember, num: tuple[complex, ...], radius: float, grid: int
+) -> bool:
+    """Re(num / g) > alpha - SPOTCHECK_TOL at grid points on |z| = radius.
 
-    The resulting coefficients satisfy a_k -> a_k e^{i (k-1) theta}, which is
-    the disk rotation e^{-i theta} f(e^{i theta} z); the class is closed
-    under it.
+    num and g both vanish at 0 with unit z-coefficient; the common z is
+    cancelled before dividing. Shared by the two spot checks, which build
+    num independently.
     """
-    return member_from_pq(
-        member.params,
-        shift_measure(member.p_measure, theta),
-        shift_measure(member.q_measure, theta),
-        member.order,
-    )
-
-
-def _stripped_ratio(num: PowerSeries, den: PowerSeries) -> PowerSeries:
-    # both operands vanish at 0 with unit z-coefficient; cancel the common z
-    return ps_div(PowerSeries(num.coeffs[1:]), PowerSeries(den.coeffs[1:]))
+    if not 0.0 < radius <= 0.5:
+        raise ValueError("radius must lie in (0, 0.5]")
+    if grid < 8:
+        raise ValueError("grid too coarse to mean anything")
+    ratio = ps_div(PowerSeries(num[1:]), PowerSeries(member.b[1:]))
+    pts = radius * np.exp(2j * np.pi * np.arange(grid) / grid)
+    vals = np.polynomial.polynomial.polyval(pts, np.asarray(ratio.coeffs))
+    return bool(vals.real.min() > member.params.alpha - SPOTCHECK_TOL)
 
 
 def membership_spotcheck(
@@ -279,10 +278,6 @@ def membership_spotcheck(
     smoke test against construction bugs, not a univalence proof; truncation
     keeps it honest only well inside the disk, hence the radius cap.
     """
-    if not 0.0 < radius <= 0.5:
-        raise ValueError("radius must lie in (0, 0.5]")
-    if grid < 8:
-        raise ValueError("grid too coarse to mean anything")
     par = member.params
     f = PowerSeries(member.a)
     f1 = ps_derivative(f)
@@ -294,8 +289,4 @@ def membership_spotcheck(
     z3f3 = PowerSeries(ps_shift(f3, 3).coeffs[: n + 1])
     num = ps_linear(1.0, zf1, par.lam - par.delta + 2.0 * par.lam * par.delta, z2f2)
     num = ps_linear(1.0, num, par.lam * par.delta, z3f3)
-    ratio = _stripped_ratio(num, PowerSeries(member.b))
-
-    pts = radius * np.exp(2j * np.pi * np.arange(grid) / grid)
-    vals = np.polynomial.polynomial.polyval(pts, np.asarray(ratio.coeffs))
-    return bool(vals.real.min() > par.alpha - SPOTCHECK_TOL)
+    return _grid_spotcheck(member, num.coeffs, radius, grid)

@@ -13,16 +13,14 @@ irrelevant to the seeded floor.
 
 Determinism contract: every random sample i draws from its own generator
 seeded by (master seed, i), and the running argmax is reduced by the key
-(value, member fingerprint), so the result is bitwise identical however the
-samples are scheduled. The worker count (capped by the FSLAB_THREADS
-environment variable) therefore never affects results.
+(value, member fingerprint), so the same inputs and budget always give a
+bitwise identical result, and exact ties between rotated seeded
+configurations are broken the same way every time.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,16 +99,6 @@ class VerificationReport:
     attained: bool
 
 
-def _workers(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("FSLAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def sample_measure(rng: np.random.Generator, max_atoms: int) -> HerglotzMeasure:
     """Draw one measure: atom count uniform in 1..max_atoms, weights from a
     normalized positive draw, angles uniform on [0, 2 pi). Same generator
@@ -124,26 +112,6 @@ def sample_measure(rng: np.random.Generator, max_atoms: int) -> HerglotzMeasure:
 
 def _fingerprint(p: HerglotzMeasure, q: HerglotzMeasure) -> Fingerprint:
     return (p.atoms, q.atoms)
-
-
-def _sample_block(
-    params: ClassParams,
-    mu: complex,
-    budget: SearchBudget,
-    lo: int,
-    hi: int,
-) -> tuple[float, Fingerprint, HerglotzMeasure, HerglotzMeasure] | None:
-    """Evaluate samples lo..hi-1 and return the block's best candidate."""
-    best = None
-    for i in range(lo, hi):
-        rng = np.random.default_rng((budget.seed, i))
-        p = sample_measure(rng, budget.max_atoms)
-        q = sample_measure(rng, budget.max_atoms)
-        v = abs(fs_functional(member_from_pq(params, p, q, _EVAL_ORDER), mu))
-        key = (v, _fingerprint(p, q))
-        if best is None or key > best[:2]:
-            best = (v, key[1], p, q)
-    return best
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -169,7 +137,6 @@ def maximize_fs(
     params: ClassParams,
     mu: complex,
     budget: SearchBudget | None = None,
-    workers: int | None = None,
 ) -> SearchResult:
     """Best |a_3 - mu a_2**2| found over seeded, sampled, and polished members.
 
@@ -204,25 +171,17 @@ def maximize_fs(
             q = shift_measure(cfg.q_measure, rot)
             candidates.append((value_of(p, q), _fingerprint(p, q), p, q))
 
-    # Random phase, chunked so any scheduling yields the same reduction.
-    nworkers = _workers(workers)
-    n = budget.n_samples
-    if nworkers == 1:
-        block = _sample_block(params, mu, budget, 0, n)
-        if block is not None:
-            candidates.append(block)
-    else:
-        chunk = max(1, -(-n // (nworkers * 4)))
-        spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            for block in pool.map(
-                lambda span: _sample_block(params, mu, budget, *span), spans
-            ):
-                if block is not None:
-                    candidates.append(block)
-    evals += n
-
-    best_v, _, best_p, best_q = max(candidates, key=lambda t: (t[0], t[1]))
+    # Random phase: sample i draws from its own (seed, i) generator, and the
+    # incumbent is reduced by the (value, fingerprint) key.
+    best = max(candidates, key=lambda t: t[:2])
+    for i in range(budget.n_samples):
+        rng = np.random.default_rng((budget.seed, i))
+        p = sample_measure(rng, budget.max_atoms)
+        q = sample_measure(rng, budget.max_atoms)
+        key = (value_of(p, q), _fingerprint(p, q))
+        if key > best[:2]:
+            best = (*key, p, q)
+    best_v, _, best_p, best_q = best
 
     # Polish: coordinatewise golden-section moves, keeping improvements only.
     state = {
@@ -286,7 +245,6 @@ def verify_inequality(
     params: ClassParams,
     mu: complex,
     budget: SearchBudget | None = None,
-    workers: int | None = None,
 ) -> VerificationReport:
     """Run the search and report how close it got to the bound.
 
@@ -297,7 +255,7 @@ def verify_inequality(
     is not an upper bound (see :mod:`fslab.bounds`); the exception is the
     detection, not a search failure.
     """
-    result = maximize_fs(params, mu, budget, workers)
+    result = maximize_fs(params, mu, budget)
     tol = VIOLATION_RTOL * max(1.0, result.bound)
     if result.margin < -tol:
         raise ViolationError(

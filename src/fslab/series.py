@@ -116,12 +116,3 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
         acc = _csum([q[j] * b.coeffs[k - j] for j in range(k)]) if k else 0.0
         q.append((a.coeffs[k] - acc) / b.coeffs[0])
     return PowerSeries(tuple(q))
-
-
-def ps_eval(a: PowerSeries, z: complex) -> complex:
-    """Evaluate the truncated polynomial at z (Horner). Meaningful only well
-    inside the unit disk, where the discarded tail is negligible."""
-    acc: complex = 0.0
-    for c in reversed(a.coeffs):
-        acc = acc * z + c
-    return acc

@@ -257,7 +257,7 @@ def test_criterion_9():
     worst = 0.0
     for _ in range(1_000):
         m = random_member(rng)
-        big_a = libera_transform(m).coeffs
+        big_a = libera_transform(m)
         worst = max(
             worst,
             abs(big_a[2] - m.params.tau * m.a2),

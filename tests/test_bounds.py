@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from fslab import (
     ClassParams,
     DomainError,
-    FunctionalParams,
     HerglotzMeasure,
     bound_complex,
     bound_real,
@@ -250,10 +249,11 @@ def test_coeff_bounds_examples():
 
 
 def test_functional_params_rho():
-    fp = FunctionalParams.with_class(0.5, ClassParams(0.5, 0.25, 0, 0))
-    assert abs(fp.rho - 0.5) < 1e-15  # sigma == tau**2
+    # at alpha = beta = 0 case 1 reads A*B - 3 rho C**2 = 9 - 12 rho
+    rho = (9.0 - branch_value(ClassParams(0.5, 0.25, 0, 0), 0.5, 1)) / 12.0
+    assert abs(rho - 0.5) < 1e-15  # sigma == tau**2
     with pytest.raises(DomainError):
-        FunctionalParams.with_class(1j, P0)
+        branch_value(P0, 1j, 1)
 
 
 # ----- quadratic functional over positive-real-part functions -----

@@ -185,7 +185,7 @@ def test_transform_scales_first_coefficients():
     par = ClassParams(0.5, 0.25, 0, 0)  # tau = 1.5, sigma = 2.25
     rng = np.random.default_rng(67)
     m = random_member(rng, params=par)
-    big_a = libera_transform(m).coeffs
+    big_a = libera_transform(m)
     assert big_a[0] == 0 and abs(big_a[1] - 1.0) < 1e-15
     assert abs(big_a[2] - 1.5 * m.a2) < 1e-14
     assert abs(big_a[3] - 2.25 * m.a3) < 1e-14
@@ -194,7 +194,7 @@ def test_transform_scales_first_coefficients():
 def test_transform_identity_when_untransformed():
     rng = np.random.default_rng(71)
     m = random_member(rng, params=P0)
-    big_a = libera_transform(m).coeffs
+    big_a = libera_transform(m)
     np.testing.assert_allclose(
         np.asarray(big_a, dtype=complex), np.asarray(m.a, dtype=complex), atol=1e-15
     )
@@ -205,8 +205,9 @@ def test_transform_spotcheck_random_members():
     for _ in range(30):
         m = random_member(rng)
         assert transform_spotcheck(m, radius=0.3, grid=32)
-    with pytest.raises(ValueError):
-        transform_spotcheck(m, radius=0.7)
+    for bad in ({"radius": 0.7}, {"grid": 4}, {"grid": 0}):
+        with pytest.raises(ValueError):
+            transform_spotcheck(m, **bad)
 
 
 def test_transform_of_koebe_member():
@@ -214,7 +215,7 @@ def test_transform_of_koebe_member():
 
     par = ClassParams(1.0, 1.0, 0, 0)  # tau = 3, sigma = 7
     m = member_from_pq(par, atom_measure(), atom_measure())
-    big_a = libera_transform(m).coeffs
+    big_a = libera_transform(m)
     # F lands back on the Koebe jet regardless of (lam, delta)
     np.testing.assert_allclose(
         np.asarray(big_a[:5], dtype=complex), [0, 1, 2, 3, 4], atol=1e-12

@@ -23,7 +23,6 @@ from fslab import (
     ps_linear,
     ps_mul,
     rotate,
-    rotate_member,
     shift_measure,
     starlike_from_q,
 )
@@ -211,8 +210,9 @@ def test_rotate_composes():
 
 def test_rotated_koebe_functional():
     p0 = ClassParams(0, 0, 0, 0)
-    m = member_from_pq(p0, atom_measure(), atom_measure())
-    r = rotate_member(m, PI / 4)
+    r = member_from_pq(
+        p0, shift_measure(atom_measure(), PI / 4), shift_measure(atom_measure(), PI / 4)
+    )
     # phi_mu picks up e^{2 i theta}: at theta = pi/4, mu = 1 the -1 becomes -i
     assert abs(fs_functional(r, 1.0) + 1j) < 1e-12
 
@@ -222,7 +222,12 @@ def test_rotate_member_matches_coefficient_rule():
     for _ in range(25):
         m = random_member(rng)
         theta = float(rng.uniform(0, 2 * PI))
-        r = rotate_member(m, theta)
+        r = member_from_pq(
+            m.params,
+            shift_measure(m.p_measure, theta),
+            shift_measure(m.q_measure, theta),
+            m.order,
+        )
         want = rotate(m.a[1:], theta)
         np.testing.assert_allclose(r.a[1:], want, atol=1e-10)
 

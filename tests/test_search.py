@@ -112,19 +112,6 @@ def test_bitwise_repeatable():
     assert a.best_member.q_measure == b.best_member.q_measure
 
 
-def test_worker_count_is_invisible(monkeypatch):
-    one = maximize_fs(P0, 0.7, SMALL, workers=1)
-    three = maximize_fs(P0, 0.7, SMALL, workers=3)
-    assert one.best_value == three.best_value
-    assert one.best_member.p_measure == three.best_member.p_measure
-    monkeypatch.setenv("FSLAB_THREADS", "2")
-    env2 = maximize_fs(P0, 0.7, SMALL)
-    assert env2.best_value == one.best_value
-    monkeypatch.setenv("FSLAB_THREADS", "not-a-number")
-    junk = maximize_fs(P0, 0.7, SMALL)
-    assert junk.best_value == one.best_value
-
-
 def test_refinement_only_improves():
     base = SearchBudget(n_samples=200, n_refine=0, max_atoms=3, seed=11)
     more = SearchBudget(n_samples=200, n_refine=2, max_atoms=3, seed=11)

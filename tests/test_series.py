@@ -14,7 +14,6 @@ from fslab import (
     PowerSeries,
     ps_derivative,
     ps_div,
-    ps_eval,
     ps_linear,
     ps_mul,
     ps_shift,
@@ -98,13 +97,6 @@ def test_non_finite_coefficients_rejected():
         PowerSeries((complex(float("inf"), 0), 1.0))
     with pytest.raises(ValueError):
         PowerSeries(())
-
-
-def test_eval_matches_polyval():
-    s = PowerSeries((1, -2, 0.5, 3j))
-    z = 0.3 + 0.1j
-    want = np.polynomial.polynomial.polyval(z, np.asarray(s.coeffs))
-    assert abs(ps_eval(s, z) - want) < 1e-15
 
 
 _coeff = st.complex_numbers(
