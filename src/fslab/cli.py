@@ -312,6 +312,23 @@ def _cmd_member(args: argparse.Namespace) -> int:
     return 0
 
 
+def _member_command(exc: ViolationError) -> str:
+    """A `fslab member` line that rebuilds the member a violation reports.
+
+    Floats are written with repr, which round-trips exactly.
+    """
+    par = exc.params
+
+    def atoms(m: HerglotzMeasure) -> str:
+        return ",".join(f"{w!r}:{t!r}" for w, t in m.atoms)
+
+    return (
+        f"fslab member --lambda {par.lam!r} --delta {par.delta!r} "
+        f"--alpha {par.alpha!r} --beta {par.beta!r} "
+        f"--p-atoms {atoms(exc.p_measure)} --q-atoms {atoms(exc.q_measure)}"
+    )
+
+
 _COMMANDS = {
     "bound": _cmd_bound,
     "sweep": _cmd_sweep,
@@ -335,6 +352,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except ViolationError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
+        if exc.p_measure is not None:
+            sys.stderr.write(f"the member, reproduced by:\n{_member_command(exc)}\n")
         return 3
     except FslabError as exc:  # any future subtype: treat as domain-level
         sys.stderr.write(f"error: {exc}\n")

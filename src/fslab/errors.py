@@ -18,4 +18,16 @@ class CaseRangeError(FslabError):
 
 
 class ViolationError(FslabError):
-    """A searched member exceeded the closed-form bound beyond tolerance."""
+    """A searched member exceeded the closed-form bound beyond tolerance.
+
+    params, p_measure and q_measure determine the offending member (through
+    member_from_pq) and mu is where its functional was evaluated; each is
+    None when the raiser has no member to report.
+    """
+
+    def __init__(self, message: str, *, params=None, p_measure=None, q_measure=None, mu=None):
+        super().__init__(message)
+        self.params = params
+        self.p_measure = p_measure
+        self.q_measure = q_measure
+        self.mu = mu

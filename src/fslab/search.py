@@ -1,7 +1,7 @@
 """Randomized search for the largest |a_3 - mu a_2**2| over class members.
 
 This is the independent check on the closed-form bounds: sample measure pairs,
-build the members they induce, evaluate the functional, and keep the largest
+evaluate the functional of the members they induce, and keep the largest
 modulus. Sharpness never depends on luck because the four extremal
 configurations (when admissible) and their quarter-turn rotations are always
 part of the evaluated set; random samples and a coordinatewise golden-section
@@ -11,11 +11,29 @@ beat the piecewise value, and verify_inequality reports that honestly as a
 ViolationError. Whether max_atoms = 3 limits anything is unknown and
 irrelevant to the seeded floor.
 
-Determinism contract: every random sample i draws from its own generator
-seeded by (master seed, i), and the running argmax is reduced by the key
-(value, member fingerprint), so the same inputs and budget always give a
-bitwise identical result, and exact ties between rotated seeded
-configurations are broken the same way every time.
+The functional depends on a member only through c_1, c_2 (of p) and q_1, q_2.
+With u = 1 - alpha and v = 1 - beta,
+
+    a_2 = (v q_1 + u c_1) / (2 tau)
+    a_3 = (v (q_2 + v q_1**2) / 2 + u v c_1 q_1 + u c_2) / (3 sigma),
+
+so the search evaluates this closed form: over numpy arrays for the random
+samples, one pair at a time for the seeded floor and the polish. Only the
+returned member is built in full, by member_from_pq, and best_value is that
+member's |a_3 - mu a_2**2|.
+
+Determinism contract: the random phase reads one counter-based stream,
+np.random.Generator(np.random.Philox(key=seed)), with a fixed layout of
+2 (1 + 2 max_atoms) doubles per sample: for p and then q, one uniform for the
+atom count, max_atoms weights and max_atoms angles (slots past the atom count
+are drawn and ignored). Sample i therefore reads the same doubles however the
+samples are split into chunks, the kernel's arithmetic is elementwise, and
+every chunk is reduced by the key (value, member fingerprint) that also ranks
+the seeded floor. The same inputs and budget always give a bitwise identical
+result, independent of the chunk size, and exact ties between rotated seeded
+configurations are broken the same way every time. This stream replaced one
+generator per (seed, sample index), so a given seed draws different samples
+than it did with those.
 """
 
 from __future__ import annotations
@@ -34,6 +52,7 @@ from .members import (
     HerglotzMeasure,
     MAX_ATOMS,
     TWO_PI,
+    denominators,
     fs_functional,
     member_from_pq,
     shift_measure,
@@ -51,9 +70,9 @@ REFINE_TOL = 1e-10
 
 _SEED_ROTATIONS = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
 
-# members are evaluated at the smallest legal order during search; the
-# functional only reads a_2 and a_3, which do not depend on higher terms
-_EVAL_ORDER = 3
+# Random samples per kernel call. It bounds the kernel's working memory and
+# nothing else: the stream layout fixes every sample's draws.
+_CHUNK = 2048
 
 Fingerprint = tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]
 
@@ -84,7 +103,7 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchResult:
-    best_value: float
+    best_value: float  # exactly abs(fs_functional(best_member, mu))
     best_member: ClassMember
     bound: float
     margin: float  # bound - best_value; >= -VIOLATION_RTOL * max(1, bound)
@@ -112,6 +131,92 @@ def sample_measure(rng: np.random.Generator, max_atoms: int) -> HerglotzMeasure:
 
 def _fingerprint(p: HerglotzMeasure, q: HerglotzMeasure) -> Fingerprint:
     return (p.atoms, q.atoms)
+
+
+def _c12(columns, cos, sin):
+    """(Re c_1, Im c_1, Re c_2, Im c_2), c_k = 2 sum_i w_i e^{i k t_i}.
+
+    columns yields (w_i, t_i) one atom at a time, as floats with math's cos
+    and sin or as arrays (one entry per sample) with numpy's; atoms of zero
+    weight add nothing. Atoms are summed in order, so a sample's value does
+    not depend on the other entries of its arrays.
+    """
+    c1r = c1i = c2r = c2i = 0.0
+    for w, t in columns:
+        x, y = cos(t), sin(t)
+        c1r = c1r + w * x
+        c1i = c1i + w * y
+        c2r = c2r + w * (x * x - y * y)
+        c2i = c2i + w * (x * y + y * x)
+    return 2.0 * c1r, 2.0 * c1i, 2.0 * c2r, 2.0 * c2i
+
+
+def _a2_a3(params: ClassParams, c, q):
+    """(Re a_2, Im a_2, Re a_3, Im a_3) from _c12 tuples of p and q."""
+    u, v = 1.0 - params.alpha, 1.0 - params.beta
+    _, _, d2, d3 = denominators(params, 3)
+    c1r, c1i, c2r, c2i = c
+    q1r, q1i, q2r, q2i = q
+    b2r, b2i = v * q1r, v * q1i  # b_2 = v q_1, b_3 = v (q_2 + b_2 q_1) / 2
+    b3r = v * (q2r + (b2r * q1r - b2i * q1i)) / 2.0
+    b3i = v * (q2i + (b2r * q1i + b2i * q1r)) / 2.0
+    uc1r, uc1i = u * c1r, u * c1i
+    return (
+        (b2r + uc1r) / d2,
+        (b2i + uc1i) / d2,
+        (b3r + (b2r * uc1r - b2i * uc1i) + u * c2r) / d3,
+        (b3i + (b2r * uc1i + b2i * uc1r) + u * c2i) / d3,
+    )
+
+
+def _fs_parts(params: ClassParams, mu: complex, c, q):
+    """(Re, Im) of a_3 - mu a_2**2 from _c12 tuples of p and q."""
+    a2r, a2i, a3r, a3i = _a2_a3(params, c, q)
+    mr, mi = mu.real, mu.imag
+    sr, si = a2r * a2r - a2i * a2i, a2r * a2i + a2i * a2r
+    return a3r - (mr * sr - mi * si), a3i - (mr * si + mi * sr)
+
+
+def _pair_value(params: ClassParams, mu: complex, p: HerglotzMeasure, q: HerglotzMeasure) -> float:
+    """|a_3 - mu a_2**2| of member_from_pq(params, p, q), in closed form."""
+    c = _c12(p.atoms, math.cos, math.sin)
+    qc = _c12(q.atoms, math.cos, math.sin)
+    return math.hypot(*_fs_parts(params, mu, c, qc))
+
+
+def _sample_columns(u: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and angles, each (rows, max_atoms), from one side's uniforms.
+
+    u holds per row [count, max_atoms weight draws, max_atoms angle draws].
+    The atom count is uniform in 1..max_atoms; weights past it are 0, the
+    others normalized positive draws; angles are uniform on [0, 2 pi).
+    """
+    count = np.minimum(1.0 + np.floor(u[:, 0] * max_atoms), max_atoms)
+    used = np.arange(max_atoms) < count[:, None]
+    w = np.where(used, 1.0 - u[:, 1 : 1 + max_atoms], 0.0)  # in (0, 1] where used
+    total = w[:, 0]
+    for j in range(1, max_atoms):
+        total = total + w[:, j]
+    return w / total[:, None], TWO_PI * u[:, 1 + max_atoms :]
+
+
+def _batch_values(params: ClassParams, mu: complex, pw, pt, qw, qt) -> np.ndarray:
+    """|a_3 - mu a_2**2| per row of (rows, atoms) weight and angle arrays."""
+    c = _c12(zip(pw.T, pt.T), np.cos, np.sin)
+    qc = _c12(zip(qw.T, qt.T), np.cos, np.sin)
+    return np.hypot(*_fs_parts(params, mu, c, qc))
+
+
+def _measure(w: np.ndarray, t: np.ndarray) -> HerglotzMeasure:
+    return HerglotzMeasure(tuple((float(a), float(b)) for a, b in zip(w, t) if a > 0.0))
+
+
+def _unit_sum(m: HerglotzMeasure) -> HerglotzMeasure:
+    """m with its last weight moved by a few ulps of 1 so that the weights
+    sum to exactly 1. HerglotzMeasure(m.atoms) then rebuilds m unchanged, so
+    a member printed as atoms reproduces bit for bit."""
+    *head, (_, t) = m.atoms
+    return HerglotzMeasure((*head, (math.fsum([1.0, *(-w for w, _ in head)]), t)))
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -152,11 +257,6 @@ def maximize_fs(
 
     evals = 0
 
-    def value_of(p: HerglotzMeasure, q: HerglotzMeasure) -> float:
-        nonlocal evals
-        evals += 1
-        return abs(fs_functional(member_from_pq(params, p, q, _EVAL_ORDER), mu))
-
     # Seeded floor: the four extremal configurations and their rotations.
     candidates: list[tuple[float, Fingerprint, HerglotzMeasure, HerglotzMeasure]] = []
     for case_id in (1, 2, 3, 4):
@@ -169,39 +269,55 @@ def maximize_fs(
         for rot in _SEED_ROTATIONS:
             p = shift_measure(cfg.p_measure, rot)
             q = shift_measure(cfg.q_measure, rot)
-            candidates.append((value_of(p, q), _fingerprint(p, q), p, q))
+            candidates.append((_pair_value(params, mu, p, q), _fingerprint(p, q), p, q))
+            evals += 1
 
-    # Random phase: sample i draws from its own (seed, i) generator, and the
-    # incumbent is reduced by the (value, fingerprint) key.
+    # Random phase: chunks of the one Philox stream through the batched
+    # kernel. Only a chunk's best rows become measures, so the incumbent is
+    # still reduced by the (value, fingerprint) key.
     best = max(candidates, key=lambda t: t[:2])
-    for i in range(budget.n_samples):
-        rng = np.random.default_rng((budget.seed, i))
-        p = sample_measure(rng, budget.max_atoms)
-        q = sample_measure(rng, budget.max_atoms)
-        key = (value_of(p, q), _fingerprint(p, q))
-        if key > best[:2]:
-            best = (*key, p, q)
+    rng = np.random.Generator(np.random.Philox(key=budget.seed))
+    k = budget.max_atoms
+    left = budget.n_samples
+    while left:
+        rows = min(_CHUNK, left)
+        draws = rng.random((rows, 2, 1 + 2 * k))
+        pw, pt = _sample_columns(draws[:, 0], k)
+        qw, qt = _sample_columns(draws[:, 1], k)
+        values = _batch_values(params, mu, pw, pt, qw, qt)
+        for i in np.flatnonzero(values == np.fmax.reduce(values)):  # NaN never wins
+            p, q = _measure(pw[i], pt[i]), _measure(qw[i], qt[i])
+            key = (float(values[i]), _fingerprint(p, q))
+            if key > best[:2]:
+                best = (*key, p, q)
+        evals += rows
+        left -= rows
     best_v, _, best_p, best_q = best
 
-    # Polish: coordinatewise golden-section moves, keeping improvements only.
+    # Polish: coordinatewise golden-section moves on one side at a time,
+    # keeping improvements only; the other side's coefficients stay fixed.
     state = {
-        "pw": [w for w, _ in best_p.atoms],
-        "pt": [t for _, t in best_p.atoms],
-        "qw": [w for w, _ in best_q.atoms],
-        "qt": [t for _, t in best_q.atoms],
+        side: ([w for w, _ in m.atoms], [t for _, t in m.atoms])
+        for side, m in (("p", best_p), ("q", best_q))
     }
 
     def build(side: str) -> HerglotzMeasure:
-        ws = np.asarray(state[side + "w"], dtype=float)
-        ws = ws / ws.sum()
-        return HerglotzMeasure(tuple(zip(map(float, ws), state[side + "t"])))
-
-    def objective() -> float:
-        return value_of(build("p"), build("q"))
+        ws, ts = state[side]
+        total = sum(ws)
+        return HerglotzMeasure(tuple((w / total, t) for w, t in zip(ws, ts)))
 
     for _ in range(budget.n_refine):
-        for side in ("p", "q"):
-            angles, weights = state[side + "t"], state[side + "w"]
+        for side, other in (("p", "q"), ("q", "p")):
+            fixed = _c12(build(other).atoms, math.cos, math.sin)
+
+            def objective() -> float:
+                nonlocal evals
+                evals += 1
+                moved = _c12(build(side).atoms, math.cos, math.sin)
+                c, qc = (moved, fixed) if side == "p" else (fixed, moved)
+                return math.hypot(*_fs_parts(params, mu, c, qc))
+
+            weights, angles = state[side]
             for j in range(len(angles)):
                 saved = angles[j]
 
@@ -230,13 +346,15 @@ def maximize_fs(
                     else:
                         weights[j] = saved
 
-    best_p, best_q = build("p"), build("q")
-    best_member = member_from_pq(params, best_p, best_q, DEFAULT_ORDER)
+    best_member = member_from_pq(
+        params, _unit_sum(build("p")), _unit_sum(build("q")), DEFAULT_ORDER
+    )
+    best_value = abs(fs_functional(best_member, mu))
     return SearchResult(
-        best_value=best_v,
+        best_value=best_value,
         best_member=best_member,
         bound=bound,
-        margin=bound - best_v,
+        margin=bound - best_value,
         evaluations=evals,
     )
 
@@ -253,14 +371,20 @@ def verify_inequality(
     would mean an implementation bug. For real mu it is the expected outcome
     on the known case-3/4 window with alpha > 0, where the piecewise value
     is not an upper bound (see :mod:`fslab.bounds`); the exception is the
-    detection, not a search failure.
+    detection, not a search failure. It carries the offending member's
+    params, measures and mu.
     """
     result = maximize_fs(params, mu, budget)
     tol = VIOLATION_RTOL * max(1.0, result.bound)
     if result.margin < -tol:
+        member = result.best_member
         raise ViolationError(
             f"bound {result.bound} exceeded by member value {result.best_value} "
-            f"(margin {result.margin}, tolerance {tol}) at mu = {mu}"
+            f"(margin {result.margin}, tolerance {tol}) at mu = {mu}",
+            params=member.params,
+            p_measure=member.p_measure,
+            q_measure=member.q_measure,
+            mu=mu,
         )
     return VerificationReport(
         bound=result.bound,

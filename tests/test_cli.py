@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shlex
 
 import pytest
 
@@ -177,6 +179,20 @@ def test_verify_reports_violation_on_known_window(capsys):
     assert code == 3
     assert "verification failure" in err
     assert "exceeded" in err
+
+
+def test_violation_prints_a_member_line_that_reproduces_it(capsys):
+    code, _, err = run(
+        capsys, "verify", "--alpha", "0.6", "--mu", "1.25",
+        "--samples", "500", "--refine", "2", "--seed", "7",
+    )
+    assert code == 3
+    reported = float(re.search(r"member value (\S+) ", err).group(1))
+    [line] = [ln for ln in err.splitlines() if ln.startswith("fslab member ")]
+    code, out, _ = run(capsys, *shlex.split(line)[1:])
+    assert code == 0
+    a = [complex(*pair) for pair in json.loads(out)["a"]]
+    assert abs(a[3] - 1.25 * a[2] ** 2) == reported
 
 
 # ----- sharp -----

@@ -12,17 +12,29 @@ from conftest import random_params
 from fslab import (
     ClassParams,
     DomainError,
+    HerglotzMeasure,
     SearchBudget,
     ViolationError,
     breakpoints,
+    fs_functional,
     maximize_fs,
+    member_from_pq,
     membership_spotcheck,
     sample_measure,
     verify_inequality,
 )
+from fslab.members import MAX_ATOMS
 
 P0 = ClassParams(0, 0, 0, 0)
 SMALL = SearchBudget(n_samples=300, n_refine=1, max_atoms=3, seed=7)
+
+# (lam, delta, alpha, beta) on the edges of the domain
+EDGE_PARAMS = [
+    ClassParams(1.0, 1.0, 0.0, 0.0),
+    ClassParams(1.0, 1.0, 0.95, 0.95),
+    ClassParams(0.0, 0.0, 0.95, 0.95),
+    ClassParams(0.0, 0.0, 0.0, 0.0),
+]
 
 
 # ----- sampling -----
@@ -84,8 +96,13 @@ def test_search_beats_piecewise_value_on_window():
     r = maximize_fs(par, 1.25, SMALL)
     assert r.bound == pytest.approx(0.65, abs=1e-12)
     assert r.best_value > r.bound + 0.02
-    with pytest.raises(ViolationError):
+    with pytest.raises(ViolationError) as info:
         verify_inequality(par, 1.25, SMALL)
+    # the error carries the member that beat the bound
+    exc = info.value
+    assert exc.params == par and exc.mu == 1.25
+    member = member_from_pq(exc.params, exc.p_measure, exc.q_measure)
+    assert abs(fs_functional(member, exc.mu)) == r.best_value
     # same point, triangle route: sound, not attained
     rep = verify_inequality(par, complex(1.25), SMALL)
     assert rep.margin > 0
@@ -110,6 +127,85 @@ def test_bitwise_repeatable():
     assert a.best_value == b.best_value
     assert a.best_member.p_measure == b.best_member.p_measure
     assert a.best_member.q_measure == b.best_member.q_measure
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2048, SMALL.n_samples])
+@pytest.mark.parametrize("mu", [1.25, complex(0.4, -0.8)])
+def test_chunk_size_is_invisible(monkeypatch, chunk, mu):
+    # at both mu a random sample beats the seeded floor, so the result
+    # depends on the random phase
+    par = ClassParams(0.0, 0.0, 0.6, 0.0)
+
+    def run():
+        r = maximize_fs(par, mu, SMALL)
+        return r.best_value, r.evaluations, r.best_member.p_measure, r.best_member.q_measure
+
+    reference = run()
+    monkeypatch.setattr(fslab.search, "_CHUNK", chunk)
+    assert run() == reference
+    assert reference[1] >= SMALL.n_samples
+
+
+@pytest.mark.parametrize("par", [P0, ClassParams(0.3, 0.1, 0.2, 0.1), *EDGE_PARAMS])
+@pytest.mark.parametrize("mu", [0.5, 1.7, complex(0.5, 1.0)])
+def test_best_value_is_the_members_functional(par, mu):
+    budget = SearchBudget(n_samples=100, n_refine=1, max_atoms=3, seed=3)
+    r = maximize_fs(par, mu, budget)
+    assert r.best_value == abs(fs_functional(r.best_member, mu))
+    assert r.margin == r.bound - r.best_value
+
+
+def test_unit_sum_measures_rebuild_unchanged():
+    # what lets a printed violation reproduce its member bit for bit
+    from fslab.search import _unit_sum
+
+    rng = np.random.default_rng(307)
+    for _ in range(2000):
+        m = sample_measure(rng, MAX_ATOMS)
+        settled = _unit_sum(m)
+        assert HerglotzMeasure(settled.atoms) == settled
+        for (w0, t0), (w1, t1) in zip(m.atoms, settled.atoms):
+            assert t1 == t0 and abs(w1 - w0) <= 4 * math.ulp(1.0)
+
+
+def _padded(measures):
+    """(weights, angles), each (len(measures), MAX_ATOMS), zero-padded."""
+    w = np.zeros((len(measures), MAX_ATOMS))
+    t = np.zeros((len(measures), MAX_ATOMS))
+    for i, m in enumerate(measures):
+        for j, (wj, tj) in enumerate(m.atoms):
+            w[i, j], t[i, j] = wj, tj
+    return w, t
+
+
+def test_closed_form_matches_member_from_pq():
+    # the batched kernel and the one-pair form against full construction,
+    # 20 parameter tuples x 100 measure pairs x 2 values of mu
+    from fslab.search import _a2_a3, _batch_values, _c12, _pair_value
+
+    rng = np.random.default_rng(211)
+    tuples = EDGE_PARAMS + [random_params(rng) for _ in range(16)]
+    worst = 0.0
+    for par in tuples:
+        ps = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
+        qs = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
+        (pw, pt), (qw, qt) = _padded(ps), _padded(qs)
+        a2r, a2i, a3r, a3i = _a2_a3(
+            par, _c12(zip(pw.T, pt.T), np.cos, np.sin), _c12(zip(qw.T, qt.T), np.cos, np.sin)
+        )
+        for mu in (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2))):
+            values = _batch_values(par, mu, pw, pt, qw, qt)
+            for i, (p, q) in enumerate(zip(ps, qs)):
+                m = member_from_pq(par, p, q, 3)
+                ref = abs(fs_functional(m, mu))
+                for got, want in (
+                    (complex(a2r[i], a2i[i]), m.a2),
+                    (complex(a3r[i], a3i[i]), m.a3),
+                    (values[i], ref),
+                    (_pair_value(par, mu, p, q), ref),
+                ):
+                    worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    assert worst <= 2e-15, worst
 
 
 def test_refinement_only_improves():
