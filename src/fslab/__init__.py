@@ -42,6 +42,7 @@ from .extremal import (
 from .members import (
     ClassMember,
     ClassParams,
+    DEFAULT_ORDER,
     HerglotzMeasure,
     denominators,
     fs_functional,
@@ -60,16 +61,6 @@ from .search import (
     sample_measure,
     verify_inequality,
 )
-from .series import (
-    DEFAULT_ORDER,
-    PowerSeries,
-    TOL_DIV,
-    ps_derivative,
-    ps_div,
-    ps_linear,
-    ps_mul,
-    ps_shift,
-)
 
 __version__ = "0.1.0"
 
@@ -85,11 +76,9 @@ __all__ = [
     "HerglotzMeasure",
     "KM_SIGN_NOTE",
     "NearSingular",
-    "PowerSeries",
     "REDUCTION_PRESETS",
     "SearchBudget",
     "SearchResult",
-    "TOL_DIV",
     "VerificationReport",
     "ViolationError",
     "bound_complex",
@@ -110,11 +99,6 @@ __all__ = [
     "member_from_pq",
     "membership_spotcheck",
     "psi",
-    "ps_derivative",
-    "ps_div",
-    "ps_linear",
-    "ps_mul",
-    "ps_shift",
     "reduction_bound",
     "rotate",
     "sample_measure",

@@ -35,12 +35,12 @@ from .errors import CaseRangeError, DomainError
 from .members import (
     ClassMember,
     ClassParams,
+    DEFAULT_ORDER,
     HerglotzMeasure,
     _grid_spotcheck,
     fs_functional,
     member_from_pq,
 )
-from .series import DEFAULT_ORDER
 
 # Absolute slack when accepting mu at the ends of the case-2 window and when
 # clamping the induced c_1 back into [0, 2]; covers breakpoint roundoff only.

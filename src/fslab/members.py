@@ -28,8 +28,11 @@ drives q in z g'/g = beta + (1 - beta) q. Matching coefficients gives
 
 with D_1 = 1, D_2 = 2 tau, D_3 = 3 sigma. Every member built this way lies in
 the class by construction; membership_spotcheck re-derives the defining ratio
-from the stored coefficients through independent series operations and checks
-its real part on a grid. Univalence of members is not verified.
+from the stored a_k alone: z f', z^2 f'' and z^3 f''' have coefficients k a_k,
+(k-1)(k a_k) and (k-2)((k-1)(k a_k)), and their combination is divided by g/z
+by long division. It then checks the ratio's real part on a grid. Univalence
+of members is not verified. Jets are plain tuples of complex numbers, index k
+holding the coefficient of z**k, and their sums are exactly rounded.
 """
 
 from __future__ import annotations
@@ -41,18 +44,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .series import (
-    DEFAULT_ORDER,
-    PowerSeries,
-    ps_derivative,
-    ps_div,
-    ps_linear,
-    ps_mul,
-    ps_shift,
-)
+from .errors import DomainError, NearSingular
 
 TWO_PI = 2.0 * math.pi
+
+# Default jet order used by member constructors. Everything the bounds need
+# lives at k <= 3; the rest supports spot checks.
+DEFAULT_ORDER = 8
 
 # Hard cap on atoms per measure; the search module samples fewer by default.
 MAX_ATOMS = 4
@@ -64,6 +62,10 @@ WEIGHT_SUM_TOL = 1e-9
 # Slack for the grid membership check; covers truncation of the series tail
 # at the allowed radii (tail < 6e-5 at radius 0.5, order 8).
 SPOTCHECK_TOL = 1e-6
+
+# A divisor jet whose constant term is smaller than this in modulus is treated
+# as singular: the quotient would amplify input noise past any useful tolerance.
+DIVISOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,8 @@ class HerglotzMeasure:
 
     atoms is a tuple of (weight, angle) pairs. Weights are positive and sum
     to 1 (sums within WEIGHT_SUM_TOL are renormalized, larger deviations are
-    rejected); angles are stored wrapped into [0, 2*pi).
+    rejected); angles are stored wrapped into [0, 2*pi). Stored weights sum
+    to exactly 1 under math.fsum, so HerglotzMeasure(m.atoms) == m.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -120,7 +123,15 @@ class HerglotzMeasure:
         total = math.fsum(w for w, _ in atoms)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise DomainError(f"atom weights sum to {total}, expected 1")
-        atoms = tuple((w / total, t % TWO_PI) for w, t in atoms)
+        weights = [w / total for w, _ in atoms]
+        if math.fsum(weights) != 1.0:
+            # The largest weight is below 1, so fsum([1, -others]) is within
+            # 2**-54 of its exact value and the new sum rounds to exactly 1.
+            i = weights.index(max(weights))
+            weights[i] = math.fsum([1.0, *(-w for j, w in enumerate(weights) if j != i)])
+        # t % TWO_PI rounds up to TWO_PI itself for tiny negative t
+        angles = [t % TWO_PI for _, t in atoms]
+        atoms = tuple((w, t if t < TWO_PI else 0.0) for w, t in zip(weights, angles))
         object.__setattr__(self, "atoms", atoms)
 
 
@@ -201,6 +212,22 @@ def denominators(params: ClassParams, n: int) -> tuple[float, ...]:
     )
 
 
+def _jet(coeffs: Sequence[complex]) -> tuple[complex, ...]:
+    """coeffs as a non-empty tuple of finite complex numbers (ValueError if not)."""
+    out = tuple(complex(v) for v in coeffs)
+    if not out:
+        raise ValueError("a jet needs at least one coefficient")
+    for v in out:
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ValueError("non-finite jet coefficient")
+    return out
+
+
+def _csum(terms: Sequence[complex]) -> complex:
+    # exactly rounded component-wise sum; order of terms cannot matter
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
 def member_from_pq(
     params: ClassParams,
     p: HerglotzMeasure,
@@ -220,13 +247,14 @@ def member_from_pq(
     b = starlike_from_q(qk, params.beta, order)
     d = denominators(params, order)
 
-    one = PowerSeries((1.0,) + (0.0,) * order)
-    mix = ps_linear(params.alpha, one, 1.0 - params.alpha, PowerSeries(c))
-    num = ps_mul(PowerSeries(b), mix)
+    u = 1.0 - params.alpha
+    mix = [params.alpha * complex(k == 0) + u * ck for k, ck in enumerate(c)]
+    g = _jet(b)
     a = (0.0 + 0.0j, 1.0 + 0.0j) + tuple(
-        num.coeffs[k] / d[k] for k in range(2, order + 1)
+        _csum([g[j] * mix[k - j] for j in range(k + 1)]) / d[k]
+        for k in range(2, order + 1)
     )
-    return ClassMember(params, p, q, c, qk, b, tuple(a), d)
+    return ClassMember(params, p, q, c, qk, b, a, d)
 
 
 def fs_functional(member: ClassMember, mu: complex) -> complex:
@@ -261,9 +289,16 @@ def _grid_spotcheck(
         raise ValueError("radius must lie in (0, 0.5]")
     if grid < 8:
         raise ValueError("grid too coarse to mean anything")
-    ratio = ps_div(PowerSeries(num[1:]), PowerSeries(member.b[1:]))
+    top, g = _jet(num[1:]), _jet(member.b[1:])
+    if abs(g[0]) <= DIVISOR_TOL:
+        raise NearSingular(f"leading divisor coefficient {g[0]!r} below tolerance {DIVISOR_TOL}")
+    ratio: list[complex] = []  # long division top / g, truncated to the shorter jet
+    for k in range(min(len(top), len(g))):
+        acc = _csum([ratio[j] * g[k - j] for j in range(k)]) if k else 0.0
+        ratio.append((top[k] - acc) / g[0])
     pts = radius * np.exp(2j * np.pi * np.arange(grid) / grid)
-    vals = np.polynomial.polynomial.polyval(pts, np.asarray(ratio.coeffs))
+    # _jet rejects a quotient that overflowed
+    vals = np.polynomial.polynomial.polyval(pts, np.asarray(_jet(ratio)))
     return bool(vals.real.min() > member.params.alpha - SPOTCHECK_TOL)
 
 
@@ -273,20 +308,20 @@ def membership_spotcheck(
     """Grid check of the defining inequality at |z| = radius (radius <= 0.5).
 
     Rebuilds z f' + (lam - delta + 2 lam delta) z^2 f'' + lam delta z^3 f'''
-    from the stored a-sequence by formal differentiation, divides by g, and
+    from the stored a-sequence coefficient by coefficient, divides by g, and
     requires Re(ratio) > alpha - SPOTCHECK_TOL at every grid point. This is a
     smoke test against construction bugs, not a univalence proof; truncation
     keeps it honest only well inside the disk, hence the radius cap.
     """
     par = member.params
-    f = PowerSeries(member.a)
-    f1 = ps_derivative(f)
-    f2 = ps_derivative(f1)
-    f3 = ps_derivative(f2)
-    n = member.order
-    zf1 = PowerSeries(ps_shift(f1, 1).coeffs[: n + 1])
-    z2f2 = PowerSeries(ps_shift(f2, 2).coeffs[: n + 1])
-    z3f3 = PowerSeries(ps_shift(f3, 3).coeffs[: n + 1])
-    num = ps_linear(1.0, zf1, par.lam - par.delta + 2.0 * par.lam * par.delta, z2f2)
-    num = ps_linear(1.0, num, par.lam * par.delta, z3f3)
-    return _grid_spotcheck(member, num.coeffs, radius, grid)
+    s2, s3 = par.lam - par.delta + 2.0 * par.lam * par.delta, par.lam * par.delta
+    num = []
+    for k, ak in enumerate(_jet(member.a)):
+        # z^m f^(m) has coefficient k (k-1) ... (k-m+1) a_k, and 0 for k < m
+        zf1 = k * ak if k >= 1 else 0j
+        z2f2 = (k - 1) * zf1 if k >= 2 else 0j
+        z3f3 = (k - 2) * z2f2 if k >= 3 else 0j
+        # a complex product by 1.0 can change the sign of a zero part, so
+        # the unit factors are part of the result
+        num.append(1.0 * (1.0 * zf1 + s2 * z2f2) + s3 * z3f3)
+    return _grid_spotcheck(member, tuple(num), radius, grid)

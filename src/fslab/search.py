@@ -49,6 +49,7 @@ from .extremal import extremal_config
 from .members import (
     ClassMember,
     ClassParams,
+    DEFAULT_ORDER,
     HerglotzMeasure,
     MAX_ATOMS,
     TWO_PI,
@@ -57,7 +58,6 @@ from .members import (
     member_from_pq,
     shift_measure,
 )
-from .series import DEFAULT_ORDER
 
 # Relative slack separating "roundoff" from "the bound is wrong".
 VIOLATION_RTOL = 1e-9
@@ -211,14 +211,6 @@ def _measure(w: np.ndarray, t: np.ndarray) -> HerglotzMeasure:
     return HerglotzMeasure(tuple((float(a), float(b)) for a, b in zip(w, t) if a > 0.0))
 
 
-def _unit_sum(m: HerglotzMeasure) -> HerglotzMeasure:
-    """m with its last weight moved by a few ulps of 1 so that the weights
-    sum to exactly 1. HerglotzMeasure(m.atoms) then rebuilds m unchanged, so
-    a member printed as atoms reproduces bit for bit."""
-    *head, (_, t) = m.atoms
-    return HerglotzMeasure((*head, (math.fsum([1.0, *(-w for w, _ in head)]), t)))
-
-
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi] down to REFINE_TOL width."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -301,19 +293,19 @@ def maximize_fs(
         for side, m in (("p", best_p), ("q", best_q))
     }
 
-    def build(side: str) -> HerglotzMeasure:
+    def normalized(side: str) -> list[tuple[float, float]]:
         ws, ts = state[side]
         total = sum(ws)
-        return HerglotzMeasure(tuple((w / total, t) for w, t in zip(ws, ts)))
+        return [(w / total, t) for w, t in zip(ws, ts)]
 
     for _ in range(budget.n_refine):
         for side, other in (("p", "q"), ("q", "p")):
-            fixed = _c12(build(other).atoms, math.cos, math.sin)
+            fixed = _c12(normalized(other), math.cos, math.sin)
 
             def objective() -> float:
                 nonlocal evals
                 evals += 1
-                moved = _c12(build(side).atoms, math.cos, math.sin)
+                moved = _c12(normalized(side), math.cos, math.sin)
                 c, qc = (moved, fixed) if side == "p" else (fixed, moved)
                 return math.hypot(*_fs_parts(params, mu, c, qc))
 
@@ -347,7 +339,10 @@ def maximize_fs(
                         weights[j] = saved
 
     best_member = member_from_pq(
-        params, _unit_sum(build("p")), _unit_sum(build("q")), DEFAULT_ORDER
+        params,
+        HerglotzMeasure(normalized("p")),
+        HerglotzMeasure(normalized("q")),
+        DEFAULT_ORDER,
     )
     best_value = abs(fs_functional(best_member, mu))
     return SearchResult(

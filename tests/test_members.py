@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,18 +15,18 @@ from fslab import (
     ClassParams,
     DomainError,
     HerglotzMeasure,
-    PowerSeries,
+    NearSingular,
     denominators,
     fs_functional,
     herglotz_coeffs,
     member_from_pq,
     membership_spotcheck,
-    ps_linear,
-    ps_mul,
     rotate,
     shift_measure,
     starlike_from_q,
+    transform_spotcheck,
 )
+from fslab.members import MAX_ATOMS
 
 PI = math.pi
 
@@ -85,6 +86,24 @@ def test_measure_wraps_angles():
     assert abs(m.atoms[0][1] - PI) < 1e-12
     m = HerglotzMeasure(((1.0, 2 * PI),))
     assert m.atoms[0][1] == 0.0
+    m = HerglotzMeasure(((1.0, -1e-20),))  # -1e-20 % (2 pi) rounds to 2 pi
+    assert m.atoms[0][1] == 0.0
+
+
+def test_measure_rebuild_is_a_fixed_point():
+    # what lets a printed violation reproduce its member bit for bit; the
+    # draws follow sample_measure, whose weights are normalized by a plain sum
+    rng = np.random.default_rng(307)
+    for _ in range(20_000):
+        n = int(rng.integers(1, MAX_ATOMS + 1))
+        w = 1.0 - rng.random(n)
+        raw = tuple(zip(map(float, w / w.sum()), map(float, rng.uniform(0, 2 * PI, n))))
+        m = HerglotzMeasure(raw)
+        assert HerglotzMeasure(m.atoms) == m
+        assert math.fsum(w for w, _ in m.atoms) == 1.0
+        total = math.fsum(w for w, _ in raw)
+        for (w0, _), (w1, _) in zip(raw, m.atoms):
+            assert abs(w1 - w0 / total) <= 4 * math.ulp(w0 / total)
 
 
 # ----- Herglotz coefficients -----
@@ -255,10 +274,11 @@ def _fake_member_with_constant_c(value: float, order: int) -> ClassMember:
     qk = herglotz_coeffs(q, order)
     b = starlike_from_q(qk, params.beta, order)
     d = denominators(params, order)
-    one = PowerSeries((1.0,) + (0.0,) * order)
-    mix = ps_linear(params.alpha, one, 1 - params.alpha, PowerSeries(c))
-    num = ps_mul(PowerSeries(b), mix)
-    a = (0j, 1 + 0j) + tuple(num.coeffs[k] / d[k] for k in range(2, order + 1))
+    # D_k a_k = [z^k] g p at alpha = 0; every term is a small integer, so the
+    # plain sum is exact
+    a = (0j, 1 + 0j) + tuple(
+        sum(b[j] * c[k - j] for j in range(k + 1)) / d[k] for k in range(2, order + 1)
+    )
     return ClassMember(params, q, q, c, qk, b, a, d)
 
 
@@ -281,3 +301,24 @@ def test_spotcheck_radius_validation():
         membership_spotcheck(m, radius=0.0)
     with pytest.raises(ValueError):
         membership_spotcheck(m, grid=4)
+
+
+# hand-built members: coefficient data that did not come from member_from_pq
+_MEMBER = member_from_pq(ClassParams(0.3, 0.1, 0.2, 0.4), atom_measure(), atom_measure())
+
+
+def test_spotcheck_rejects_non_finite_coefficients():
+    bad = replace(_MEMBER, a=_MEMBER.a[:3] + (complex("nan"),) + _MEMBER.a[4:])
+    # finite data whose quotient by g overflows
+    huge = replace(_MEMBER, a=(0j, 1e300 + 0j) + _MEMBER.a[2:], b=(0.0, 1e-11) + _MEMBER.b[2:])
+    for check in (membership_spotcheck, transform_spotcheck):
+        for member in (bad, huge):
+            with pytest.raises(ValueError):
+                check(member)
+
+
+def test_spotcheck_rejects_near_singular_g():
+    flat = replace(_MEMBER, b=(0.0, 1e-13) + _MEMBER.b[2:])
+    for check in (membership_spotcheck, transform_spotcheck):
+        with pytest.raises(NearSingular):
+            check(flat)
