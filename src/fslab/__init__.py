@@ -17,9 +17,7 @@ from .bounds import (
     branch_value,
     breakpoints,
     caratheodory_bound,
-    classical_s_bound,
     coeff_bounds,
-    psi,
     reduction_bound,
     starlike_fs_bound,
 )
@@ -31,7 +29,6 @@ from .errors import (
     ViolationError,
 )
 from .extremal import (
-    ExtremalConfig,
     extremal_config,
     extremal_member,
     libera_transform,
@@ -49,16 +46,12 @@ from .members import (
     herglotz_coeffs,
     member_from_pq,
     membership_spotcheck,
-    rotate,
-    shift_measure,
     starlike_from_q,
 )
 from .search import (
     SearchBudget,
     SearchResult,
-    VerificationReport,
     maximize_fs,
-    sample_measure,
     verify_inequality,
 )
 
@@ -71,7 +64,6 @@ __all__ = [
     "ClassParams",
     "DEFAULT_ORDER",
     "DomainError",
-    "ExtremalConfig",
     "FslabError",
     "HerglotzMeasure",
     "KM_SIGN_NOTE",
@@ -79,7 +71,6 @@ __all__ = [
     "REDUCTION_PRESETS",
     "SearchBudget",
     "SearchResult",
-    "VerificationReport",
     "ViolationError",
     "bound_complex",
     "bound_real",
@@ -87,7 +78,6 @@ __all__ = [
     "branch_value",
     "breakpoints",
     "caratheodory_bound",
-    "classical_s_bound",
     "coeff_bounds",
     "denominators",
     "extremal_config",
@@ -98,13 +88,9 @@ __all__ = [
     "maximize_fs",
     "member_from_pq",
     "membership_spotcheck",
-    "psi",
     "reduction_bound",
-    "rotate",
-    "sample_measure",
     "sharp_witness",
     "sharpness_residual",
-    "shift_measure",
     "starlike_from_q",
     "starlike_fs_bound",
     "transform_spotcheck",

@@ -126,7 +126,7 @@ class BoundReport:
     value: float  # bound on |a_3 - mu a_2**2|
 
 
-def psi(params: ClassParams, s: float) -> float:
+def _psi(params: ClassParams, s: float) -> float:
     """Psi(s) = 3 sigma (1 - s) / tau**2."""
     return 3.0 * params.sigma * (1.0 - s) / params.tau**2
 
@@ -252,7 +252,7 @@ def bound_complex(params: ClassParams, mu: complex) -> float:
     if not (math.isfinite(mu.real) and math.isfinite(mu.imag)):
         raise DomainError(f"mu must be finite, got {mu!r}")
     a, b = params.alpha, params.beta
-    pb, pa, p0 = psi(params, b), psi(params, a), psi(params, 0.0)
+    pb, pa, p0 = _psi(params, b), _psi(params, a), _psi(params, 0.0)
     t1 = (1.0 - b) * max(1.0, abs(3.0 - 2.0 * b - mu * pb))
     t2 = 2.0 * (1.0 - a) * max(1.0, abs(1.0 - mu * pa / 2.0))
     t3 = 4.0 * (1.0 - a) * (1.0 - b) * abs(1.0 - mu * p0 / 2.0)
@@ -286,22 +286,6 @@ def starlike_fs_bound(beta: float, mu: float) -> float:
     if isinstance(mu, complex) or not math.isfinite(mu):
         raise DomainError(f"mu must be finite real, got {mu!r}")
     return (1.0 - beta) * max(1.0, abs(3.0 - 2.0 * beta - 4.0 * mu * (1.0 - beta)))
-
-
-def classical_s_bound(mu: float) -> float:
-    """The classical bound on |a_3 - mu a_2**2| over all of S, real mu.
-
-    3 - 4 mu for mu <= 0, then 1 + 2 exp(-2 mu / (1 - mu)) on (0, 1),
-    then 4 mu - 3. Included as an external cross-reference value; it is not
-    comparable to the class bounds here parameter-by-parameter.
-    """
-    if isinstance(mu, complex) or not math.isfinite(mu):
-        raise DomainError(f"mu must be finite real, got {mu!r}")
-    if mu <= 0.0:
-        return 3.0 - 4.0 * mu
-    if mu < 1.0:
-        return 1.0 + 2.0 * math.exp(-2.0 * mu / (1.0 - mu))
-    return 4.0 * mu - 3.0
 
 
 def reduction_bound(preset: str, mu: float, **free: float) -> float:

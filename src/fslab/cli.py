@@ -37,7 +37,7 @@ from .bounds import (
     reduction_bound,
 )
 from .errors import CaseRangeError, DomainError, FslabError, NearSingular, ViolationError
-from .extremal import extremal_member, sharpness_residual
+from .extremal import extremal_member
 from .members import ClassParams, HerglotzMeasure, fs_functional, member_from_pq
 from .search import SearchBudget, verify_inequality
 
@@ -45,6 +45,10 @@ SCHEMA_VERSION = 1
 
 # Residual at a witness larger than this in modulus is a verification failure.
 SHARP_TOL = 1e-8
+
+# Largest --order `member` accepts: construction is quadratic in the order
+# (about 0.45 s end to end at 1000), and nothing needs more.
+_MAX_ORDER = 1000
 
 _COMPLEX_RE = re.compile(
     r"^(?P<re>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -155,7 +159,9 @@ def _build_parser() -> _Parser:
     _add_param_flags(sub)
     sub.add_argument("--p-atoms", required=True, help="w:theta[,w:theta...]")
     sub.add_argument("--q-atoms", required=True, help="w:theta[,w:theta...]")
-    sub.add_argument("--order", type=int, default=8)
+    sub.add_argument(
+        "--order", type=int, default=8, help=f"jet order, 3..{_MAX_ORDER} (default 8)"
+    )
 
     return parser
 
@@ -297,6 +303,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_member(args: argparse.Namespace) -> int:
     if args.order < 3:
         raise _UsageError("--order must be at least 3")
+    if args.order > _MAX_ORDER:
+        raise _UsageError(f"--order must be at most {_MAX_ORDER}")
     params = _params(args)
     member = member_from_pq(
         params, parse_atoms(args.p_atoms), parse_atoms(args.q_atoms), args.order

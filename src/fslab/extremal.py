@@ -28,7 +28,6 @@ is what makes the rho = mu sigma / tau**2 substitution in the bounds work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bounds import bound_real, bound_sharp, breakpoints, two_atom_extreme
 from .errors import CaseRangeError, DomainError
@@ -45,15 +44,6 @@ from .members import (
 # Absolute slack when accepting mu at the ends of the case-2 window and when
 # clamping the induced c_1 back into [0, 2]; covers breakpoint roundoff only.
 _EDGE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ExtremalConfig:
-    """Measure pair realizing one branch's extremal member."""
-
-    case_id: int
-    p_measure: HerglotzMeasure
-    q_measure: HerglotzMeasure
 
 
 def libera_transform(member: ClassMember) -> tuple[complex, ...]:
@@ -106,21 +96,21 @@ def _case2_p_measure(params: ClassParams, mu: float) -> HerglotzMeasure:
 
 def extremal_config(
     params: ClassParams, case_id: int, mu: float | None = None
-) -> ExtremalConfig:
-    """Measure pair for one case; mu is consulted only by case 2."""
+) -> tuple[HerglotzMeasure, HerglotzMeasure]:
+    """(p, q) measure pair for one case; mu is consulted only by case 2."""
     if case_id == 1:
         atom0 = HerglotzMeasure(((1.0, 0.0),))
-        return ExtremalConfig(1, atom0, atom0)
+        return atom0, atom0
     if case_id == 2:
         if mu is None:
             raise CaseRangeError("case 2 needs mu to place its measure")
-        return ExtremalConfig(2, _case2_p_measure(params, mu), HerglotzMeasure(((1.0, 0.0),)))
+        return _case2_p_measure(params, mu), HerglotzMeasure(((1.0, 0.0),))
     if case_id == 3:
         half = HerglotzMeasure(((0.5, 0.0), (0.5, math.pi)))
-        return ExtremalConfig(3, half, half)
+        return half, half
     if case_id == 4:
         side = HerglotzMeasure(((1.0, math.pi / 2.0),))
-        return ExtremalConfig(4, side, side)
+        return side, side
     raise DomainError(f"case_id must be 1..4, got {case_id}")
 
 
@@ -128,8 +118,8 @@ def extremal_member(
     params: ClassParams, mu: float | None, case_id: int, order: int = DEFAULT_ORDER
 ) -> ClassMember:
     """Build the witness member for one case via member_from_pq."""
-    cfg = extremal_config(params, case_id, mu)
-    return member_from_pq(params, cfg.p_measure, cfg.q_measure, order)
+    p, q = extremal_config(params, case_id, mu)
+    return member_from_pq(params, p, q, order)
 
 
 def sharpness_residual(params: ClassParams, mu: float, order: int = DEFAULT_ORDER) -> float:

@@ -262,20 +262,6 @@ def fs_functional(member: ClassMember, mu: complex) -> complex:
     return member.a[3] - mu * member.a[2] ** 2
 
 
-def rotate(coeffs: Sequence[complex], theta: float) -> tuple[complex, ...]:
-    """Rotate tail coefficients (a_1, a_2, ..., a_n) of a normalized function.
-
-    Returns the coefficients of e^{-i theta} f(e^{i theta} z): entry k maps to
-    a_k e^{i (k-1) theta}, so the first entry is fixed.
-    """
-    return tuple(v * cmath.exp(1j * j * theta) for j, v in enumerate(coeffs))
-
-
-def shift_measure(measure: HerglotzMeasure, theta: float) -> HerglotzMeasure:
-    """Advance every atom angle by theta (the measure of z -> p(e^{i theta} z))."""
-    return HerglotzMeasure(tuple((w, t + theta) for w, t in measure.atoms))
-
-
 def _grid_spotcheck(
     member: ClassMember, num: tuple[complex, ...], radius: float, grid: int
 ) -> bool:

@@ -3,13 +3,15 @@
 This is the independent check on the closed-form bounds: sample measure pairs,
 evaluate the functional of the members they induce, and keep the largest
 modulus. Sharpness never depends on luck because the four extremal
-configurations (when admissible) and their quarter-turn rotations are always
-part of the evaluated set; random samples and a coordinatewise golden-section
-polish then try to beat them. On cases 1-2 nothing ever has; on the case-3/4
-window with alpha > 0 described in :mod:`fslab.bounds` the random phase DOES
-beat the piecewise value, and verify_inequality reports that honestly as a
-ViolationError. Whether max_atoms = 3 limits anything is unknown and
-irrelevant to the seeded floor.
+configurations (when admissible) are always part of the evaluated set, each
+once: rotating a member, f -> e^{-i theta} f(e^{i theta} z), leaves
+|a_3 - mu a_2**2| unchanged (acceptance criterion 8 checks this), so rotated
+copies of a configuration would add nothing. Random samples and a coordinatewise
+golden-section polish then try to beat them. On cases 1-2 nothing ever has; on
+the case-3/4 window with alpha > 0 described in :mod:`fslab.bounds` the random
+phase DOES beat the piecewise value, and verify_inequality reports that
+honestly as a ViolationError. Whether max_atoms = 3 limits anything is unknown
+and irrelevant to the seeded floor.
 
 The functional depends on a member only through c_1, c_2 (of p) and q_1, q_2.
 With u = 1 - alpha and v = 1 - beta,
@@ -30,10 +32,10 @@ are drawn and ignored). Sample i therefore reads the same doubles however the
 samples are split into chunks, the kernel's arithmetic is elementwise, and
 every chunk is reduced by the key (value, member fingerprint) that also ranks
 the seeded floor. The same inputs and budget always give a bitwise identical
-result, independent of the chunk size, and exact ties between rotated seeded
-configurations are broken the same way every time. This stream replaced one
-generator per (seed, sample index), so a given seed draws different samples
-than it did with those.
+result, independent of the chunk size, and exact ties between seeded
+configurations (cases 1 and 2 share their witness at mu1) are broken the same
+way every time. This stream replaced one generator per (seed, sample index),
+so a given seed draws different samples than it did with those.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .members import (
     denominators,
     fs_functional,
     member_from_pq,
-    shift_measure,
 )
 
 # Relative slack separating "roundoff" from "the bound is wrong".
@@ -67,8 +68,6 @@ ATTAINED_RTOL = 1e-6
 
 # Golden-section interval contraction threshold.
 REFINE_TOL = 1e-10
-
-_SEED_ROTATIONS = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
 
 # Random samples per kernel call. It bounds the kernel's working memory and
 # nothing else: the stream layout fixes every sample's draws.
@@ -109,24 +108,10 @@ class SearchResult:
     margin: float  # bound - best_value; >= -VIOLATION_RTOL * max(1, bound)
     evaluations: int
 
-
-@dataclass(frozen=True)
-class VerificationReport:
-    bound: float
-    best_value: float
-    margin: float
-    attained: bool
-
-
-def sample_measure(rng: np.random.Generator, max_atoms: int) -> HerglotzMeasure:
-    """Draw one measure: atom count uniform in 1..max_atoms, weights from a
-    normalized positive draw, angles uniform on [0, 2 pi). Same generator
-    state, same measure."""
-    n = int(rng.integers(1, max_atoms + 1))
-    weights = 1.0 - rng.random(n)  # in (0, 1], never exactly zero
-    weights = weights / weights.sum()
-    angles = rng.uniform(0.0, TWO_PI, n)
-    return HerglotzMeasure(tuple(zip(map(float, weights), map(float, angles))))
+    @property
+    def attained(self) -> bool:
+        """best_value is within ATTAINED_RTOL of the bound (or above it)."""
+        return self.margin <= ATTAINED_RTOL * self.bound
 
 
 def _fingerprint(p: HerglotzMeasure, q: HerglotzMeasure) -> Fingerprint:
@@ -249,20 +234,17 @@ def maximize_fs(
 
     evals = 0
 
-    # Seeded floor: the four extremal configurations and their rotations.
+    # Seeded floor: the admissible extremal configurations, once each.
     candidates: list[tuple[float, Fingerprint, HerglotzMeasure, HerglotzMeasure]] = []
     for case_id in (1, 2, 3, 4):
         if case_id == 2 and not real_mu:
             continue
         try:
-            cfg = extremal_config(params, case_id, float(mu) if real_mu else None)
+            p, q = extremal_config(params, case_id, float(mu) if real_mu else None)
         except CaseRangeError:
             continue
-        for rot in _SEED_ROTATIONS:
-            p = shift_measure(cfg.p_measure, rot)
-            q = shift_measure(cfg.q_measure, rot)
-            candidates.append((_pair_value(params, mu, p, q), _fingerprint(p, q), p, q))
-            evals += 1
+        candidates.append((_pair_value(params, mu, p, q), _fingerprint(p, q), p, q))
+        evals += 1
 
     # Random phase: chunks of the one Philox stream through the batched
     # kernel. Only a chunk's best rows become measures, so the incumbent is
@@ -309,34 +291,24 @@ def maximize_fs(
                 c, qc = (moved, fixed) if side == "p" else (fixed, moved)
                 return math.hypot(*_fs_parts(params, mu, c, qc))
 
+            # every angle on [0, 2 pi), then every weight (a lone weight is fixed)
             weights, angles = state[side]
-            for j in range(len(angles)):
-                saved = angles[j]
+            coords = [(angles, j, 0.0, TWO_PI) for j in range(len(angles))]
+            if len(weights) > 1:
+                coords += [(weights, j, 1e-9, 1.0) for j in range(len(weights))]
+            for values, j, lo, hi in coords:
+                saved = values[j]
 
-                def slice_fn(t: float, j=j, angles=angles) -> float:
-                    angles[j] = t
+                def slice_fn(t: float, j=j, values=values) -> float:
+                    values[j] = t
                     return objective()
 
-                x, v = _golden_max(slice_fn, 0.0, TWO_PI)
+                x, v = _golden_max(slice_fn, lo, hi)
                 if v > best_v:
-                    angles[j] = x
+                    values[j] = x
                     best_v = v
                 else:
-                    angles[j] = saved
-            if len(weights) > 1:
-                for j in range(len(weights)):
-                    saved = weights[j]
-
-                    def slice_fn(t: float, j=j, weights=weights) -> float:
-                        weights[j] = t
-                        return objective()
-
-                    x, v = _golden_max(slice_fn, 1e-9, 1.0)
-                    if v > best_v:
-                        weights[j] = x
-                        best_v = v
-                    else:
-                        weights[j] = saved
+                    values[j] = saved
 
     best_member = member_from_pq(
         params,
@@ -358,8 +330,8 @@ def verify_inequality(
     params: ClassParams,
     mu: complex,
     budget: SearchBudget | None = None,
-) -> VerificationReport:
-    """Run the search and report how close it got to the bound.
+) -> SearchResult:
+    """Run the search and return its result if it stays within the bound.
 
     Raises ViolationError when the search exceeds the bound beyond
     VIOLATION_RTOL * max(1, bound). For complex mu (triangle route) that
@@ -381,9 +353,4 @@ def verify_inequality(
             q_measure=member.q_measure,
             mu=mu,
         )
-    return VerificationReport(
-        bound=result.bound,
-        best_value=result.best_value,
-        margin=result.margin,
-        attained=result.margin <= ATTAINED_RTOL * result.bound,
-    )
+    return result

@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from conftest import random_member, random_params
+from conftest import random_member, random_params, rotate, sample_measure
 from fslab import (
     ClassParams,
     HerglotzMeasure,
@@ -48,8 +48,6 @@ from fslab import (
     libera_transform,
     maximize_fs,
     member_from_pq,
-    rotate,
-    sample_measure,
     sharpness_residual,
     transform_spotcheck,
 )

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import atom_measure, random_params
+from conftest import atom_measure, random_params, sample_measure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,17 +21,16 @@ from fslab import (
     branch_value,
     breakpoints,
     caratheodory_bound,
-    classical_s_bound,
     coeff_bounds,
     fs_functional,
     herglotz_coeffs,
     member_from_pq,
     membership_spotcheck,
-    psi,
     reduction_bound,
     starlike_from_q,
     starlike_fs_bound,
 )
+from fslab.bounds import _psi
 
 P0 = ClassParams(0, 0, 0, 0)
 PMIX = ClassParams(0.5, 0.25, 0.25, 0.5)
@@ -236,9 +235,9 @@ def test_sharp_domain_edges(lam, frac, alpha, beta, mu, on_break):
 # ----- helper quantities -----
 
 def test_psi_examples():
-    assert psi(P0, 0.0) == 3.0
-    assert psi(P0, 0.5) == 1.5
-    assert abs(psi(PMIX, 0.0) - 3.0) < 1e-15  # tau**2 == sigma here
+    assert _psi(P0, 0.0) == 3.0
+    assert _psi(P0, 0.5) == 1.5
+    assert abs(_psi(PMIX, 0.0) - 3.0) < 1e-15  # tau**2 == sigma here
 
 
 def test_coeff_bounds_examples():
@@ -310,24 +309,6 @@ def test_starlike_fs_validation():
         starlike_fs_bound(0.5, 1j)
 
 
-# ----- the classical full-class bound -----
-
-def test_classical_s_values():
-    assert classical_s_bound(0.0) == 3.0
-    assert abs(classical_s_bound(0.5) - (1 + 2 * math.exp(-2.0))) < 1e-15
-    assert classical_s_bound(2.0) == 5.0
-    assert classical_s_bound(-1.0) == 7.0
-
-
-def test_classical_s_continuity():
-    assert abs(classical_s_bound(1e-12) - 3.0) < 1e-9
-    # as mu -> 1- the exponential term dies, leaving 1 = 4*1 - 3
-    assert abs(classical_s_bound(1 - 1e-9) - 1.0) < 1e-6
-    assert abs(classical_s_bound(1.0) - 1.0) < 1e-15
-    with pytest.raises(DomainError):
-        classical_s_bound(1j)
-
-
 # ----- reductions -----
 
 @pytest.mark.parametrize(
@@ -361,8 +342,6 @@ def test_reduction_validation():
 def test_bound_not_beaten_on_first_two_cases():
     # soundness on mu <= mu2 only; cases 3-4 are exceeded for alpha > 0
     rng = np.random.default_rng(53)
-    from fslab import sample_measure
-
     for _ in range(100):
         par = random_params(rng)
         mu2 = breakpoints(par)[1]
@@ -375,8 +354,6 @@ def test_bound_not_beaten_on_first_two_cases():
 def test_bound_not_beaten_at_alpha_zero():
     # the alpha = 0 edge is sound for every mu, including cases 3-4
     rng = np.random.default_rng(54)
-    from fslab import sample_measure
-
     for _ in range(100):
         lam = float(rng.uniform(0, 1))
         par = ClassParams(lam, float(rng.uniform(0, lam)), 0.0, float(rng.uniform(0, 0.95)))

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import time
 
 import pytest
 
@@ -286,3 +287,14 @@ def test_member_order_floor_is_usage_error(capsys):
         capsys, "member", "--p-atoms", "1:0", "--q-atoms", "1:0", "--order", "2"
     )
     assert code == 1 and "usage error" in err
+
+
+@pytest.mark.parametrize("order", ["1001", "1000000000"])
+def test_member_order_cap_is_usage_error(capsys, order):
+    # rejected before any construction, which is quadratic in the order
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "member", "--p-atoms", "1:0", "--q-atoms", "1:0", "--order", order
+    )
+    assert code == 1 and out == "" and "usage error" in err
+    assert time.perf_counter() - t0 < 0.1

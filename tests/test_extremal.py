@@ -32,20 +32,20 @@ PI = math.pi
 # ----- configuration shapes -----
 
 def test_config_case1():
-    cfg = extremal_config(P0, 1)
-    assert cfg.p_measure.atoms == ((1.0, 0.0),)
-    assert cfg.q_measure.atoms == ((1.0, 0.0),)
+    p, q = extremal_config(P0, 1)
+    assert p.atoms == ((1.0, 0.0),)
+    assert q.atoms == ((1.0, 0.0),)
 
 
 def test_config_case3():
-    cfg = extremal_config(P0, 3)
-    assert cfg.p_measure.atoms == ((0.5, 0.0), (0.5, PI))
-    assert cfg.p_measure == cfg.q_measure
+    p, q = extremal_config(P0, 3)
+    assert p.atoms == ((0.5, 0.0), (0.5, PI))
+    assert p == q
 
 
 def test_config_case4():
-    cfg = extremal_config(P0, 4)
-    assert cfg.p_measure.atoms == ((1.0, PI / 2),)
+    p, _ = extremal_config(P0, 4)
+    assert p.atoms == ((1.0, PI / 2),)
 
 
 def test_config_case_validation():
@@ -57,17 +57,17 @@ def test_config_case_validation():
 
 def test_case2_midpoint_weights():
     # classical parameters at mu = 1/2: c_1 = 2/3, so w = (2 + 2/3)/4 = 2/3
-    cfg = extremal_config(P0, 2, 0.5)
-    (w0, t0), (w1, t1) = cfg.p_measure.atoms
+    p, q = extremal_config(P0, 2, 0.5)
+    (w0, t0), (w1, t1) = p.atoms
     assert abs(w0 - 2 / 3) < 1e-12 and t0 == 0.0
     assert abs(w1 - 1 / 3) < 1e-12 and abs(t1 - PI) < 1e-12
-    assert cfg.q_measure.atoms == ((1.0, 0.0),)
+    assert q.atoms == ((1.0, 0.0),)
 
 
 def test_case2_degenerates_at_lower_end():
     mu1, _, _ = breakpoints(P0)
-    cfg = extremal_config(P0, 2, mu1)
-    assert cfg.p_measure.atoms == ((1.0, 0.0),)  # same witness as case 1
+    p, _ = extremal_config(P0, 2, mu1)
+    assert p.atoms == ((1.0, 0.0),)  # same witness as case 1
 
 
 @pytest.mark.parametrize("mu", [0.9, 0.2, -1.0, 0.0])
@@ -82,7 +82,7 @@ def test_case2_weight_monotone():
     mus = np.linspace(mu1 + 1e-6, mu2, 100)
     c1s = []
     for mu in mus:
-        atoms = extremal_config(P0, 2, float(mu)).p_measure.atoms
+        atoms = extremal_config(P0, 2, float(mu))[0].atoms
         w = atoms[0][0]
         c1s.append(2 * (2 * w - 1))
     assert all(x > y for x, y in zip(c1s, c1s[1:]))

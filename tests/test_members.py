@@ -9,7 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import atom_measure, random_member, random_params
+from conftest import (
+    atom_measure,
+    random_member,
+    random_params,
+    rotate,
+    sample_measure,
+    shift_measure,
+)
 from fslab import (
     ClassMember,
     ClassParams,
@@ -21,8 +28,6 @@ from fslab import (
     herglotz_coeffs,
     member_from_pq,
     membership_spotcheck,
-    rotate,
-    shift_measure,
     starlike_from_q,
     transform_spotcheck,
 )
@@ -127,8 +132,6 @@ def test_two_atom_example():
 
 def test_coefficient_modulus_capped_at_two():
     rng = np.random.default_rng(11)
-    from fslab import sample_measure
-
     for _ in range(500):
         m = sample_measure(rng, 4)
         c = herglotz_coeffs(m, 8)

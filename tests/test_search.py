@@ -8,18 +8,18 @@ import numpy as np
 import pytest
 
 import fslab.search
-from conftest import random_params
+from conftest import random_params, sample_measure
 from fslab import (
     ClassParams,
     DomainError,
     SearchBudget,
     ViolationError,
+    bound_real,
     breakpoints,
     fs_functional,
     maximize_fs,
     member_from_pq,
     membership_spotcheck,
-    sample_measure,
     verify_inequality,
 )
 from fslab.members import MAX_ATOMS
@@ -194,6 +194,33 @@ def test_closed_form_matches_member_from_pq():
     assert worst <= 2e-15, worst
 
 
+def test_seeded_floor_evaluates_each_case_once():
+    # at the classical parameters mu = 1/2 admits all four cases; the one
+    # random sample is the fifth evaluation
+    r = maximize_fs(P0, 0.5, SearchBudget(n_samples=1, n_refine=0))
+    assert r.evaluations == 5
+    r = maximize_fs(P0, 0.5j, SearchBudget(n_samples=1, n_refine=0))
+    assert r.evaluations == 4  # case 2 needs real mu
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_seeded_floor_reaches_the_paper_value(case_id):
+    # without rotated copies the seeds alone still attain bound_real in
+    # every case, so sharpness never rests on the random phase
+    rng = np.random.default_rng(400 + case_id)
+    floor = SearchBudget(n_samples=1, n_refine=0)
+    for _ in range(100):
+        par = random_params(rng)
+        mu1, mu2, mu3 = breakpoints(par)
+        lo, hi = {1: (mu1 - 2.0, mu1), 2: (mu1, mu2), 3: (mu2, mu3), 4: (mu3, mu3 + 2.0)}[case_id]
+        mu = float(rng.uniform(lo, hi))
+        report = bound_real(par, mu)
+        if report.case_id != case_id:  # uniform() may return lo itself
+            continue
+        r = maximize_fs(par, mu, floor)
+        assert r.best_value >= report.value * (1.0 - 1e-12), (par, mu)
+
+
 def test_refinement_only_improves():
     base = SearchBudget(n_samples=200, n_refine=0, max_atoms=3, seed=11)
     more = SearchBudget(n_samples=200, n_refine=2, max_atoms=3, seed=11)
@@ -203,6 +230,10 @@ def test_refinement_only_improves():
 
 
 # ----- verification wrapper -----
+
+def test_verify_returns_the_search_result():
+    assert verify_inequality(P0, 0.5, SMALL) == maximize_fs(P0, 0.5, SMALL)
+
 
 def test_verify_attains_real_mu():
     rep = verify_inequality(P0, 0.5, SMALL)
