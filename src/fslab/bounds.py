@@ -83,6 +83,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .members import ClassParams
 
@@ -105,13 +107,21 @@ REDUCTION_PRESETS: dict[str, tuple[dict[str, float], tuple[str, ...]]] = {
 }
 
 
-def _rho(params: ClassParams, mu: float) -> float:
-    """rho = mu sigma / tau**2: real mu after passing to the second-order
-    transform (defined for finite real mu only)."""
-    if isinstance(mu, complex):
-        raise DomainError("rho substitution is defined for real mu only")
+def _check_finite(mu) -> None:
+    """DomainError naming mu, or an array's first non-finite entry, if any."""
+    if isinstance(mu, np.ndarray):
+        bad = mu[~np.isfinite(mu)]
+        mu = float(bad[0]) if bad.size else 0.0
     if not math.isfinite(mu):
         raise DomainError(f"mu must be finite, got {mu!r}")
+
+
+def _rho(params: ClassParams, mu):
+    """rho = mu sigma / tau**2: real mu after passing to the second-order
+    transform (defined for finite real mu only, a float or an array)."""
+    if isinstance(mu, complex):
+        raise DomainError("rho substitution is defined for real mu only")
+    _check_finite(mu)
     return mu * params.sigma / params.tau**2
 
 
@@ -134,7 +144,9 @@ def _psi(params: ClassParams, s: float) -> float:
 def breakpoints(params: ClassParams) -> tuple[float, float, float]:
     """The three mu thresholds (mu1, mu2, mu3) separating the four branches.
 
-    Always ordered mu1 < mu2 < mu3 on the open parameter domain.
+    Ordered mu1 < mu2 < mu3 on the open parameter domain in exact
+    arithmetic; in floating point mu1 can exceed mu2 by an ulp when alpha is
+    within a few ulps of 1, which _case_id allows for.
     """
     a, b = params.alpha, params.beta
     t2 = params.tau**2
@@ -146,6 +158,33 @@ def breakpoints(params: ClassParams) -> tuple[float, float, float]:
     return (mu1, mu2, mu3)
 
 
+def _case_id(mu, bps: tuple[float, float, float]):
+    """The lowest case whose breakpoint mu does not exceed (4 past mu3).
+
+    Counts 1 + (mu > mu1) + (mu > mu2) + (mu > mu3), for a float or an
+    array, against the breakpoints' running maxima, so ties go to the lower
+    case even where roundoff puts mu1 an ulp above mu2.
+    """
+    mu1, mu2, mu3 = bps
+    mu2 = max(mu1, mu2)
+    return 1 + (mu > mu1) + (mu > mu2) + (mu > max(mu2, mu3))
+
+
+def _branch(params: ClassParams, rho, case_id: int):
+    """One branch formula (scaled form) at rho, a float or an array."""
+    a, b = params.alpha, params.beta
+    big_a = 3.0 - 2.0 * b
+    big_b = 3.0 - 2.0 * a - b
+    big_c = 2.0 - a - b
+    if case_id == 1:
+        return big_a * big_b - 3.0 * rho * big_c**2
+    if case_id == 2:
+        return 1.0 - 2.0 * a + b * big_a + 4.0 * (1.0 - b) ** 2 / (3.0 * rho)
+    if case_id == 3:
+        return big_b
+    return -big_a * big_b + 3.0 * rho * big_c**2
+
+
 def branch_value(params: ClassParams, mu: float, case_id: int) -> float:
     """Evaluate one branch formula (scaled form) regardless of mu's range.
 
@@ -154,20 +193,10 @@ def branch_value(params: ClassParams, mu: float, case_id: int) -> float:
     """
     if case_id not in (1, 2, 3, 4):
         raise DomainError(f"case_id must be 1..4, got {case_id}")
-    a, b = params.alpha, params.beta
     rho = _rho(params, mu)
-    big_a = 3.0 - 2.0 * b
-    big_b = 3.0 - 2.0 * a - b
-    big_c = 2.0 - a - b
-    if case_id == 1:
-        return big_a * big_b - 3.0 * rho * big_c**2
-    if case_id == 2:
-        if rho == 0.0:
-            raise DomainError("the middle branch is undefined at mu = 0")
-        return 1.0 - 2.0 * a + b * big_a + 4.0 * (1.0 - b) ** 2 / (3.0 * rho)
-    if case_id == 3:
-        return big_b
-    return -big_a * big_b + 3.0 * rho * big_c**2
+    if case_id == 2 and rho == 0.0:
+        raise DomainError("the middle branch is undefined at mu = 0")
+    return _branch(params, rho, case_id)
 
 
 def bound_real(params: ClassParams, mu: float) -> BoundReport:
@@ -184,22 +213,14 @@ def bound_real(params: ClassParams, mu: float) -> BoundReport:
     if isinstance(mu, complex):
         raise DomainError("bound_real takes real mu; use bound_complex")
     mu = float(mu)
-    if not math.isfinite(mu):
-        raise DomainError(f"mu must be finite, got {mu!r}")
-    mu1, mu2, mu3 = breakpoints(params)
-    if mu <= mu1:
-        case_id = 1
-    elif mu <= mu2:
-        case_id = 2
-    elif mu <= mu3:
-        case_id = 3
-    else:
-        case_id = 4
+    _check_finite(mu)
+    bps = breakpoints(params)
+    case_id = _case_id(mu, bps)
     scaled = branch_value(params, mu, case_id)
     return BoundReport(
         mu=mu,
         case_id=case_id,
-        breakpoints=(mu1, mu2, mu3),
+        breakpoints=bps,
         scaled_value=scaled,
         value=scaled / (3.0 * params.sigma),
     )
@@ -240,6 +261,17 @@ def bound_sharp(params: ClassParams, mu: float) -> float:
     return max(report.value, two_atom_extreme(params, report.mu)[1])
 
 
+def _triangle(params: ClassParams, mu, absf, maxf):
+    """The three triangle terms' sum (scaled form), for a complex mu with abs
+    and max, or for an array of real mu with np.abs and np.maximum."""
+    a, b = params.alpha, params.beta
+    pb, pa, p0 = _psi(params, b), _psi(params, a), _psi(params, 0.0)
+    t1 = (1.0 - b) * maxf(1.0, absf(3.0 - 2.0 * b - mu * pb))
+    t2 = 2.0 * (1.0 - a) * maxf(1.0, absf(1.0 - mu * pa / 2.0))
+    t3 = 4.0 * (1.0 - a) * (1.0 - b) * absf(1.0 - mu * p0 / 2.0)
+    return t1 + t2 + t3
+
+
 def bound_complex(params: ClassParams, mu: complex) -> float:
     """Triangle-inequality bound on |a_3 - mu a_2**2|, valid for any mu.
 
@@ -251,12 +283,28 @@ def bound_complex(params: ClassParams, mu: complex) -> float:
     mu = complex(mu)
     if not (math.isfinite(mu.real) and math.isfinite(mu.imag)):
         raise DomainError(f"mu must be finite, got {mu!r}")
-    a, b = params.alpha, params.beta
-    pb, pa, p0 = _psi(params, b), _psi(params, a), _psi(params, 0.0)
-    t1 = (1.0 - b) * max(1.0, abs(3.0 - 2.0 * b - mu * pb))
-    t2 = 2.0 * (1.0 - a) * max(1.0, abs(1.0 - mu * pa / 2.0))
-    t3 = 4.0 * (1.0 - a) * (1.0 - b) * abs(1.0 - mu * p0 / 2.0)
-    return (t1 + t2 + t3) / (3.0 * params.sigma)
+    return _triangle(params, mu, abs, max) / (3.0 * params.sigma)
+
+
+def _grid_bounds(params: ClassParams, mu: np.ndarray):
+    """bound_real's case, value and scaled value, and bound_complex, as
+    arrays over a grid of real mu, in one pass.
+
+    Every entry is bitwise what the scalar routes return at that mu: the
+    same expressions in the same order, each branch on its own slice of the
+    grid. A non-finite mu raises bound_real's DomainError for the first one.
+    Overflow gives inf without a warning, as float arithmetic does.
+    """
+    three_sigma = 3.0 * params.sigma
+    with np.errstate(over="ignore"):
+        rho = _rho(params, mu)
+        case_id = _case_id(mu, breakpoints(params))
+        scaled = np.empty_like(rho)
+        for k in (1, 2, 3, 4):
+            on = case_id == k
+            scaled[on] = _branch(params, rho[on], k)
+        complex_bound = _triangle(params, mu, np.abs, np.maximum) / three_sigma
+    return case_id, scaled / three_sigma, scaled, complex_bound
 
 
 def coeff_bounds(params: ClassParams) -> tuple[float, float]:

@@ -11,6 +11,14 @@ import numpy as np
 from fslab import ClassParams, HerglotzMeasure, member_from_pq
 from fslab.members import TWO_PI
 
+# (lam, delta, alpha, beta) on the edges of the domain
+EDGE_PARAMS = [
+    ClassParams(1.0, 1.0, 0.0, 0.0),
+    ClassParams(1.0, 1.0, 0.95, 0.95),
+    ClassParams(0.0, 0.0, 0.95, 0.95),
+    ClassParams(0.0, 0.0, 0.0, 0.0),
+]
+
 
 def sample_measure(rng: np.random.Generator, max_atoms: int) -> HerglotzMeasure:
     """Draw one measure: atom count uniform in 1..max_atoms, weights from a

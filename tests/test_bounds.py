@@ -30,7 +30,7 @@ from fslab import (
     starlike_from_q,
     starlike_fs_bound,
 )
-from fslab.bounds import _psi
+from fslab.bounds import _grid_bounds, _psi
 
 P0 = ClassParams(0, 0, 0, 0)
 PMIX = ClassParams(0.5, 0.25, 0.25, 0.5)
@@ -230,6 +230,27 @@ def test_sharp_domain_edges(lam, frac, alpha, beta, mu, on_break):
     paper = bound_real(par, mu).value
     assert math.isfinite(sharp) and sharp > 0.0
     assert paper <= sharp <= bound_complex(par, mu) * (1 + 1e-12) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lam=st.floats(0.0, 1.0),
+    frac=st.floats(0.0, 1.0),
+    alpha=st.one_of(_unit, st.sampled_from((0.0, 0.95, 1.0 - 2**-53))),
+    beta=st.one_of(_unit, st.sampled_from((0.0, 0.95, 1.0 - 2**-53))),
+    mus=st.lists(st.floats(-1e308, 1e308), max_size=8),
+)
+def test_grid_matches_scalar_routes(lam, frac, alpha, beta, mus):
+    # the sweep's one array pass is bitwise the scalar routes, on the
+    # breakpoints and an ulp either side of them too
+    par = ClassParams(lam, frac * lam, alpha, beta)
+    near = [float(np.nextafter(m, d)) for m in breakpoints(par) for d in (-np.inf, np.inf)]
+    grid = np.array([*mus, *breakpoints(par), *near, 0.0, -0.0, 1.0])
+    case_id, value, scaled, cb = _grid_bounds(par, grid)
+    for i, mu in enumerate(grid.tolist()):
+        rep = bound_real(par, mu)
+        assert (case_id[i], value[i], scaled[i]) == (rep.case_id, rep.value, rep.scaled_value)
+        assert cb[i] == bound_complex(par, mu)
 
 
 # ----- helper quantities -----

@@ -106,19 +106,88 @@ def test_sweep_csv_shape(capsys):
     assert float(first[2]) == 11.0  # (9 + 24)/3 at mu = -2
 
 
+def _sweep_rows(capsys, par, *argv):
+    flags = ["--lambda", repr(par.lam), "--delta", repr(par.delta),
+             "--alpha", repr(par.alpha), "--beta", repr(par.beta)]
+    code, out, err = run(capsys, "sweep", *flags, *argv)
+    assert code == 0 and err == ""
+    if "json" in argv:
+        return [tuple(r.values()) for r in json.loads(out)["rows"]]
+    return [
+        (float(mu), int(case), float(v), float(s), float(cb))
+        for mu, case, v, s, cb in (line.split(",") for line in out.splitlines()[1:])
+    ]
+
+
 def test_sweep_csv_values_roundtrip(capsys):
-    _, out, _ = run(capsys, "sweep", "--steps", "11", "--mu-min", "0", "--mu-max", "1")
-    rows = [line.split(",") for line in out.splitlines()[1:]]
+    # every row is exactly what the scalar routes give at its mu
     from fslab import ClassParams, bound_complex, bound_real
+    from fslab.bounds import breakpoints
+
+    from conftest import EDGE_PARAMS
 
     p0 = ClassParams(0, 0, 0, 0)
-    for row in rows:
-        mu = float(row[0])
-        rep = bound_real(p0, mu)
-        assert int(row[1]) == rep.case_id
-        assert float(row[2]) == rep.value
-        assert float(row[3]) == rep.scaled_value
-        assert float(row[4]) == bound_complex(p0, mu)
+    mu1, mu2, mu3 = breakpoints(p0)  # 1/3, 2/3 and 1: grid points of the second input
+    # alpha an ulp below 1, where roundoff puts mu1 an ulp above mu2; ties
+    # still go to the lower case, as in bound_real
+    ptie = ClassParams(0.832814051553602, 0.6482777505987233, 1 - 2**-53, 7.150671740303428e-10)
+    tie1, tie2, _ = breakpoints(ptie)
+    assert tie1 > tie2
+    inputs = [
+        (p0, ["--steps", "11", "--mu-min", "0", "--mu-max", "1"]),
+        (p0, ["--steps", "4", "--mu-min", "0", "--mu-max", repr(mu3)]),
+        (p0, ["--steps", "11", "--mu-min", "3", "--mu-max", "-2"]),
+        (p0, ["--steps", "1", "--mu-min", "0.5"]),
+        (ClassParams(0.3, 0.1, 0.2, 0.1), ["--steps", "41", "--output", "json"]),
+        (ptie, ["--steps", "2", "--mu-min", repr(tie2), "--mu-max", repr(tie1)]),
+        *((par, ["--steps", "101", "--mu-min", "-5", "--mu-max", "5"]) for par in EDGE_PARAMS),
+    ]
+    for par, argv in inputs:
+        rows = _sweep_rows(capsys, par, *argv)
+        assert len(rows) == int(argv[1])
+        for mu, case, value, scaled, cb in rows:
+            rep = bound_real(par, mu)
+            assert (case, value, scaled) == (rep.case_id, rep.value, rep.scaled_value), (par, mu)
+            assert cb == bound_complex(par, mu), (par, mu)
+        if par is p0 and argv[1] == "4":
+            assert [r[0] for r in rows] == [0.0, mu1, mu2, mu3]
+        if par is ptie:
+            assert [r[1] for r in rows] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv,code,want_out,want_err",
+    [
+        (
+            ["--mu-min=-1.7e308", "--mu-max=-1e308", "--steps", "3"],
+            0,
+            "mu,case,value,scaled_value,complex_bound\n"
+            "-1.6999999999999999e+308,1,inf,inf,inf\n"
+            "-1.35e+308,1,inf,inf,inf\n"
+            "-1e+308,1,inf,inf,inf\n",
+            "",
+        ),
+        (
+            ["--mu-min=-1e308", "--mu-max", "1e308", "--steps", "5"],
+            2,
+            "",
+            "domain error: mu must be finite, got nan\n",
+        ),
+    ],
+)
+def test_sweep_overflow(capsys, argv, code, want_out, want_err):
+    # values overflow to inf silently; an overflowed step makes the first mu
+    # nan (0 * inf), which is named like bound_real names it
+    assert run(capsys, "sweep", *argv) == (code, want_out, want_err)
+
+
+@pytest.mark.parametrize("steps", ["1000001", "1000000000"])
+def test_sweep_steps_cap_is_usage_error(capsys, steps):
+    # rejected before the grid is allocated
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "sweep", "--steps", steps)
+    assert code == 1 and out == "" and "usage error" in err
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_sweep_json(capsys):

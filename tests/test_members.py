@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import replace
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fslab.search
-from conftest import random_params, sample_measure
+from conftest import EDGE_PARAMS, random_params, sample_measure
 from fslab import (
     ClassParams,
     DomainError,
@@ -26,14 +26,6 @@ from fslab.members import MAX_ATOMS
 
 P0 = ClassParams(0, 0, 0, 0)
 SMALL = SearchBudget(n_samples=300, n_refine=1, max_atoms=3, seed=7)
-
-# (lam, delta, alpha, beta) on the edges of the domain
-EDGE_PARAMS = [
-    ClassParams(1.0, 1.0, 0.0, 0.0),
-    ClassParams(1.0, 1.0, 0.95, 0.95),
-    ClassParams(0.0, 0.0, 0.95, 0.95),
-    ClassParams(0.0, 0.0, 0.0, 0.0),
-]
 
 
 # ----- sampling -----
