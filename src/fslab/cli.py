@@ -23,6 +23,7 @@ mu on the known case-3/4 window with alpha > 0 that is the expected outcome
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -121,6 +122,7 @@ def _params(args: argparse.Namespace) -> ClassParams:
     return ClassParams(args.lam, args.delta, args.alpha, args.beta)
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fslab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)

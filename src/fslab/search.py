@@ -19,10 +19,14 @@ With u = 1 - alpha and v = 1 - beta,
     a_2 = (v q_1 + u c_1) / (2 tau)
     a_3 = (v (q_2 + v q_1**2) / 2 + u v c_1 q_1 + u c_2) / (3 sigma),
 
-so the search evaluates this closed form: over numpy arrays for the random
-samples, one pair at a time for the seeded floor and the polish. Only the
-returned member is built in full, by member_from_pq, and best_value is that
-member's |a_3 - mu a_2**2|.
+so the search evaluates this closed form, written once in complex arithmetic
+from c_k = 2 sum_i w_i z_i**k with z_i = exp(1j t_i): over numpy arrays
+(np.exp) for the random samples, one pair at a time (cmath.exp) for the
+seeded floor and the polish. Only the returned member is built in full, by
+member_from_pq, and best_value is that member's |a_3 - mu a_2**2|. The closed
+form and the member can differ by a few ulps, so the polish is kept only if
+its member's value is not below the unpolished incumbent's: best_value with
+the polish is never below best_value without it.
 
 Determinism contract: the random phase reads one counter-based stream,
 np.random.Generator(np.random.Philox(key=seed)), with a fixed layout of
@@ -40,6 +44,7 @@ so a given seed draws different samples than it did with those.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -55,7 +60,6 @@ from .members import (
     HerglotzMeasure,
     MAX_ATOMS,
     TWO_PI,
-    denominators,
     fs_functional,
     member_from_pq,
 )
@@ -118,55 +122,41 @@ def _fingerprint(p: HerglotzMeasure, q: HerglotzMeasure) -> Fingerprint:
     return (p.atoms, q.atoms)
 
 
-def _c12(columns, cos, sin):
-    """(Re c_1, Im c_1, Re c_2, Im c_2), c_k = 2 sum_i w_i e^{i k t_i}.
+def _c12(atoms, exp):
+    """(c_1, c_2), c_k = 2 sum_i w_i z_i**k with z_i = exp(1j t_i).
 
-    columns yields (w_i, t_i) one atom at a time, as floats with math's cos
-    and sin or as arrays (one entry per sample) with numpy's; atoms of zero
-    weight add nothing. Atoms are summed in order, so a sample's value does
-    not depend on the other entries of its arrays.
+    atoms yields (w_i, t_i) one atom at a time, as floats with cmath.exp or
+    as arrays (one entry per sample) with np.exp; atoms of zero weight add
+    nothing. Atoms are summed in order, so a sample's value does not depend
+    on the other entries of its arrays.
     """
-    c1r = c1i = c2r = c2i = 0.0
-    for w, t in columns:
-        x, y = cos(t), sin(t)
-        c1r = c1r + w * x
-        c1i = c1i + w * y
-        c2r = c2r + w * (x * x - y * y)
-        c2i = c2i + w * (x * y + y * x)
-    return 2.0 * c1r, 2.0 * c1i, 2.0 * c2r, 2.0 * c2i
+    c1 = c2 = 0.0
+    for w, t in atoms:
+        z = exp(1j * t)
+        c1 = c1 + w * z
+        c2 = c2 + w * (z * z)
+    return 2.0 * c1, 2.0 * c2
 
 
 def _a2_a3(params: ClassParams, c, q):
-    """(Re a_2, Im a_2, Re a_3, Im a_3) from _c12 tuples of p and q."""
+    """(a_2, a_3) from the _c12 pairs of p and q."""
     u, v = 1.0 - params.alpha, 1.0 - params.beta
-    _, _, d2, d3 = denominators(params, 3)
-    c1r, c1i, c2r, c2i = c
-    q1r, q1i, q2r, q2i = q
-    b2r, b2i = v * q1r, v * q1i  # b_2 = v q_1, b_3 = v (q_2 + b_2 q_1) / 2
-    b3r = v * (q2r + (b2r * q1r - b2i * q1i)) / 2.0
-    b3i = v * (q2i + (b2r * q1i + b2i * q1r)) / 2.0
-    uc1r, uc1i = u * c1r, u * c1i
-    return (
-        (b2r + uc1r) / d2,
-        (b2i + uc1i) / d2,
-        (b3r + (b2r * uc1r - b2i * uc1i) + u * c2r) / d3,
-        (b3i + (b2r * uc1i + b2i * uc1r) + u * c2i) / d3,
-    )
+    (c1, c2), (q1, q2) = c, q
+    b2 = v * q1  # g = z + b_2 z**2 + b_3 z**3 + ...
+    b3 = v * (q2 + b2 * q1) / 2.0
+    uc1 = u * c1
+    return (b2 + uc1) / (2.0 * params.tau), (b3 + b2 * uc1 + u * c2) / (3.0 * params.sigma)
 
 
-def _fs_parts(params: ClassParams, mu: complex, c, q):
-    """(Re, Im) of a_3 - mu a_2**2 from _c12 tuples of p and q."""
-    a2r, a2i, a3r, a3i = _a2_a3(params, c, q)
-    mr, mi = mu.real, mu.imag
-    sr, si = a2r * a2r - a2i * a2i, a2r * a2i + a2i * a2r
-    return a3r - (mr * sr - mi * si), a3i - (mr * si + mi * sr)
+def _fs_value(params: ClassParams, mu: complex, c, q):
+    """|a_3 - mu a_2**2| from the _c12 pairs of p and q."""
+    a2, a3 = _a2_a3(params, c, q)
+    return abs(a3 - mu * (a2 * a2))
 
 
 def _pair_value(params: ClassParams, mu: complex, p: HerglotzMeasure, q: HerglotzMeasure) -> float:
     """|a_3 - mu a_2**2| of member_from_pq(params, p, q), in closed form."""
-    c = _c12(p.atoms, math.cos, math.sin)
-    qc = _c12(q.atoms, math.cos, math.sin)
-    return math.hypot(*_fs_parts(params, mu, c, qc))
+    return _fs_value(params, mu, _c12(p.atoms, cmath.exp), _c12(q.atoms, cmath.exp))
 
 
 def _sample_columns(u: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,9 +177,7 @@ def _sample_columns(u: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarr
 
 def _batch_values(params: ClassParams, mu: complex, pw, pt, qw, qt) -> np.ndarray:
     """|a_3 - mu a_2**2| per row of (rows, atoms) weight and angle arrays."""
-    c = _c12(zip(pw.T, pt.T), np.cos, np.sin)
-    qc = _c12(zip(qw.T, qt.T), np.cos, np.sin)
-    return np.hypot(*_fs_parts(params, mu, c, qc))
+    return _fs_value(params, mu, _c12(zip(pw.T, pt.T), np.exp), _c12(zip(qw.T, qt.T), np.exp))
 
 
 def _measure(w: np.ndarray, t: np.ndarray) -> HerglotzMeasure:
@@ -213,6 +201,44 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
             x2 = a + invphi * (b - a)
             f2 = f(x2)
     return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def _normalized(atoms) -> list[tuple[float, float]]:
+    total = sum(w for w, _ in atoms)
+    return [(w / total, t) for w, t in atoms]
+
+
+def _polish(params: ClassParams, mu: complex, sides, best_v: float, rounds: int) -> int:
+    """Coordinatewise golden-section ascent in place; returns the evaluations.
+
+    sides holds p's atoms and then q's, each atom a [w, t] list. Each round
+    moves, side by side, every angle on [0, 2 pi) and then every weight (a
+    lone weight is fixed) while the other side's (c_1, c_2) stays put, and
+    keeps a move only if it beats best_v.
+    """
+    evals = 0
+
+    def objective(x: float) -> float:  # moves atom[k] on side s, set below
+        nonlocal evals
+        evals += 1
+        atom[k] = x
+        cq[s] = _c12(_normalized(sides[s]), cmath.exp)
+        return _fs_value(params, mu, *cq)
+
+    for _ in range(rounds):
+        for s, side in enumerate(sides):
+            cq = [_c12(_normalized(atoms), cmath.exp) for atoms in sides]
+            coords = [(atom, 1, 0.0, TWO_PI) for atom in side]
+            if len(side) > 1:
+                coords += [(atom, 0, 1e-9, 1.0) for atom in side]
+            for atom, k, lo, hi in coords:
+                saved = atom[k]
+                x, v = _golden_max(objective, lo, hi)
+                if v > best_v:
+                    atom[k], best_v = x, v
+                else:
+                    atom[k] = saved
+    return evals
 
 
 def maximize_fs(
@@ -266,56 +292,23 @@ def maximize_fs(
                 best = (*key, p, q)
         evals += rows
         left -= rows
-    best_v, _, best_p, best_q = best
+    best_v, _, p, q = best
 
-    # Polish: coordinatewise golden-section moves on one side at a time,
-    # keeping improvements only; the other side's coefficients stay fixed.
-    state = {
-        side: ([w for w, _ in m.atoms], [t for _, t in m.atoms])
-        for side, m in (("p", best_p), ("q", best_q))
-    }
+    if budget.n_refine:
+        sides = [[[w, t] for w, t in m.atoms] for m in (p, q)]
+        evals += _polish(params, mu, sides, best_v, budget.n_refine)
+        polished = [HerglotzMeasure(_normalized(side)) for side in sides]
 
-    def normalized(side: str) -> list[tuple[float, float]]:
-        ws, ts = state[side]
-        total = sum(ws)
-        return [(w / total, t) for w, t in zip(ws, ts)]
+        # The polish ranks moves by the closed form, which can differ from
+        # the member's value by a few ulps, so it is kept only if its member
+        # is not below the incumbent's. Order 3 suffices: a_2 and a_3 are
+        # bitwise the same at any order.
+        def value(p: HerglotzMeasure, q: HerglotzMeasure) -> float:
+            return abs(fs_functional(member_from_pq(params, p, q, 3), mu))
 
-    for _ in range(budget.n_refine):
-        for side, other in (("p", "q"), ("q", "p")):
-            fixed = _c12(normalized(other), math.cos, math.sin)
-
-            def objective() -> float:
-                nonlocal evals
-                evals += 1
-                moved = _c12(normalized(side), math.cos, math.sin)
-                c, qc = (moved, fixed) if side == "p" else (fixed, moved)
-                return math.hypot(*_fs_parts(params, mu, c, qc))
-
-            # every angle on [0, 2 pi), then every weight (a lone weight is fixed)
-            weights, angles = state[side]
-            coords = [(angles, j, 0.0, TWO_PI) for j in range(len(angles))]
-            if len(weights) > 1:
-                coords += [(weights, j, 1e-9, 1.0) for j in range(len(weights))]
-            for values, j, lo, hi in coords:
-                saved = values[j]
-
-                def slice_fn(t: float, j=j, values=values) -> float:
-                    values[j] = t
-                    return objective()
-
-                x, v = _golden_max(slice_fn, lo, hi)
-                if v > best_v:
-                    values[j] = x
-                    best_v = v
-                else:
-                    values[j] = saved
-
-    best_member = member_from_pq(
-        params,
-        HerglotzMeasure(normalized("p")),
-        HerglotzMeasure(normalized("q")),
-        DEFAULT_ORDER,
-    )
+        if value(*polished) >= value(p, q):
+            p, q = polished
+    best_member = member_from_pq(params, p, q, DEFAULT_ORDER)
     best_value = abs(fs_functional(best_member, mu))
     return SearchResult(
         best_value=best_value,

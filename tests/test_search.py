@@ -168,17 +168,15 @@ def test_closed_form_matches_member_from_pq():
         ps = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
         qs = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
         (pw, pt), (qw, qt) = _padded(ps), _padded(qs)
-        a2r, a2i, a3r, a3i = _a2_a3(
-            par, _c12(zip(pw.T, pt.T), np.cos, np.sin), _c12(zip(qw.T, qt.T), np.cos, np.sin)
-        )
+        a2, a3 = _a2_a3(par, _c12(zip(pw.T, pt.T), np.exp), _c12(zip(qw.T, qt.T), np.exp))
         for mu in (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2))):
             values = _batch_values(par, mu, pw, pt, qw, qt)
             for i, (p, q) in enumerate(zip(ps, qs)):
                 m = member_from_pq(par, p, q, 3)
                 ref = abs(fs_functional(m, mu))
                 for got, want in (
-                    (complex(a2r[i], a2i[i]), m.a2),
-                    (complex(a3r[i], a3i[i]), m.a3),
+                    (a2[i], m.a2),
+                    (a3[i], m.a3),
                     (values[i], ref),
                     (_pair_value(par, mu, p, q), ref),
                 ):
@@ -214,11 +212,19 @@ def test_seeded_floor_reaches_the_paper_value(case_id):
 
 
 def test_refinement_only_improves():
-    base = SearchBudget(n_samples=200, n_refine=0, max_atoms=3, seed=11)
-    more = SearchBudget(n_samples=200, n_refine=2, max_atoms=3, seed=11)
-    v0 = maximize_fs(ClassParams(0.3, 0.1, 0.2, 0.1), 0.4, base).best_value
-    v2 = maximize_fs(ClassParams(0.3, 0.1, 0.2, 0.1), 0.4, more).best_value
-    assert v2 >= v0
+    # the polish ranks its moves by the closed form, a few ulps off the
+    # member's value, so only the member comparison makes this hold exactly;
+    # real and complex mu, random and edge parameters
+    rng = np.random.default_rng(307)
+    draws = [(ClassParams(0.3, 0.1, 0.2, 0.1), 0.4, 11)]
+    for seed in range(300):
+        par = EDGE_PARAMS[seed % 4] if seed % 5 == 0 else random_params(rng)
+        mu = float(rng.uniform(-2, 4))
+        draws.append((par, complex(mu, rng.uniform(-2, 2)) if seed % 2 else mu, seed))
+    for par, mu, seed in draws:
+        v0 = maximize_fs(par, mu, SearchBudget(200, 0, 3, seed)).best_value
+        v2 = maximize_fs(par, mu, SearchBudget(200, 2, 3, seed)).best_value
+        assert v2 >= v0, (par, mu, seed)
 
 
 # ----- verification wrapper -----
