@@ -35,6 +35,7 @@ import numpy as np
 from .bounds import (
     KM_SIGN_NOTE,
     REDUCTION_PRESETS,
+    _check_finite,
     _grid_bounds,
     bound_complex,
     bound_real,
@@ -54,9 +55,18 @@ SHARP_TOL = 1e-8
 # (about 0.45 s end to end at 1000), and nothing needs more.
 _MAX_ORDER = 1000
 
-# Largest --steps `sweep` accepts: memory grows by about 500 bytes per row
-# (about 0.5 GiB and 4 s end to end at the cap), and a plot needs far fewer.
+# Largest --steps `sweep` accepts: about 4 s end to end at the cap, and a
+# plot needs far fewer rows.
 _MAX_STEPS = 1_000_000
+
+# CSV rows `sweep` formats and writes at a time, so its memory stays flat in
+# --steps (the JSON output is one document and is built whole).
+_SWEEP_BLOCK = 65_536
+
+# Largest --samples and --refine `verify` accepts: about 6 s and 0.5 s end
+# to end at the caps, which is more search than a check needs.
+_MAX_SAMPLES = 10_000_000
+_MAX_REFINE = 100
 
 _SWEEP_COLUMNS = ("mu", "case", "value", "scaled_value", "complex_bound")
 
@@ -150,8 +160,12 @@ def _build_parser() -> _Parser:
     _add_param_flags(sub)
     sub.add_argument("--mu", default="0.5", help="real number, or a+bi with --complex (default 0.5)")
     sub.add_argument("--complex", dest="use_complex", action="store_true")
-    sub.add_argument("--samples", type=int, default=10_000)
-    sub.add_argument("--refine", type=int, default=3)
+    sub.add_argument(
+        "--samples", type=int, default=10_000, help=f"random samples, 1..{_MAX_SAMPLES} (default 10000)"
+    )
+    sub.add_argument(
+        "--refine", type=int, default=3, help=f"polish passes, 0..{_MAX_REFINE} (default 3)"
+    )
     sub.add_argument("--max-atoms", type=int, default=3)
     sub.add_argument("--seed", type=int, default=42)
 
@@ -223,18 +237,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         step = (args.mu_max - args.mu_min) / (args.steps - 1)
         with np.errstate(invalid="ignore"):  # an overflowed step: 0 * inf is nan
             grid = args.mu_min + np.arange(args.steps) * step
-    columns = [col.tolist() for col in (grid, *_grid_bounds(params, grid))]
     if args.output == "json":
+        columns = [col.tolist() for col in (grid, *_grid_bounds(params, grid))]
         rows = [dict(zip(_SWEEP_COLUMNS, r)) for r in zip(*columns)]
         _emit_json({"format": SCHEMA_VERSION, "rows": rows})
         return 0
+    _check_finite(grid)  # the error _grid_bounds would raise, before any output
     out = [",".join(_SWEEP_COLUMNS)]
-    out.extend("%.17g,%d,%.17g,%.17g,%.17g" % r for r in zip(*columns))
-    sys.stdout.write("\n".join(out) + "\n")
+    for start in range(0, grid.size, _SWEEP_BLOCK):
+        block = grid[start : start + _SWEEP_BLOCK]
+        columns = [col.tolist() for col in (block, *_grid_bounds(params, block))]
+        out.extend("%.17g,%d,%.17g,%.17g,%.17g" % r for r in zip(*columns))
+        sys.stdout.write("\n".join(out) + "\n")
+        out.clear()
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.samples > _MAX_SAMPLES:
+        raise _UsageError(f"--samples must be at most {_MAX_SAMPLES}")
+    if args.refine > _MAX_REFINE:
+        raise _UsageError(f"--refine must be at most {_MAX_REFINE}")
     params = _params(args)
     mu = _parse_mu(args)
     budget = SearchBudget(

@@ -22,11 +22,36 @@ With u = 1 - alpha and v = 1 - beta,
 so the search evaluates this closed form, written once in complex arithmetic
 from c_k = 2 sum_i w_i z_i**k with z_i = exp(1j t_i): over numpy arrays
 (np.exp) for the random samples, one pair at a time (cmath.exp) for the
-seeded floor and the polish. Only the returned member is built in full, by
-member_from_pq, and best_value is that member's |a_3 - mu a_2**2|. The closed
-form and the member can differ by a few ulps, so the polish is kept only if
-its member's value is not below the unpolished incumbent's: best_value with
-the polish is never below best_value without it.
+seeded floor and the polish. The constants u, v, 2 tau and 3 sigma are
+computed once per search. The polish caches each atom's z_i and the side's
+normalized weights, so an angle step recomputes one z_i and a weight step
+only the weights; its every value is bitwise the one the uncached form
+gives. Only the returned member is built in full, by member_from_pq, and
+best_value is that member's |a_3 - mu a_2**2|. The closed form and the
+member can differ by a few ulps, so the polish is kept only if its member's
+value is not below the unpolished incumbent's: best_value with the polish
+is never below best_value without it.
+
+Screen: a chunk's samples first go through the same closed form with rough
+z~_i = cos(t32) + i sin(t32), t32 the angle rounded to float32, widened to
+complex128. Rounding the angle moves z by at most half a float32 ulp at
+2 pi (2.4e-7), and float32 cos and sin add about one float32 ulp each, so
+|z~ - z| <= eps / 2 with eps = 1e-6 (the largest seen is 2.9e-7). With
+|c_k|, |q_k| <= 2, u, v <= 1 and tau, sigma >= 1, a z_i error d moves c_1
+and q_1 by at most 2 d, c_2 and q_2 by 2 d (2 + d), a_2 by 2 d, a_2**2 by
+8 d (1 + d/2) and a_3 by 6 d (1 + d/2), so
+
+    |rough - exact| <= (6 + 8 |mu|) d (1 + d/2).
+
+At d = eps / 2 this is below E = 8 eps (1 + |mu|) by more than
+4 eps (1 + |mu|) (1 - eps), far more than the float64 rounding of both
+passes, so |rough - exact| <= E. A sample whose exact value
+is the chunk's maximum M has rough >= M - E >= max(rough) - 2 E, so the
+samples with rough >= max(rough) - 2 E include every sample that reaches M.
+Only those go through the exact kernel (np.exp); when a rough value or the
+threshold is not finite (an overflowing mu), every sample does. The kernel
+is elementwise, so the chunk's maximum and the samples that reach it are
+bitwise those of the unscreened kernel, and so is every search result.
 
 Determinism contract: the random phase reads one counter-based stream,
 np.random.Generator(np.random.Philox(key=seed)), with a fixed layout of
@@ -77,6 +102,10 @@ REFINE_TOL = 1e-10
 # nothing else: the stream layout fixes every sample's draws.
 _CHUNK = 2048
 
+# Bound eps on |z~ - z| for the screen's float32 unit numbers, with a factor
+# of two to spare (module docstring).
+_SCREEN_EPS = 1e-6
+
 Fingerprint = tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]
 
 
@@ -122,62 +151,120 @@ def _fingerprint(p: HerglotzMeasure, q: HerglotzMeasure) -> Fingerprint:
     return (p.atoms, q.atoms)
 
 
-def _c12(atoms, exp):
-    """(c_1, c_2), c_k = 2 sum_i w_i z_i**k with z_i = exp(1j t_i).
+def _c12(atoms):
+    """(c_1, c_2), c_k = 2 sum_i w_i z_i**k, from (w_i, z_i) pairs.
 
-    atoms yields (w_i, t_i) one atom at a time, as floats with cmath.exp or
-    as arrays (one entry per sample) with np.exp; atoms of zero weight add
-    nothing. Atoms are summed in order, so a sample's value does not depend
-    on the other entries of its arrays.
+    atoms yields one atom at a time, as floats or as arrays (one entry per
+    sample); atoms of zero weight add nothing. Atoms are summed in order, so
+    a sample's value does not depend on the other entries of its arrays.
     """
     c1 = c2 = 0.0
-    for w, t in atoms:
-        z = exp(1j * t)
+    for w, z in atoms:
         c1 = c1 + w * z
         c2 = c2 + w * (z * z)
     return 2.0 * c1, 2.0 * c2
 
 
-def _a2_a3(params: ClassParams, c, q):
-    """(a_2, a_3) from the _c12 pairs of p and q."""
-    u, v = 1.0 - params.alpha, 1.0 - params.beta
+def _coefficients(params: ClassParams) -> tuple[float, float, float, float]:
+    """(u, v, 2 tau, 3 sigma), the constants of _a2_a3, once per search."""
+    return 1.0 - params.alpha, 1.0 - params.beta, 2.0 * params.tau, 3.0 * params.sigma
+
+
+def _a2_a3(coef, c, q):
+    """(a_2, a_3) from _coefficients and the _c12 pairs of p and q."""
+    u, v, two_tau, three_sigma = coef
     (c1, c2), (q1, q2) = c, q
     b2 = v * q1  # g = z + b_2 z**2 + b_3 z**3 + ...
     b3 = v * (q2 + b2 * q1) / 2.0
     uc1 = u * c1
-    return (b2 + uc1) / (2.0 * params.tau), (b3 + b2 * uc1 + u * c2) / (3.0 * params.sigma)
+    return (b2 + uc1) / two_tau, (b3 + b2 * uc1 + u * c2) / three_sigma
 
 
-def _fs_value(params: ClassParams, mu: complex, c, q):
-    """|a_3 - mu a_2**2| from the _c12 pairs of p and q."""
-    a2, a3 = _a2_a3(params, c, q)
+def _fs_value(coef, mu: complex, c, q):
+    """|a_3 - mu a_2**2| from _coefficients and the _c12 pairs of p and q."""
+    a2, a3 = _a2_a3(coef, c, q)
     return abs(a3 - mu * (a2 * a2))
 
 
-def _pair_value(params: ClassParams, mu: complex, p: HerglotzMeasure, q: HerglotzMeasure) -> float:
+def _unit_atoms(atoms) -> list[tuple[float, complex]]:
+    """(w_i, exp(1j t_i)) per atom (w_i, t_i), the pairs _c12 reads."""
+    return [(w, cmath.exp(1j * t)) for w, t in atoms]
+
+
+def _pair_value(coef, mu: complex, p: HerglotzMeasure, q: HerglotzMeasure) -> float:
     """|a_3 - mu a_2**2| of member_from_pq(params, p, q), in closed form."""
-    return _fs_value(params, mu, _c12(p.atoms, cmath.exp), _c12(q.atoms, cmath.exp))
+    return _fs_value(coef, mu, _c12(_unit_atoms(p.atoms)), _c12(_unit_atoms(q.atoms)))
 
 
 def _sample_columns(u: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and angles, each (rows, max_atoms), from one side's uniforms.
+    """Weights and angles, each (max_atoms, samples), from one side's uniforms.
 
-    u holds per row [count, max_atoms weight draws, max_atoms angle draws].
-    The atom count is uniform in 1..max_atoms; weights past it are 0, the
-    others normalized positive draws; angles are uniform on [0, 2 pi).
+    u is (1 + 2 max_atoms, samples): per sample the atom count draw,
+    max_atoms weight draws and max_atoms angle draws. The atom count is
+    uniform in 1..max_atoms; weights past it are 0, the others normalized
+    positive draws; angles are uniform on [0, 2 pi).
     """
-    count = np.minimum(1.0 + np.floor(u[:, 0] * max_atoms), max_atoms)
-    used = np.arange(max_atoms) < count[:, None]
-    w = np.where(used, 1.0 - u[:, 1 : 1 + max_atoms], 0.0)  # in (0, 1] where used
-    total = w[:, 0]
+    count = np.minimum(1.0 + np.floor(u[0] * max_atoms), max_atoms)
+    used = np.arange(max_atoms)[:, None] < count
+    w = np.where(used, 1.0 - u[1 : 1 + max_atoms], 0.0)  # in (0, 1] where used
+    total = w[0]
     for j in range(1, max_atoms):
-        total = total + w[:, j]
-    return w / total[:, None], TWO_PI * u[:, 1 + max_atoms :]
+        total = total + w[j]
+    return w / total, TWO_PI * u[1 + max_atoms :]
 
 
-def _batch_values(params: ClassParams, mu: complex, pw, pt, qw, qt) -> np.ndarray:
-    """|a_3 - mu a_2**2| per row of (rows, atoms) weight and angle arrays."""
-    return _fs_value(params, mu, _c12(zip(pw.T, pt.T), np.exp), _c12(zip(qw.T, qt.T), np.exp))
+def _draw_chunk(rng: np.random.Generator, samples: int, max_atoms: int):
+    """(pw, pt, qw, qt) of the stream's next samples, each (max_atoms, samples)."""
+    draws = rng.random((samples, 2, 1 + 2 * max_atoms))
+    pu, qu = np.ascontiguousarray(draws.transpose(1, 2, 0))  # (slots, samples) per side
+    return (*_sample_columns(pu, max_atoms), *_sample_columns(qu, max_atoms))
+
+
+def _exact_unit(t: np.ndarray) -> np.ndarray:
+    return np.exp(1j * t)
+
+
+def _rough_unit(t: np.ndarray) -> np.ndarray:
+    """cos(t32) + 1j sin(t32) as complex128, t32 the angles as float32.
+
+    Within _SCREEN_EPS / 2 of _exact_unit (module docstring).
+    """
+    t32 = t.astype(np.float32)
+    z = np.empty(t.shape, np.complex128)
+    z.real = np.cos(t32)
+    z.imag = np.sin(t32)
+    return z
+
+
+def _batch_values(coef, mu: complex, pw, pt, qw, qt, unit=_exact_unit) -> np.ndarray:
+    """|a_3 - mu a_2**2| per sample of (atoms, samples) weights and angles.
+
+    unit maps the angles to the z_i of _c12: _exact_unit, or _rough_unit
+    for the screen.
+    """
+    return _fs_value(coef, mu, _c12(zip(pw, unit(pt))), _c12(zip(qw, unit(qt))))
+
+
+def _chunk_best(coef, mu: complex, pw, pt, qw, qt) -> tuple[float, np.ndarray]:
+    """A chunk's largest _batch_values entry and the samples that reach it.
+
+    The screen (module docstring): only the samples whose rough value is at
+    least max(rough) - 2 E go through the exact kernel, and all of them when
+    a rough value or the threshold is not finite. The result is bitwise that
+    of the exact kernel over the whole chunk: NaN never wins, and a chunk of
+    NaN gives (nan, no samples).
+    """
+    with np.errstate(all="ignore"):  # the exact kernel reports, not the screen
+        rough = _batch_values(coef, mu, pw, pt, qw, qt, _rough_unit)
+        slack = 2.0 * (8.0 * _SCREEN_EPS * (1.0 + abs(mu)))  # 2 E
+        floor = np.max(rough) - slack
+    if math.isfinite(floor):
+        kept = np.flatnonzero(rough >= floor)
+    else:
+        kept = np.arange(rough.size)
+    values = _batch_values(coef, mu, pw[:, kept], pt[:, kept], qw[:, kept], qt[:, kept])
+    best = np.fmax.reduce(values)
+    return float(best), kept[values == best]
 
 
 def _measure(w: np.ndarray, t: np.ndarray) -> HerglotzMeasure:
@@ -203,41 +290,59 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _normalized(atoms) -> list[tuple[float, float]]:
+def _weights(atoms) -> list[float]:
+    """The atoms' weights divided by their sum."""
     total = sum(w for w, _ in atoms)
-    return [(w / total, t) for w, t in atoms]
+    return [w / total for w, _ in atoms]
 
 
-def _polish(params: ClassParams, mu: complex, sides, best_v: float, rounds: int) -> int:
+def _normalized(atoms) -> list[tuple[float, float]]:
+    return list(zip(_weights(atoms), (t for _, t in atoms)))
+
+
+def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     """Coordinatewise golden-section ascent in place; returns the evaluations.
 
     sides holds p's atoms and then q's, each atom a [w, t] list. Each round
     moves, side by side, every angle on [0, 2 pi) and then every weight (a
     lone weight is fixed) while the other side's (c_1, c_2) stays put, and
-    keeps a move only if it beats best_v.
+    keeps a move only if it beats best_v. Every evaluation equals
+    _fs_value(coef, mu, *(_c12(_unit_atoms(_normalized(side))) for side in
+    sides)) bit for bit, but reads cached parts: an angle step recomputes
+    one atom's exp(1j t) and a weight step only the side's _weights.
     """
     evals = 0
+    units = [[cmath.exp(1j * t) for _, t in side] for side in sides]
+    weights = [_weights(side) for side in sides]
 
-    def objective(x: float) -> float:  # moves atom[k] on side s, set below
+    def move(x: float) -> None:  # coordinate k of atom j on side s, set below
+        side[j][k] = x
+        if k:
+            units[s][j] = cmath.exp(1j * x)
+        else:
+            weights[s] = _weights(side)
+
+    def objective(x: float) -> float:
         nonlocal evals
         evals += 1
-        atom[k] = x
-        cq[s] = _c12(_normalized(sides[s]), cmath.exp)
-        return _fs_value(params, mu, *cq)
+        move(x)
+        cq[s] = _c12(zip(weights[s], units[s]))
+        return _fs_value(coef, mu, *cq)
 
     for _ in range(rounds):
         for s, side in enumerate(sides):
-            cq = [_c12(_normalized(atoms), cmath.exp) for atoms in sides]
-            coords = [(atom, 1, 0.0, TWO_PI) for atom in side]
+            cq = [_c12(zip(w, z)) for w, z in zip(weights, units)]
+            coords = [(j, 1, 0.0, TWO_PI) for j in range(len(side))]
             if len(side) > 1:
-                coords += [(atom, 0, 1e-9, 1.0) for atom in side]
-            for atom, k, lo, hi in coords:
-                saved = atom[k]
+                coords += [(j, 0, 1e-9, 1.0) for j in range(len(side))]
+            for j, k, lo, hi in coords:
+                saved = side[j][k]
                 x, v = _golden_max(objective, lo, hi)
                 if v > best_v:
-                    atom[k], best_v = x, v
+                    best_v = v
                 else:
-                    atom[k] = saved
+                    x = saved
+                move(x)
     return evals
 
 
@@ -258,6 +363,7 @@ def maximize_fs(
     else:
         bound = bound_complex(params, mu)
 
+    coef = _coefficients(params)
     evals = 0
 
     # Seeded floor: the admissible extremal configurations, once each.
@@ -269,34 +375,32 @@ def maximize_fs(
             p, q = extremal_config(params, case_id, float(mu) if real_mu else None)
         except CaseRangeError:
             continue
-        candidates.append((_pair_value(params, mu, p, q), _fingerprint(p, q), p, q))
+        candidates.append((_pair_value(coef, mu, p, q), _fingerprint(p, q), p, q))
         evals += 1
 
-    # Random phase: chunks of the one Philox stream through the batched
-    # kernel. Only a chunk's best rows become measures, so the incumbent is
-    # still reduced by the (value, fingerprint) key.
+    # Random phase: chunks of the one Philox stream through the screened
+    # kernel. Only a chunk's best samples become measures, so the incumbent
+    # is still reduced by the (value, fingerprint) key.
     best = max(candidates, key=lambda t: t[:2])
     rng = np.random.Generator(np.random.Philox(key=budget.seed))
     k = budget.max_atoms
     left = budget.n_samples
     while left:
-        rows = min(_CHUNK, left)
-        draws = rng.random((rows, 2, 1 + 2 * k))
-        pw, pt = _sample_columns(draws[:, 0], k)
-        qw, qt = _sample_columns(draws[:, 1], k)
-        values = _batch_values(params, mu, pw, pt, qw, qt)
-        for i in np.flatnonzero(values == np.fmax.reduce(values)):  # NaN never wins
-            p, q = _measure(pw[i], pt[i]), _measure(qw[i], qt[i])
-            key = (float(values[i]), _fingerprint(p, q))
+        size = min(_CHUNK, left)
+        pw, pt, qw, qt = _draw_chunk(rng, size, k)
+        top, winners = _chunk_best(coef, mu, pw, pt, qw, qt)
+        for i in winners:
+            p, q = _measure(pw[:, i], pt[:, i]), _measure(qw[:, i], qt[:, i])
+            key = (top, _fingerprint(p, q))
             if key > best[:2]:
                 best = (*key, p, q)
-        evals += rows
-        left -= rows
+        evals += size
+        left -= size
     best_v, _, p, q = best
 
     if budget.n_refine:
         sides = [[[w, t] for w, t in m.atoms] for m in (p, q)]
-        evals += _polish(params, mu, sides, best_v, budget.n_refine)
+        evals += _polish(coef, mu, sides, best_v, budget.n_refine)
         polished = [HerglotzMeasure(_normalized(side)) for side in sides]
 
         # The polish ranks moves by the closed form, which can differ from

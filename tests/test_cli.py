@@ -8,8 +8,10 @@ import re
 import shlex
 import time
 
+import numpy as np
 import pytest
 
+import fslab.cli
 from fslab.cli import main, parse_atoms, parse_complex_literal
 
 
@@ -190,6 +192,23 @@ def test_sweep_steps_cap_is_usage_error(capsys, steps):
     assert time.perf_counter() - t0 < 0.1
 
 
+@pytest.mark.parametrize("steps", ["1", "13", "14", "50"])
+def test_sweep_blocks_are_invisible(capsys, monkeypatch, steps):
+    # the CSV is written in blocks of rows; the bytes do not depend on them
+    argv = ("sweep", "--steps", steps, "--alpha", "0.3", "--mu-min=-3", "--mu-max", "4")
+    whole = run(capsys, *argv)
+    monkeypatch.setattr(fslab.cli, "_SWEEP_BLOCK", 7)
+    assert run(capsys, *argv) == whole
+    assert whole[0] == 0 and len(whole[1].splitlines()) == 1 + int(steps)
+
+
+def test_sweep_late_overflow_is_reported_before_any_output(capsys):
+    # only the last of 65,665 rows overflows, past the first CSV block
+    with np.errstate(over="ignore"):
+        got = run(capsys, "sweep", "--mu-min", "0", "--mu-max", "1.7976931348623157e308", "--steps", "65665")
+    assert got == (2, "", "domain error: mu must be finite, got inf\n")
+
+
 def test_sweep_json(capsys):
     code, out, _ = run(capsys, "sweep", "--steps", "3", "--output", "json")
     assert code == 0
@@ -237,6 +256,40 @@ def test_verify_complex(capsys):
 def test_verify_budget_domain_error(capsys):
     code, _, err = run(capsys, "verify", "--samples", "0")
     assert code == 2 and "domain error" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--samples", "10000001"), ("--samples", "10000000000"), ("--refine", "101"), ("--refine", "1000000000")]
+)
+def test_verify_budget_cap_is_usage_error(capsys, flag, value):
+    # rejected before any search, which is linear in both
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", flag, value)
+    assert code == 1 and out == "" and "usage error" in err
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_verify_budget_caps_are_inclusive(capsys, monkeypatch):
+    # the caps themselves pass through to the search (stubbed to stay fast)
+    from fslab import SearchBudget, verify_inequality
+
+    budgets = []
+
+    def search(params, mu, budget):
+        budgets.append(budget)
+        return verify_inequality(params, mu, SearchBudget(n_samples=1, n_refine=0))
+
+    monkeypatch.setattr(fslab.cli, "verify_inequality", search)
+    code, _, _ = run(capsys, "verify", "--samples", "10000000", "--refine", "100")
+    assert code == 0
+    assert (budgets[0].n_samples, budgets[0].n_refine) == (10_000_000, 100)
+
+
+def test_verify_help_gives_the_ranges(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "1..10000000" in out and "0..100" in out
 
 
 def test_verify_reports_violation_on_known_window(capsys):

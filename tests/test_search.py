@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 
 import numpy as np
@@ -22,7 +24,21 @@ from fslab import (
     membership_spotcheck,
     verify_inequality,
 )
-from fslab.members import MAX_ATOMS
+from fslab.members import MAX_ATOMS, TWO_PI
+from fslab.search import (
+    _SCREEN_EPS,
+    _a2_a3,
+    _batch_values,
+    _c12,
+    _chunk_best,
+    _coefficients,
+    _draw_chunk,
+    _exact_unit,
+    _fs_value,
+    _pair_value,
+    _polish,
+    _rough_unit,
+)
 
 P0 = ClassParams(0, 0, 0, 0)
 SMALL = SearchBudget(n_samples=300, n_refine=1, max_atoms=3, seed=7)
@@ -147,30 +163,29 @@ def test_best_value_is_the_members_functional(par, mu):
 
 
 def _padded(measures):
-    """(weights, angles), each (len(measures), MAX_ATOMS), zero-padded."""
-    w = np.zeros((len(measures), MAX_ATOMS))
-    t = np.zeros((len(measures), MAX_ATOMS))
+    """(weights, angles), each (MAX_ATOMS, len(measures)), zero-padded."""
+    w = np.zeros((MAX_ATOMS, len(measures)))
+    t = np.zeros((MAX_ATOMS, len(measures)))
     for i, m in enumerate(measures):
         for j, (wj, tj) in enumerate(m.atoms):
-            w[i, j], t[i, j] = wj, tj
+            w[j, i], t[j, i] = wj, tj
     return w, t
 
 
 def test_closed_form_matches_member_from_pq():
     # the batched kernel and the one-pair form against full construction,
     # 20 parameter tuples x 100 measure pairs x 2 values of mu
-    from fslab.search import _a2_a3, _batch_values, _c12, _pair_value
-
     rng = np.random.default_rng(211)
     tuples = EDGE_PARAMS + [random_params(rng) for _ in range(16)]
     worst = 0.0
     for par in tuples:
+        coef = _coefficients(par)
         ps = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
         qs = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
         (pw, pt), (qw, qt) = _padded(ps), _padded(qs)
-        a2, a3 = _a2_a3(par, _c12(zip(pw.T, pt.T), np.exp), _c12(zip(qw.T, qt.T), np.exp))
+        a2, a3 = _a2_a3(coef, _c12(zip(pw, np.exp(1j * pt))), _c12(zip(qw, np.exp(1j * qt))))
         for mu in (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2))):
-            values = _batch_values(par, mu, pw, pt, qw, qt)
+            values = _batch_values(coef, mu, pw, pt, qw, qt)
             for i, (p, q) in enumerate(zip(ps, qs)):
                 m = member_from_pq(par, p, q, 3)
                 ref = abs(fs_functional(m, mu))
@@ -178,10 +193,150 @@ def test_closed_form_matches_member_from_pq():
                     (a2[i], m.a2),
                     (a3[i], m.a3),
                     (values[i], ref),
-                    (_pair_value(par, mu, p, q), ref),
+                    (_pair_value(coef, mu, p, q), ref),
                 ):
                     worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     assert worst <= 2e-15, worst
+
+
+# ----- the screen -----
+
+SCREEN_MUS = (
+    0.7,
+    complex(-0.4, 1.3),
+    1e6,
+    complex(-6e5, 8e5),  # |mu| = 1e6
+    1e308,  # |mu a_2**2| overflows: the screen keeps every sample
+    complex(1e308, 1e308),  # overflows to inf - inf = nan
+)
+
+
+@functools.cache
+def _screen_draws():
+    """2**17 samples of MAX_ATOMS atoms as the search draws them: 2**20 angles."""
+    rng = np.random.Generator(np.random.Philox(key=2024))
+    return _draw_chunk(rng, 2**17, MAX_ATOMS)
+
+
+def _f32_rounding_points():
+    """Float64 angles just below 2 pi that float32 rounding moves the most:
+    the midpoints of consecutive float32 values and their neighbours."""
+    f32 = [np.float32(TWO_PI)]
+    for _ in range(64):
+        f32.append(np.nextafter(f32[-1], np.float32(0.0)))
+    f32 = np.array(f32, dtype=np.float64)
+    mid = (f32[1:] + f32[:-1]) / 2.0
+    t = np.concatenate([mid, np.nextafter(mid, 0.0), np.nextafter(mid, 7.0), [np.nextafter(TWO_PI, 0.0)]])
+    return t[t < TWO_PI]
+
+
+def test_rough_unit_is_within_half_eps():
+    # the screen's bound rests on |z~ - z| <= eps / 2 (module docstring)
+    _, pt, _, qt = _screen_draws()
+    edge = _f32_rounding_points()
+    assert len(edge) > 100
+    t = np.concatenate([pt.ravel(), qt.ravel(), edge])
+    err = np.abs(_rough_unit(t) - _exact_unit(t))
+    assert err.max() <= _SCREEN_EPS / 2, err.max()
+    assert np.abs(_rough_unit(edge) - _exact_unit(edge)).max() > 0.5 * err.max()
+
+
+@pytest.mark.parametrize("mu", SCREEN_MUS[:4])
+def test_rough_value_error_is_within_e(mu):
+    # |rough - exact| <= E = 8 eps (1 + |mu|) on the same 2**20 angles
+    pw, pt, qw, qt = _screen_draws()
+    zp, zq = _exact_unit(pt), _exact_unit(qt)
+    rp, rq = _rough_unit(pt), _rough_unit(qt)
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for par in EDGE_PARAMS + [random_params(rng) for _ in range(2)]:
+        coef = _coefficients(par)
+        exact = _fs_value(coef, mu, _c12(zip(pw, zp)), _c12(zip(qw, zq)))
+        rough = _fs_value(coef, mu, _c12(zip(pw, rp)), _c12(zip(qw, rq)))
+        worst = max(worst, np.abs(rough - exact).max() / (8.0 * _SCREEN_EPS * (1.0 + abs(mu))))
+    assert worst <= 1.0, worst
+
+
+def _unscreened_best(coef, mu, chunk):
+    values = _batch_values(coef, mu, *chunk)
+    best = np.fmax.reduce(values)
+    return best, np.flatnonzero(values == best)
+
+
+def _screen_chunks(rng, max_atoms):
+    """A drawn chunk, the same chunk with copies of its best sample appended
+    (exact ties), and rotated copies of one sample, whose values agree to the
+    last few bits (rotation leaves |a_3 - mu a_2**2| unchanged)."""
+    pw, pt, qw, qt = _draw_chunk(rng, 2048, max_atoms)
+    yield pw, pt, qw, qt
+    i = np.arange(2048) % 7
+    yield pw[:, i], pt[:, i], qw[:, i], qt[:, i]
+    shift = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+    pw, pt, qw, qt = (np.repeat(a[:, :1], shift.size, axis=1) for a in (pw, pt, qw, qt))
+    yield pw, np.mod(pt + shift, TWO_PI), qw, np.mod(qt + shift, TWO_PI)
+
+
+def test_screen_picks_the_unscreened_winner():
+    # _chunk_best against the exact kernel over the whole chunk, bitwise
+    rng = np.random.default_rng(5)
+    tuples = EDGE_PARAMS + [random_params(rng) for _ in range(3)]
+    stream = np.random.Generator(np.random.Philox(key=99))
+    kept_all = 0
+    for n, par in enumerate(tuples):
+        coef = _coefficients(par)
+        mus = (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2)), *SCREEN_MUS)
+        for max_atoms in range(1, MAX_ATOMS + 1):
+            for chunk in _screen_chunks(stream, max_atoms):
+                for mu in mus:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        got = _chunk_best(coef, mu, *chunk)
+                        want = _unscreened_best(coef, mu, chunk)
+                        kept_all += not np.isfinite(_batch_values(coef, mu, *chunk, _rough_unit)).all()
+                    assert isinstance(got[0], float)
+                    assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0])), (par, mu)
+                    assert np.array_equal(got[1], want[1]), (par, mu, max_atoms)
+    assert kept_all > 0  # the overflowing mu reached the keep-all fallback
+
+
+# ----- the polish -----
+
+def _uncached_value(coef, mu, sides):
+    """The objective as the closed form gives it without caches."""
+    cq = []
+    for side in sides:
+        total = sum(w for w, _ in side)
+        cq.append(_c12([(w / total, cmath.exp(1j * t)) for w, t in side]))
+    return _fs_value(coef, mu, *cq)
+
+
+def test_polish_cache_is_bitwise_the_uncached_form(monkeypatch):
+    # every objective evaluation, through its cached z_i and weights, equals
+    # the uncached closed form on the atoms as they stand
+    rng = np.random.default_rng(31)
+    golden = fslab.search._golden_max
+    seen = []
+
+    def checked_golden(f, lo, hi):
+        def g(x):
+            got = f(x)
+            seen.append(got == _uncached_value(coef, mu, sides))
+            return got
+
+        return golden(g, lo, hi)
+
+    monkeypatch.setattr(fslab.search, "_golden_max", checked_golden)
+    for n in range(12):
+        par = EDGE_PARAMS[n % 4] if n % 3 == 0 else random_params(rng)
+        coef = _coefficients(par)
+        mu = float(rng.uniform(-2, 4)) if n % 2 else complex(rng.uniform(-2, 4), rng.uniform(-2, 2))
+        sizes = (1, 1) if n == 0 else (1 + n % MAX_ATOMS, 1 + (n // 2) % MAX_ATOMS)
+        sides = [[[1.0 - rng.random(), TWO_PI * rng.random()] for _ in range(size)] for size in sizes]
+        start = _uncached_value(coef, mu, sides)
+        before = len(seen)
+        evals = _polish(coef, mu, sides, start, 2)
+        assert evals == len(seen) - before > 0
+        assert _uncached_value(coef, mu, sides) >= start  # moves were kept, caches followed
+    assert all(seen), f"{seen.count(False)} of {len(seen)} evaluations differ"
 
 
 def test_seeded_floor_evaluates_each_case_once():
