@@ -63,8 +63,10 @@ _MAX_STEPS = 1_000_000
 # --steps (the JSON output is one document and is built whole).
 _SWEEP_BLOCK = 65_536
 
-# Largest --samples and --refine `verify` accepts: about 6 s and 0.5 s end
-# to end at the caps, which is more search than a check needs.
+# Largest --samples and --refine `verify` accepts, which is more search than
+# a check needs: about 5 s end to end at the --samples cap, and at most about
+# 0.5 s at the --refine cap (about 0.3 s where the polish stops at its fixed
+# point within a few passes, as it usually does).
 _MAX_SAMPLES = 10_000_000
 _MAX_REFINE = 100
 
@@ -164,7 +166,7 @@ def _build_parser() -> _Parser:
         "--samples", type=int, default=10_000, help=f"random samples, 1..{_MAX_SAMPLES} (default 10000)"
     )
     sub.add_argument(
-        "--refine", type=int, default=3, help=f"polish passes, 0..{_MAX_REFINE} (default 3)"
+        "--refine", type=int, default=3, help=f"at most N polish passes, 0..{_MAX_REFINE} (default 3)"
     )
     sub.add_argument("--max-atoms", type=int, default=3)
     sub.add_argument("--seed", type=int, default=42)
@@ -282,6 +284,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sharp(args: argparse.Namespace) -> int:
     params = _params(args)
     report = bound_real(params, args.mu)
+    if not math.isfinite(report.value):
+        raise DomainError(f"the bound overflows at mu = {args.mu}")
     member = extremal_member(params, args.mu, report.case_id)
     attained = abs(fs_functional(member, args.mu))
     residual = report.value - attained

@@ -38,6 +38,7 @@ holding the coefficient of z**k, and their sums are exactly rounded.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -178,7 +179,7 @@ def herglotz_coeffs(measure: HerglotzMeasure, n: int) -> tuple[complex, ...]:
     out: list[complex] = [1.0 + 0.0j]
     for _ in range(n):
         powers = [pw * u for pw, u in zip(powers, units)]
-        out.append(2.0 * sum(w * pw for (w, _), pw in zip(measure.atoms, powers)))
+        out.append(2.0 * sum([w * pw for (w, _), pw in zip(measure.atoms, powers)]))
     return tuple(out)
 
 
@@ -225,7 +226,7 @@ def _jet(coeffs: Sequence[complex]) -> tuple[complex, ...]:
 
 def _csum(terms: Sequence[complex]) -> complex:
     # exactly rounded component-wise sum; order of terms cannot matter
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
 def member_from_pq(
@@ -262,6 +263,24 @@ def fs_functional(member: ClassMember, mu: complex) -> complex:
     return member.a[3] - mu * member.a[2] ** 2
 
 
+def _polyval(coeffs: tuple[complex, ...], pts: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] pts**k by the Horner recurrence that
+    np.polynomial.polynomial.polyval runs, so bitwise its values, without
+    its argument handling."""
+    vals = coeffs[-1] + pts * 0
+    for c in reversed(coeffs[:-1]):
+        vals = c + vals * pts
+    return vals
+
+
+@functools.lru_cache(maxsize=16)
+def _circle(radius: float, grid: int) -> np.ndarray:
+    """The grid points on |z| = radius, read-only."""
+    pts = radius * np.exp(2j * np.pi * np.arange(grid) / grid)
+    pts.flags.writeable = False
+    return pts
+
+
 def _grid_spotcheck(
     member: ClassMember, num: tuple[complex, ...], radius: float, grid: int
 ) -> bool:
@@ -282,9 +301,8 @@ def _grid_spotcheck(
     for k in range(min(len(top), len(g))):
         acc = _csum([ratio[j] * g[k - j] for j in range(k)]) if k else 0.0
         ratio.append((top[k] - acc) / g[0])
-    pts = radius * np.exp(2j * np.pi * np.arange(grid) / grid)
     # _jet rejects a quotient that overflowed
-    vals = np.polynomial.polynomial.polyval(pts, np.asarray(_jet(ratio)))
+    vals = _polyval(_jet(ratio), _circle(radius, grid))
     return bool(vals.real.min() > member.params.alpha - SPOTCHECK_TOL)
 
 

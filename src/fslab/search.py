@@ -26,7 +26,14 @@ seeded floor and the polish. The constants u, v, 2 tau and 3 sigma are
 computed once per search. The polish caches each atom's z_i and the side's
 normalized weights, so an angle step recomputes one z_i and a weight step
 only the weights; its every value is bitwise the one the uncached form
-gives. Only the returned member is built in full, by member_from_pq, and
+gives. A round searches every angle, and every weight of a side with more
+than one atom. A search whose best point does not beat the incumbent is
+undone by setting the coordinate back, which restores the atoms, the
+cached z_i and weights and the incumbent bit for bit, and (c_1, c_2) is
+always rebuilt from those caches. So once a round's worth of searches in a
+row has kept no move, every later search would repeat one of them exactly:
+the polish stops there, which makes n_refine a maximum and changes no
+result. Only the returned member is built in full, by member_from_pq, and
 best_value is that member's |a_3 - mu a_2**2|. The closed form and the
 member can differ by a few ulps, so the polish is kept only if its member's
 value is not below the unpolished incumbent's: best_value with the polish
@@ -53,8 +60,8 @@ threshold is not finite (an overflowing mu), every sample does. The kernel
 is elementwise, so the chunk's maximum and the samples that reach it are
 bitwise those of the unscreened kernel, and so is every search result.
 
-Determinism contract: the random phase reads one counter-based stream,
-np.random.Generator(np.random.Philox(key=seed)), with a fixed layout of
+Determinism contract: the random phase reads one stream,
+np.random.Generator(np.random.SFC64(seed)), with a fixed layout of
 2 (1 + 2 max_atoms) doubles per sample: for p and then q, one uniform for the
 atom count, max_atoms weights and max_atoms angles (slots past the atom count
 are drawn and ignored). Sample i therefore reads the same doubles however the
@@ -63,8 +70,10 @@ every chunk is reduced by the key (value, member fingerprint) that also ranks
 the seeded floor. The same inputs and budget always give a bitwise identical
 result, independent of the chunk size, and exact ties between seeded
 configurations (cases 1 and 2 share their witness at mu1) are broken the same
-way every time. This stream replaced one generator per (seed, sample index),
-so a given seed draws different samples than it did with those.
+way every time. This stream replaced a Philox stream (counter-based, but
+nothing used its counters, and it drew the same doubles 3-4x slower), which
+had replaced one generator per (seed, sample index); a given seed draws
+different samples than it did with either.
 """
 
 from __future__ import annotations
@@ -113,8 +122,9 @@ Fingerprint = tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], 
 class SearchBudget:
     """How much work maximize_fs may spend.
 
-    n_samples random measure pairs, n_refine polish passes over the incumbent,
-    at most max_atoms atoms per sampled measure, all derived from seed.
+    n_samples random measure pairs, at most n_refine polish passes over the
+    incumbent (the polish stops early at a fixed point), at most max_atoms
+    atoms per sampled measure, all derived from seed.
     """
 
     n_samples: int = 10_000
@@ -303,10 +313,12 @@ def _normalized(atoms) -> list[tuple[float, float]]:
 def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     """Coordinatewise golden-section ascent in place; returns the evaluations.
 
-    sides holds p's atoms and then q's, each atom a [w, t] list. Each round
-    moves, side by side, every angle on [0, 2 pi) and then every weight (a
-    lone weight is fixed) while the other side's (c_1, c_2) stays put, and
-    keeps a move only if it beats best_v. Every evaluation equals
+    sides holds p's atoms and then q's, each atom a [w, t] list. Each of at
+    most `rounds` rounds moves, side by side, every angle on [0, 2 pi) and
+    then every weight (a lone weight is fixed) while the other side's
+    (c_1, c_2) stays put, and keeps a move only if it beats best_v. It
+    returns once a round's worth of searches in a row kept no move (module
+    docstring). Every evaluation equals
     _fs_value(coef, mu, *(_c12(_unit_atoms(_normalized(side))) for side in
     sides)) bit for bit, but reads cached parts: an angle step recomputes
     one atom's exp(1j t) and a weight step only the side's _weights.
@@ -314,6 +326,11 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     evals = 0
     units = [[cmath.exp(1j * t) for _, t in side] for side in sides]
     weights = [_weights(side) for side in sides]
+    # coordinates per round: every angle, and every weight of a side with
+    # more than one atom; after that many searches without a kept move every
+    # later search repeats one of them exactly (module docstring)
+    per_round = sum(len(side) if len(side) == 1 else 2 * len(side) for side in sides)
+    idle = 0
 
     def move(x: float) -> None:  # coordinate k of atom j on side s, set below
         side[j][k] = x
@@ -339,10 +356,12 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
                 saved = side[j][k]
                 x, v = _golden_max(objective, lo, hi)
                 if v > best_v:
-                    best_v = v
+                    best_v, idle = v, 0
                 else:
-                    x = saved
+                    x, idle = saved, idle + 1
                 move(x)
+                if idle == per_round:
+                    return evals
     return evals
 
 
@@ -355,13 +374,16 @@ def maximize_fs(
 
     mu is treated as real (piecewise four-branch value) unless it is a
     complex instance, in which case the triangle-inequality bound applies.
+    A mu at which that bound overflows is a DomainError.
     """
     budget = budget or SearchBudget()
     real_mu = not isinstance(mu, complex)
-    if real_mu:
-        bound = bound_real(params, float(mu)).value
-    else:
-        bound = bound_complex(params, mu)
+    try:
+        bound = bound_real(params, float(mu)).value if real_mu else bound_complex(params, mu)
+    except OverflowError:  # abs() of a complex number past the float range
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise DomainError(f"the bound overflows at mu = {mu}")
 
     coef = _coefficients(params)
     evals = 0
@@ -378,11 +400,11 @@ def maximize_fs(
         candidates.append((_pair_value(coef, mu, p, q), _fingerprint(p, q), p, q))
         evals += 1
 
-    # Random phase: chunks of the one Philox stream through the screened
+    # Random phase: chunks of the one SFC64 stream through the screened
     # kernel. Only a chunk's best samples become measures, so the incumbent
     # is still reduced by the (value, fingerprint) key.
     best = max(candidates, key=lambda t: t[:2])
-    rng = np.random.Generator(np.random.Philox(key=budget.seed))
+    rng = np.random.Generator(np.random.SFC64(budget.seed))
     k = budget.max_atoms
     left = budget.n_samples
     while left:

@@ -345,6 +345,35 @@ def test_sharp_general_params(capsys):
     assert abs(json.loads(out)["residual"]) <= 1e-8
 
 
+# The largest mu at which bound_real's value at the default parameters is
+# finite: one float up, its intermediate terms overflow and it reads inf.
+# bound_complex at mu + 0i turns inf at the same float.
+_LAST_FINITE_MU = 1.498077612385263e307
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--samples", "300", "--mu", "{}"),
+        ("verify", "--samples", "300", "--complex", "--mu", "{}+0i"),
+        ("sharp", "--mu", "{}"),
+    ],
+)
+def test_overflowing_mu_is_a_domain_error(capsys, argv):
+    # one domain error line, nothing on stdout, no numpy warning (tier-1
+    # turns a RuntimeWarning into an error) and no OverflowError
+    def at(mu):
+        return run(capsys, *(a.format(repr(mu)) for a in argv))
+
+    code, out, err = at(_LAST_FINITE_MU)
+    assert (code, err) == (0, "")
+    assert math.isfinite(json.loads(out)["bound"])
+    for mu in (math.nextafter(_LAST_FINITE_MU, math.inf), 1e308):
+        code, out, err = at(mu)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"domain error: the bound overflows at mu = \S+\n", err), err
+
+
 # ----- reduce -----
 
 def test_reduce_difference_is_zero(capsys):

@@ -30,7 +30,7 @@ from fslab import (
     starlike_from_q,
     transform_spotcheck,
 )
-from fslab.members import MAX_ATOMS
+from fslab.members import MAX_ATOMS, _circle, _polyval
 
 PI = math.pi
 
@@ -266,6 +266,20 @@ def test_spotcheck_accepts_constructed_members():
         m = random_member(rng)
         assert membership_spotcheck(m, radius=0.3, grid=32)
         assert membership_spotcheck(m, radius=0.5, grid=32)
+
+
+def test_spotcheck_polyval_is_bitwise_numpys():
+    # the spot check's own Horner loop against np.polynomial.polynomial.polyval,
+    # which it replaces, over the cached grids it reads
+    rng = np.random.default_rng(23)
+    for n in range(1, 21):
+        coeffs = tuple(complex(*rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)) for _ in range(n))
+        for radius, grid in ((0.3, 64), (0.5, 32), (float(rng.uniform(0.01, 0.5)), 8 + n)):
+            pts = _circle(radius, grid)
+            got = _polyval(coeffs, pts)
+            want = np.polynomial.polynomial.polyval(pts, np.asarray(coeffs))
+            assert got.tobytes() == want.tobytes()
+            assert not pts.flags.writeable
 
 
 def _fake_member_with_constant_c(value: float, order: int) -> ClassMember:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 
@@ -12,12 +13,14 @@ import pytest
 import fslab.search
 from conftest import EDGE_PARAMS, random_params, sample_measure
 from fslab import (
+    CaseRangeError,
     ClassParams,
     DomainError,
     SearchBudget,
     ViolationError,
     bound_real,
     breakpoints,
+    extremal_config,
     fs_functional,
     maximize_fs,
     member_from_pq,
@@ -35,6 +38,7 @@ from fslab.search import (
     _draw_chunk,
     _exact_unit,
     _fs_value,
+    _golden_max,
     _pair_value,
     _polish,
     _rough_unit,
@@ -115,6 +119,21 @@ def test_search_beats_piecewise_value_on_window():
     assert rep.margin > 0
 
 
+@pytest.mark.parametrize(
+    "par,mu",
+    [
+        (P0, 1e308),
+        (P0, -1e308),
+        (P0, complex(1e308, 0.0)),
+        (P0, complex(1e308, 1e308)),  # bound_complex is nan
+        (ClassParams(0, 0, 0.5, 0.5), complex(1e308, 1e308)),  # abs() raises OverflowError
+    ],
+)
+def test_overflowing_bound_is_a_domain_error(par, mu):
+    with pytest.raises(DomainError, match="the bound overflows"):
+        maximize_fs(par, mu, SMALL)
+
+
 def test_best_member_is_a_member():
     r = maximize_fs(P0, 0.5, SMALL)
     assert membership_spotcheck(r.best_member, radius=0.3, grid=32)
@@ -136,12 +155,28 @@ def test_bitwise_repeatable():
     assert a.best_member.q_measure == b.best_member.q_measure
 
 
+def _seeded_floor(par, mu):
+    """The largest closed-form value over the configurations the search seeds."""
+    coef = _coefficients(par)
+    real_mu = not isinstance(mu, complex)
+    values = []
+    for case_id in (1, 2, 3, 4) if real_mu else (1, 3, 4):
+        try:
+            p, q = extremal_config(par, case_id, mu if real_mu else None)
+        except CaseRangeError:
+            continue
+        values.append(_pair_value(coef, mu, p, q))
+    return max(values)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 2048, SMALL.n_samples])
-@pytest.mark.parametrize("mu", [1.25, complex(0.4, -0.8)])
+@pytest.mark.parametrize("mu", [1.25, complex(0.8, 0.3)])
 def test_chunk_size_is_invisible(monkeypatch, chunk, mu):
     # at both mu a random sample beats the seeded floor, so the result
     # depends on the random phase
     par = ClassParams(0.0, 0.0, 0.6, 0.0)
+    random_best = maximize_fs(par, mu, dataclasses.replace(SMALL, n_refine=0)).best_value
+    assert random_best > _seeded_floor(par, mu)
 
     def run():
         r = maximize_fs(par, mu, SMALL)
@@ -337,6 +372,103 @@ def test_polish_cache_is_bitwise_the_uncached_form(monkeypatch):
         assert evals == len(seen) - before > 0
         assert _uncached_value(coef, mu, sides) >= start  # moves were kept, caches followed
     assert all(seen), f"{seen.count(False)} of {len(seen)} evaluations differ"
+
+
+def _reference_polish(coef, mu, sides, best_v, rounds):
+    """_polish as a plain loop that runs every round, without caches or an
+    early exit; returns the best value it kept and its evaluations."""
+    evals = 0
+    for _ in range(rounds):
+        for side in sides:
+            coords = [(j, 1, 0.0, TWO_PI) for j in range(len(side))]
+            if len(side) > 1:
+                coords += [(j, 0, 1e-9, 1.0) for j in range(len(side))]
+            for j, k, lo, hi in coords:
+                saved = side[j][k]
+
+                def f(x):
+                    nonlocal evals
+                    evals += 1
+                    side[j][k] = x
+                    return _uncached_value(coef, mu, sides)
+
+                x, v = _golden_max(f, lo, hi)
+                if v > best_v:
+                    best_v = v
+                else:
+                    x = saved
+                side[j][k] = x
+    return best_v, evals
+
+
+def test_polish_fixed_point_is_where_every_round_would_end():
+    # the early exit leaves the sides, and so the best value, bitwise where
+    # running every round leaves them; most of these polishes stop early
+    rng = np.random.default_rng(37)
+    stopped = 0
+    for n in range(16):
+        par = EDGE_PARAMS[n % 4] if n % 3 == 0 else random_params(rng)
+        coef = _coefficients(par)
+        mu = float(rng.uniform(-2, 4)) if n % 2 else complex(rng.uniform(-2, 4), rng.uniform(-2, 2))
+        sizes = (1 + n % MAX_ATOMS, 1 + (n // 4) % MAX_ATOMS)
+        sides = [[[1.0 - rng.random(), TWO_PI * rng.random()] for _ in range(size)] for size in sizes]
+        rounds = 3 + n % 4
+        start = _uncached_value(coef, mu, sides)
+        every_round = [[atom[:] for atom in side] for side in sides]
+        best, all_evals = _reference_polish(coef, mu, every_round, start, rounds)
+        evals = _polish(coef, mu, sides, start, rounds)
+        assert sides == every_round
+        assert _uncached_value(coef, mu, sides) == best
+        assert evals <= all_evals
+        stopped += evals < all_evals
+    assert stopped >= 10
+
+
+def test_polish_at_the_witness_makes_one_round(monkeypatch):
+    # nothing beats the 11/9 witness, so the first round keeps no move and
+    # the polish stops after it: one golden-section search per coordinate
+    # (two angles and two weights of p, the angle of q's lone atom)
+    searches = []
+    golden = fslab.search._golden_max
+
+    def counted(f, lo, hi):
+        searches.append((lo, hi))
+        return golden(f, lo, hi)
+
+    monkeypatch.setattr(fslab.search, "_golden_max", counted)
+    coef = _coefficients(P0)
+    p, q = extremal_config(P0, 2, 0.5)
+    start = _pair_value(coef, 0.5, p, q)
+    assert start == pytest.approx(11 / 9, rel=1e-15)
+
+    def polish(rounds):
+        sides = [[list(atom) for atom in m.atoms] for m in (p, q)]
+        evals = _polish(coef, 0.5, sides, start, rounds)
+        assert sides == [[list(atom) for atom in m.atoms] for m in (p, q)]
+        return evals
+
+    one = polish(1)
+    assert len(searches) == 5
+    assert polish(100) == one
+    assert len(searches) == 10
+
+
+def test_rounds_past_the_fixed_point_change_nothing():
+    # where 3 rounds reach the fixed point (a 4th adds no evaluation), 100
+    # rounds give the same result, evaluations included
+    rng = np.random.default_rng(41)
+    reached = 0
+    for seed in range(30):
+        par = EDGE_PARAMS[seed % 4] if seed % 5 == 0 else random_params(rng)
+        mu = float(rng.uniform(-2, 4))
+        mu = complex(mu, rng.uniform(-2, 2)) if seed % 2 else mu
+        budget = SearchBudget(300, 3, 3, seed)
+        r3 = maximize_fs(par, mu, budget)
+        if maximize_fs(par, mu, dataclasses.replace(budget, n_refine=4)).evaluations != r3.evaluations:
+            continue
+        reached += 1
+        assert maximize_fs(par, mu, dataclasses.replace(budget, n_refine=100)) == r3
+    assert reached >= 20
 
 
 def test_seeded_floor_evaluates_each_case_once():
