@@ -278,12 +278,18 @@ def bound_complex(params: ClassParams, mu: complex) -> float:
     Each of the three terms bounds its own piece of the functional, so this
     route holds unconditionally; it is the one to trust where bound_real's
     piecewise value is exceeded. For real mu it dominates bound_real, with
-    equality at mu = 0. Sharpness for non-real mu is not claimed.
+    equality at mu = 0. Sharpness for non-real mu is not claimed. A term
+    that overflows makes the value inf, as in bound_real, never NaN.
     """
     mu = complex(mu)
     if not (math.isfinite(mu.real) and math.isfinite(mu.imag)):
         raise DomainError(f"mu must be finite, got {mu!r}")
-    return _triangle(params, mu, abs, max) / (3.0 * params.sigma)
+    try:
+        scaled = _triangle(params, mu, abs, max)
+    except OverflowError:  # abs() of a finite complex past the float range
+        return math.inf
+    # every input is finite, so a NaN comes from an overflowed term (inf * 0)
+    return math.inf if math.isnan(scaled) else scaled / (3.0 * params.sigma)
 
 
 def _grid_bounds(params: ClassParams, mu: np.ndarray):

@@ -48,7 +48,8 @@ from .search import SearchBudget, verify_inequality
 
 SCHEMA_VERSION = 1
 
-# Residual at a witness larger than this in modulus is a verification failure.
+# Residual at a witness larger than SHARP_TOL * max(1, bound) in modulus is a
+# verification failure: relative, since one ulp of a large bound exceeds 1e-8.
 SHARP_TOL = 1e-8
 
 # Largest --order `member` accepts: construction is quadratic in the order
@@ -69,6 +70,9 @@ _SWEEP_BLOCK = 65_536
 # point within a few passes, as it usually does).
 _MAX_SAMPLES = 10_000_000
 _MAX_REFINE = 100
+
+# The flags whose values are real or complex numbers.
+_NUMBER_FLAGS = ("--lambda", "--delta", "--alpha", "--beta", "--mu", "--mu-min", "--mu-max")
 
 _SWEEP_COLUMNS = ("mu", "case", "value", "scaled_value", "complex_bound")
 
@@ -98,6 +102,32 @@ def parse_complex_literal(text: str) -> complex:
             f"expected a complex literal of the form a+bi, got {text!r}"
         )
     return complex(float(m.group("re")), float(m.group("im")))
+
+
+def _is_number(text: str) -> bool:
+    """Whether text parses as a float or as an a+bi complex literal."""
+    try:
+        float(text)
+    except ValueError:
+        return _COMPLEX_RE.match(text) is not None
+    return True
+
+
+def _attach_negative_numbers(argv: Sequence[str]) -> list[str]:
+    """argv with every '--flag -number' pair of a _NUMBER_FLAGS flag written
+    as '--flag=-number'.
+
+    argparse takes a token that starts with '-' for an option unless it looks
+    like a plain negative decimal, so values such as -2e-1 or -1-2i would
+    read as flags; joined to their flag they are always values.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_FLAGS and tok.startswith("-") and _is_number(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def parse_atoms(text: str) -> HerglotzMeasure:
@@ -298,7 +328,7 @@ def _cmd_sharp(args: argparse.Namespace) -> int:
             "residual": residual,
         }
     )
-    return 0 if abs(residual) <= SHARP_TOL else 3
+    return 0 if abs(residual) <= SHARP_TOL * max(1.0, report.value) else 3
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -317,7 +347,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         "mu": args.mu,
         "value": value,
         "specialized_value": full,
-        "difference": value - full,
+        "difference": 0.0 if value == full else value - full,  # inf - inf is NaN
     }
     if args.preset == "keogh-merkes":
         payload["note"] = KM_SIGN_NOTE
@@ -375,7 +405,7 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -13,7 +13,8 @@ from one- or two-atom measures (angles in radians):
 At mu = mu1 the case-2 witness degenerates to the case-1 one (the second atom
 loses all weight and is dropped), so the two branches share their boundary
 witness. Outside [mu1, mu2] case 2 has no witness: the formula pushes c_1 out
-of [0, 2] and no probability measure realizes it, hence CaseRangeError.
+of [0, 2] and no probability measure realizes it, hence CaseRangeError. The
+measures of cases 1, 3 and 4 are shared module constants (they are frozen).
 
 bound_sharp is attained by sharp_witness: the case witness above wherever the
 paper's value wins, and otherwise the two-atom member q = atom at 0,
@@ -45,15 +46,16 @@ from .members import (
 # clamping the induced c_1 back into [0, 2]; covers breakpoint roundoff only.
 _EDGE_TOL = 1e-9
 
+_ATOM0 = HerglotzMeasure(((1.0, 0.0),))
+_HALF = HerglotzMeasure(((0.5, 0.0), (0.5, math.pi)))
+_SIDE = HerglotzMeasure(((1.0, math.pi / 2.0),))
+
 
 def libera_transform(member: ClassMember) -> tuple[complex, ...]:
     """Coefficients A_k = (D_k / k) a_k of the transformed function
     (A[0] = 0, A[1] = 1)."""
     a, d = member.a, member.d
-    out = [0.0 + 0.0j]
-    for k in range(1, len(a)):
-        out.append((d[k] / k) * a[k])
-    return tuple(out)
+    return (0.0 + 0.0j, *((d[k] / k) * a[k] for k in range(1, len(a))))
 
 
 def transform_spotcheck(
@@ -90,7 +92,7 @@ def _case2_p_measure(params: ClassParams, mu: float) -> HerglotzMeasure:
     c1 = min(max(c1, 0.0), 2.0)
     w = (2.0 + c1) / 4.0
     if w >= 1.0 - 1e-12:
-        return HerglotzMeasure(((1.0, 0.0),))
+        return _ATOM0
     return HerglotzMeasure(((w, 0.0), (1.0 - w, math.pi)))
 
 
@@ -99,18 +101,15 @@ def extremal_config(
 ) -> tuple[HerglotzMeasure, HerglotzMeasure]:
     """(p, q) measure pair for one case; mu is consulted only by case 2."""
     if case_id == 1:
-        atom0 = HerglotzMeasure(((1.0, 0.0),))
-        return atom0, atom0
+        return _ATOM0, _ATOM0
     if case_id == 2:
         if mu is None:
             raise CaseRangeError("case 2 needs mu to place its measure")
         return _case2_p_measure(params, mu), HerglotzMeasure(((1.0, 0.0),))
     if case_id == 3:
-        half = HerglotzMeasure(((0.5, 0.0), (0.5, math.pi)))
-        return half, half
+        return _HALF, _HALF
     if case_id == 4:
-        side = HerglotzMeasure(((1.0, math.pi / 2.0),))
-        return side, side
+        return _SIDE, _SIDE
     raise DomainError(f"case_id must be 1..4, got {case_id}")
 
 
@@ -127,10 +126,11 @@ def sharpness_residual(params: ClassParams, mu: float, order: int = DEFAULT_ORDE
 
     Selects the case exactly as bound_real does (ties to the lower id), builds
     that case's witness, and returns bound_real(...).value minus the witness's
-    |a_3 - mu a_2**2|. Up to roundoff this is zero for every real mu.
+    |a_3 - mu a_2**2|. Up to roundoff this is zero for every real mu. The
+    witness has order 3, whose a_2 and a_3 are bitwise those of any order.
     """
     report = bound_real(params, mu)
-    member = extremal_member(params, mu, report.case_id, order)
+    member = extremal_member(params, mu, report.case_id, min(order, 3))
     return report.value - abs(fs_functional(member, mu))
 
 
@@ -145,4 +145,4 @@ def sharp_witness(params: ClassParams, mu: float, order: int = DEFAULT_ORDER) ->
         return extremal_member(params, mu, report.case_id, order)
     phi = math.acos(two_atom_extreme(params, report.mu)[0])
     p = HerglotzMeasure(((0.5, -phi), (0.5, phi)))
-    return member_from_pq(params, p, HerglotzMeasure(((1.0, 0.0),)), order)
+    return member_from_pq(params, p, _ATOM0, order)

@@ -32,7 +32,8 @@ from the stored a_k alone: z f', z^2 f'' and z^3 f''' have coefficients k a_k,
 (k-1)(k a_k) and (k-2)((k-1)(k a_k)), and their combination is divided by g/z
 by long division. It then checks the ratio's real part on a grid. Univalence
 of members is not verified. Jets are plain tuples of complex numbers, index k
-holding the coefficient of z**k, and their sums are exactly rounded.
+holding the coefficient of z**k, and their sums are exactly rounded. Entries
+0..k of a jet do not depend on the order, so a_2 and a_3 need only order 3.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -175,12 +178,10 @@ def herglotz_coeffs(measure: HerglotzMeasure, n: int) -> tuple[complex, ...]:
     if n < 1:
         raise ValueError("need n >= 1")
     units = [cmath.exp(1j * t) for _, t in measure.atoms]
-    powers = [1.0 + 0.0j] * len(units)
-    out: list[complex] = [1.0 + 0.0j]
-    for _ in range(n):
-        powers = [pw * u for pw, u in zip(powers, units)]
-        out.append(2.0 * sum([w * pw for (w, _), pw in zip(measure.atoms, powers)]))
-    return tuple(out)
+    rows = zip(*(accumulate(repeat(u, n), mul, initial=1.0 + 0.0j) for u in units))
+    next(rows)  # row k holds every atom's u**k; c_0 = 1 is not a sum
+    weights = [w for w, _ in measure.atoms]
+    return (1.0 + 0.0j, *(2.0 * sum(map(mul, weights, row)) for row in rows))
 
 
 def starlike_from_q(q_coeffs: Sequence[complex], beta: float, n: int) -> tuple[complex, ...]:
@@ -215,12 +216,11 @@ def denominators(params: ClassParams, n: int) -> tuple[float, ...]:
 
 def _jet(coeffs: Sequence[complex]) -> tuple[complex, ...]:
     """coeffs as a non-empty tuple of finite complex numbers (ValueError if not)."""
-    out = tuple(complex(v) for v in coeffs)
+    out = tuple(map(complex, coeffs))
     if not out:
         raise ValueError("a jet needs at least one coefficient")
-    for v in out:
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError("non-finite jet coefficient")
+    if not all(map(cmath.isfinite, out)):
+        raise ValueError("non-finite jet coefficient")
     return out
 
 

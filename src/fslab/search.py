@@ -378,10 +378,7 @@ def maximize_fs(
     """
     budget = budget or SearchBudget()
     real_mu = not isinstance(mu, complex)
-    try:
-        bound = bound_real(params, float(mu)).value if real_mu else bound_complex(params, mu)
-    except OverflowError:  # abs() of a complex number past the float range
-        bound = math.inf
+    bound = bound_real(params, float(mu)).value if real_mu else bound_complex(params, mu)
     if not math.isfinite(bound):
         raise DomainError(f"the bound overflows at mu = {mu}")
 

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,3 +453,93 @@ def test_member_order_cap_is_usage_error(capsys, order):
     )
     assert code == 1 and out == "" and "usage error" in err
     assert time.perf_counter() - t0 < 0.1
+
+
+# ----- domain edges -----
+
+_EDGE_AB = (0.0, 1.0 - 2.0**-52)
+
+
+def _both_parts(m: str) -> str:
+    """The complex literal with real and imaginary part both m."""
+    return f"{m}{m}i" if m.startswith("-") else f"{m}+{m}i"
+
+
+def _edge_argvs():
+    """Every subcommand at alpha, beta in _EDGE_AB and lam = delta = 1, with
+    mu on each breakpoint, at +-1e308 and at the smallest subnormal."""
+    from fslab import ClassParams
+    from fslab.bounds import breakpoints
+
+    for alpha in _EDGE_AB:
+        for beta in _EDGE_AB:
+            ab = ("--alpha", repr(alpha), "--beta", repr(beta))
+            flags = ("--lambda", "1", "--delta", "1", *ab)
+            yield ("member", *flags, "--p-atoms", "0.5:0,0.5:3.14", "--q-atoms", "1:1.5")
+            for mu in (*breakpoints(ClassParams(1.0, 1.0, alpha, beta)), 1e308, -1e308, 5e-324):
+                m = repr(mu)
+                yield ("bound", *flags, "--mu", m)
+                yield ("bound", *flags, "--complex", "--mu", f"{m}+0i")
+                yield ("bound", *flags, "--complex", "--mu", _both_parts(m))
+                yield ("sweep", *flags, "--mu-min", m, "--mu-max", m, "--steps", "1")
+                yield ("sweep", *flags, "--mu-min", m, "--steps", "3", "--output", "json")
+                yield ("verify", *flags, "--samples", "200", "--mu", m)
+                yield ("verify", *flags, "--samples", "200", "--complex", "--mu", _both_parts(m))
+                yield ("sharp", *flags, "--mu", m)
+                # ad2 pins delta = 0, so lam = 1 is its edge
+                yield ("reduce", "--preset", "ad2", "--lambda", "1", *ab, "--mu", m)
+
+
+_EDGE_COMMANDS = [
+    ("bound", "--mu", "-2e-1"),
+    ("sweep", "--mu-min", "-1e1"),
+    ("bound", "--complex", "--mu", "-1-2i"),
+    ("sharp", "--mu", "1e16"),
+    ("bound", "--complex", "--mu", "1e308+1e308i"),
+    ("bound", "--complex", "--alpha", "0.5", "--beta", "0.5", "--mu", "1e308+1e308i"),
+]
+
+
+@pytest.mark.parametrize("argv", [*_edge_argvs(), *_EDGE_COMMANDS], ids=" ".join)
+def test_domain_edges(capsys, argv):
+    # an exception out of main is what the console script prints as a
+    # traceback, so it fails this test by escaping
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert not re.search(r"\bnan\b", out, re.IGNORECASE), out
+
+
+@pytest.mark.parametrize("argv", _EDGE_COMMANDS[:3], ids=" ".join)
+def test_negative_values_in_any_float_form(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    flag, value = argv[-2:]
+    assert run(capsys, *argv[:-2], f"{flag}={value}") == (0, out, "")
+
+
+def test_sharp_tolerance_is_relative(capsys):
+    # the residual is one ulp of the bound, far above 1e-8 in absolute terms
+    code, out, _ = run(capsys, "sharp", "--mu", "1e16")
+    payload = json.loads(out)
+    assert payload["residual"] == -8.0
+    assert payload["bound"] == math.nextafter(payload["attained_value"], 0.0)
+    assert code == 0
+
+
+@pytest.mark.parametrize("alpha_beta", [(), ("--alpha", "0.5", "--beta", "0.5")])
+def test_complex_bound_overflows_to_inf(capsys, alpha_beta):
+    code, out, err = run(capsys, "bound", "--complex", *alpha_beta, "--mu", "1e308+1e308i")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == math.inf
+
+
+@pytest.mark.parametrize("argv", _EDGE_COMMANDS[2:], ids=" ".join)
+def test_edge_commands_in_a_fresh_interpreter(argv):
+    # the console script's path, where an escaping exception is a traceback
+    src = str(Path(fslab.cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fslab.cli", *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")

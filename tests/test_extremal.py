@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
-from conftest import atom_measure, random_member, random_params
+from conftest import EDGE_PARAMS, atom_measure, random_member, random_params
 from fslab import (
     CaseRangeError,
     ClassParams,
     DomainError,
+    HerglotzMeasure,
     bound_real,
     bound_sharp,
     breakpoints,
@@ -46,6 +48,29 @@ def test_config_case3():
 def test_config_case4():
     p, _ = extremal_config(P0, 4)
     assert p.atoms == ((1.0, PI / 2),)
+
+
+def test_config_pairs_equal_fresh_measures():
+    rng = np.random.default_rng(53)
+    atom0 = HerglotzMeasure(((1.0, 0.0),))
+    fresh = {
+        1: (atom0, atom0),
+        3: (HerglotzMeasure(((0.5, 0.0), (0.5, PI))),) * 2,
+        4: (HerglotzMeasure(((1.0, PI / 2.0),)),) * 2,
+    }
+    for par in (P0, *(random_params(rng) for _ in range(10))):
+        mu1, mu2, _ = breakpoints(par)
+        for case_id, pair in fresh.items():
+            # one shared pair, whatever the parameters: measures are frozen
+            got = extremal_config(par, case_id, 0.5)
+            assert all(map(operator.is_, got, extremal_config(P0, case_id)))
+            assert got == pair
+        mu = 0.5 * (mu1 + mu2)
+        p, q = extremal_config(par, 2, mu)
+        assert q == atom0
+        w = p.atoms[0][0]
+        assert p == HerglotzMeasure(((w, 0.0), (1.0 - w, PI)))
+        assert extremal_config(par, 2, mu1)[0] == atom0  # the case-1 witness
 
 
 def test_config_case_validation():
@@ -138,6 +163,22 @@ def test_residual_vanishes_on_grid():
         for mu in np.linspace(-2, 3, 21):
             r = sharpness_residual(par, float(mu))
             assert abs(r) < 1e-9
+
+
+def test_residual_is_the_order_n_witness_residual():
+    # the residual's order-3 witness has bitwise the a_2 and a_3 of the
+    # order-n one, on the breakpoints and an ulp either side of them too
+    rng = np.random.default_rng(71)
+    for par in (P0, *EDGE_PARAMS[:3], *(random_params(rng) for _ in range(20))):
+        for bp in breakpoints(par):
+            for mu in (bp, math.nextafter(bp, -math.inf), math.nextafter(bp, math.inf)):
+                report = bound_real(par, mu)
+                for n in range(3, 13):
+                    witness = extremal_member(par, mu, report.case_id, n)
+                    want = report.value - abs(fs_functional(witness, mu))
+                    assert sharpness_residual(par, mu, n).hex() == want.hex()
+    with pytest.raises(ValueError, match="order must be at least 3"):
+        sharpness_residual(P0, 0.5, 2)
 
 
 def test_residual_classical_spot_values():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from fslab import (
     starlike_from_q,
     transform_spotcheck,
 )
-from fslab.members import MAX_ATOMS, _circle, _polyval
+from fslab.members import MAX_ATOMS, _circle, _jet, _polyval
 
 PI = math.pi
 
@@ -136,6 +137,55 @@ def test_coefficient_modulus_capped_at_two():
         c = herglotz_coeffs(m, 8)
         assert c[0] == 1
         assert max(abs(v) for v in c[1:]) <= 2.0 + 1e-12
+
+
+def _per_order_coeffs(measure: HerglotzMeasure, n: int) -> tuple[complex, ...]:
+    """The reference recurrence: every atom's power rebuilt in one list per
+    order, with the same products and sums as herglotz_coeffs' power chains."""
+    units = [cmath.exp(1j * t) for _, t in measure.atoms]
+    powers = [1.0 + 0.0j] * len(units)
+    out = [1.0 + 0.0j]
+    for _ in range(n):
+        powers = [pw * u for pw, u in zip(powers, units)]
+        out.append(2.0 * sum([w * pw for (w, _), pw in zip(measure.atoms, powers)]))
+    return tuple(out)
+
+
+def _bits(values) -> list[tuple[str, str]]:
+    # hex tells -0.0 from 0.0, which == does not
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def test_coeffs_match_the_per_order_recurrence():
+    rng = np.random.default_rng(1009)
+    angles = [0.0, -0.0, PI / 2, PI, 2 * PI, 3 * PI / 2, 5e-324, -1e-17, 1e6]
+    edge = [atom_measure(t) for t in angles]
+    edge += [HerglotzMeasure(((0.5, s), (0.5, t))) for s in angles for t in angles]
+    edge += [
+        HerglotzMeasure(tuple((0.25, float(t)) for t in rng.choice(angles, MAX_ATOMS)))
+        for _ in range(50)
+    ]
+    measures = edge + [sample_measure(rng, MAX_ATOMS) for _ in range(300)]
+    for m in measures:
+        n = int(rng.integers(1, 40))
+        assert _bits(herglotz_coeffs(m, n)) == _bits(_per_order_coeffs(m, n))
+    for m in measures[:: len(measures) // 12]:
+        assert _bits(herglotz_coeffs(m, 1000)) == _bits(_per_order_coeffs(m, 1000))
+
+
+@pytest.mark.parametrize(
+    "coeffs,message",
+    [
+        ([], "a jet needs at least one coefficient"),
+        ([1.0, math.nan], "non-finite jet coefficient"),
+        ([0j, complex(1.0, -math.inf)], "non-finite jet coefficient"),
+        ([1.0, 1e308 * 10.0], "non-finite jet coefficient"),  # an overflowed value
+        ((v for v in [complex(1e308, 1e308) * 2]), "non-finite jet coefficient"),
+    ],
+)
+def test_jet_errors(coeffs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _jet(coeffs)
 
 
 # ----- starlike factor -----

@@ -125,8 +125,8 @@ def test_search_beats_piecewise_value_on_window():
         (P0, 1e308),
         (P0, -1e308),
         (P0, complex(1e308, 0.0)),
-        (P0, complex(1e308, 1e308)),  # bound_complex is nan
-        (ClassParams(0, 0, 0.5, 0.5), complex(1e308, 1e308)),  # abs() raises OverflowError
+        (P0, complex(1e308, 1e308)),  # an inf * 0 inside bound_complex
+        (ClassParams(0, 0, 0.5, 0.5), complex(1e308, 1e308)),  # abs() past the float range
     ],
 )
 def test_overflowing_bound_is_a_domain_error(par, mu):
