@@ -14,6 +14,9 @@ Subcommands:
 
 JSON outputs carry a schema version field "format": 1. CSV uses '.' decimals,
 17 significant digits, and plain newline line endings regardless of locale.
+sweep's CSV is byte for byte "%.17g" per value: values with 1e-4 <= |v| < 1e17
+go through an exact 17-digit conversion in numpy, and rows with any other
+value fall back to per-row %-formatting. sweep writes CSV and JSON in blocks.
 Exit codes: 0 success, 1 usage, 2 domain error, 3 verification failure.
 verify exits 3 wherever the search beats the bound beyond tolerance; for real
 mu on the known case-3/4 window with alpha > 0 that is the expected outcome
@@ -56,13 +59,17 @@ SHARP_TOL = 1e-8
 # (about 0.45 s end to end at 1000), and nothing needs more.
 _MAX_ORDER = 1000
 
-# Largest --steps `sweep` accepts: about 4 s end to end at the cap, and a
-# plot needs far fewer rows.
+# Largest --steps `sweep` accepts: about 1.5 s end to end at the cap as CSV
+# and 7.3 s as JSON, and a plot needs far fewer rows.
 _MAX_STEPS = 1_000_000
 
-# CSV rows `sweep` formats and writes at a time, so its memory stays flat in
-# --steps (the JSON output is one document and is built whole).
-_SWEEP_BLOCK = 65_536
+# Rows `sweep` formats and writes at a time, CSV or JSON, so its memory
+# stays flat in --steps.
+_SWEEP_BLOCK = 32_768
+
+# Bytes of one float field in _csv_fields: a sign, 21 (character, point) pairs
+# and 3 separator bytes.
+_CSV_FIELD = 46
 
 # Largest --samples and --refine `verify` accepts, which is more search than
 # a check needs: about 5 s end to end at the --samples cap, and at most about
@@ -255,6 +262,130 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built on first use, so importing the CLI stays cheap
+def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0..9999 as a 4 x 10,000 uint8 table (row 0 the
+    thousands), and the doubles 10**0 .. 10**20, all exact."""
+    n = np.arange(10_000, dtype=np.int16)  # narrow: the temporaries count in peak memory
+    digits = (n // np.array([[1000], [100], [10], [1]], np.int16) % 10 + ord("0")).astype(np.uint8)
+    return digits, np.array([float(10**k) for k in range(21)])
+
+
+def _scaled_round(a: np.ndarray, exp: np.ndarray, pow10: np.ndarray) -> np.ndarray:
+    """a * 10**(16 - exp) rounded to an int64, ties to even, with no error.
+
+    For exp in [-4, 16] the power is an exact double, so Dekker's
+    TwoProduct (Numer. Math. 18, 1971) gives the product exactly as hi + lo.
+    Where the result is at least 10**16, hi >= 2**53 is an even integer and
+    |lo| <= ulp(hi) / 2, so hi + rint(lo) is the product correctly rounded,
+    halfway cases to even. Smaller results are only ever rejected.
+    """
+    p = pow10[16 - exp]
+    hi = a * p
+    t = a * 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = p * 134217729.0
+    p_hi = t - (t - p)
+    p_lo = p - p_hi
+    lo = a_lo * p_lo - (((hi - a_hi * p_hi) - a_lo * p_hi) - a_hi * p_lo)
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where 1e-4 <= |v| < 1e17, "%.17g" % v is fixed notation: the 17-digit
+    integer D = round(|v| 10**(16 - X)) placed by the decimal exponent X.
+    Returns that mask, X (int8) and D's digits (17 rows of ASCII, the most
+    significant first) for each v in x; X and D mean nothing off the mask.
+
+    X starts as floor(log10 |v|), which can be one off next to a power of
+    ten; D then falls outside [10**16, 10**17), and the neighbouring
+    exponent is tried.
+    """
+    digit_table, pow10 = _csv_tables()
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # some numpy builds flag comparing nan
+        ok = (a >= 1e-4) & (a < 1e17)
+    a[~ok] = 1.0
+    exp = np.clip(np.floor(np.log10(a)).astype(np.int8), -4, 16)
+    d = _scaled_round(a, exp, pow10)
+    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    if off.size:
+        exp[off] = np.clip(exp[off] + np.where(d[off] < 10**16, -1, 1), -4, 16)
+        d[off] = _scaled_round(a[off], exp[off], pow10)
+        ok &= (d >= 10**16) & (d < 10**17)
+    # a leading digit, then four groups of four through the table
+    high, low = np.divmod(d, 10**8)
+    high = high.astype(float)
+    low = low.astype(float)
+    top = np.floor(high / 1e4)  # exact floors: the integers are below 1e9
+    lead = np.floor(top / 1e4)
+    mid = np.floor(low / 1e4)
+    digits = np.empty((17, x.size), np.uint8)
+    digits[0] = lead + ord("0")
+    for i, group in enumerate((top - lead * 1e4, high - top * 1e4, mid, low - mid * 1e4)):
+        digits[1 + 4 * i : 5 + 4 * i] = np.take(digit_table, group.astype(np.intp), axis=1)
+    return ok, exp, digits
+
+
+def _csv_fields(mu, case_id, value, scaled, complex_bound) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of the CSV rows at fixed offsets, NUL where unused, one
+    column of _CSV_FIELD bytes per float in row-major order, and the rows
+    left to %-formatting, each reduced to a single 0x01 byte.
+
+    A float field is its sign, then characters E_0..E_20 = "0000" and
+    _decimal17's digits, each followed by a possible point. The units digit
+    is E_{4+X}; the field shows E_j for 4 + min(X, 0) <= j < 4 + max(k, X + 1),
+    where the last nonzero digit is the k-th, and a point after the units
+    digit when characters follow it. That drops trailing fractional zeros and
+    a bare point, as %g does. Case ids are 1..4, one digit each.
+    """
+    n = mu.size
+    x = np.stack((mu, value, scaled, complex_bound), axis=1).ravel()
+    ok, exp, digits = _decimal17(x)
+    k = np.max((digits != ord("0")) * np.arange(1, 18, dtype=np.int8)[:, None], axis=0)
+    end = 4 + np.maximum(k, exp + 1)
+    j = np.arange(21, dtype=np.int8)[:, None]
+    text = np.zeros((_CSV_FIELD, x.size), np.uint8)
+    text[0] = np.signbit(x) * np.uint8(ord("-"))
+    chars = text[1:43:2]
+    chars[:4] = ord("0")
+    chars[4:] = digits
+    chars *= j >= 4 + np.minimum(exp, 0)
+    chars *= j < end
+    points = text[2:43:2]
+    points[:] = j == 4 + exp
+    points *= j + 1 < end
+    points *= ord(".")
+    rows = text.reshape(_CSV_FIELD, n, 4)  # [byte, row, field]
+    rows[43] = ord(",")
+    rows[43, :, 3] = ord("\n")
+    rows[44, :, 0] = case_id + ord("0")
+    rows[45, :, 0] = ord(",")
+    slow = np.flatnonzero(~ok.reshape(n, 4).all(axis=1))
+    rows[:, slow] = 0
+    rows[0, slow, 0] = 1
+    return text, slow
+
+
+def _csv_rows(mu, case_id, value, scaled, complex_bound) -> str:
+    """The CSV lines of the given columns, byte for byte what
+    "%.17g,%d,%.17g,%.17g,%.17g" % row plus a newline gives for each row:
+    laid out by _csv_fields where _decimal17 applies to the whole row, and
+    %-formatted in place elsewhere."""
+    text, slow = _csv_fields(mu, case_id, value, scaled, complex_bound)
+    out = text.T.tobytes().translate(None, b"\0").decode("ascii")
+    if not slow.size:
+        return out
+    pieces, at = [], 0
+    for row in zip(*(col[slow].tolist() for col in (mu, case_id, value, scaled, complex_bound))):
+        mark = out.index("\x01", at)
+        pieces += out[at:mark], "%.17g,%d,%.17g,%.17g,%.17g\n" % row
+        at = mark + 1
+    pieces.append(out[at:])
+    return "".join(pieces)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.steps < 1:
@@ -269,19 +400,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         step = (args.mu_max - args.mu_min) / (args.steps - 1)
         with np.errstate(invalid="ignore"):  # an overflowed step: 0 * inf is nan
             grid = args.mu_min + np.arange(args.steps) * step
-    if args.output == "json":
-        columns = [col.tolist() for col in (grid, *_grid_bounds(params, grid))]
-        rows = [dict(zip(_SWEEP_COLUMNS, r)) for r in zip(*columns)]
-        _emit_json({"format": SCHEMA_VERSION, "rows": rows})
-        return 0
     _check_finite(grid)  # the error _grid_bounds would raise, before any output
-    out = [",".join(_SWEEP_COLUMNS)]
-    for start in range(0, grid.size, _SWEEP_BLOCK):
+    starts = range(0, grid.size, _SWEEP_BLOCK)
+    if args.output == "json":
+        # the bytes of json.dumps({"format": ..., "rows": [...]}), in pieces
+        sys.stdout.write(f'{{"format": {SCHEMA_VERSION}, "rows": [')
+        for start in starts:
+            block = grid[start : start + _SWEEP_BLOCK]
+            columns = [col.tolist() for col in (block, *_grid_bounds(params, block))]
+            rows = [dict(zip(_SWEEP_COLUMNS, r)) for r in zip(*columns)]
+            sys.stdout.write((", " if start else "") + json.dumps(rows)[1:-1])
+        sys.stdout.write("]}\n")
+        return 0
+    sys.stdout.write(",".join(_SWEEP_COLUMNS) + "\n")
+    for start in starts:
         block = grid[start : start + _SWEEP_BLOCK]
-        columns = [col.tolist() for col in (block, *_grid_bounds(params, block))]
-        out.extend("%.17g,%d,%.17g,%.17g,%.17g" % r for r in zip(*columns))
-        sys.stdout.write("\n".join(out) + "\n")
-        out.clear()
+        sys.stdout.write(_csv_rows(block, *_grid_bounds(params, block)))
     return 0
 
 

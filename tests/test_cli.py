@@ -10,10 +10,13 @@ import shlex
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fslab.cli
 from fslab.cli import main, parse_atoms, parse_complex_literal
@@ -227,6 +230,130 @@ def test_sweep_validation(capsys):
     assert code == 1
     code, _, _ = run(capsys, "sweep", "--mu-min", "inf")
     assert code == 2
+
+
+# ----- sweep: the CSV rows are exactly one %-formatting per row -----
+
+_ROW_FORMAT = "%.17g,%d,%.17g,%.17g,%.17g\n"
+
+
+def _check_csv_rows(values):
+    """_csv_rows over columns that each hold every value, in another order."""
+    v = np.asarray(values, dtype=np.float64)
+    cols = (v, np.arange(v.size) % 4 + 1, v[::-1].copy(), -v, np.roll(v, 1))
+    want = "".join(_ROW_FORMAT % row for row in zip(*(c.tolist() for c in cols)))
+    assert fslab.cli._csv_rows(*cols) == want
+
+
+_float_bits = st.one_of(
+    st.integers(0, 2**64 - 1),
+    # sign, an exponent near the fixed-notation range 1e-4 <= |v| < 1e17, any mantissa
+    st.builds(
+        lambda sign, exp, mant: sign << 63 | exp << 52 | mant,
+        st.integers(0, 1),
+        st.integers(1023 - 16, 1023 + 59),
+        st.integers(0, 2**52 - 1),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_float_bits, min_size=1, max_size=40))
+def test_csv_rows_match_percent_formatting_on_any_bits(bits):
+    _check_csv_rows(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _halfway_values(rng):
+    """m 2**(X-17) with m odd and X the decimal exponent: each lies exactly
+    halfway between two 17-digit decimals, so %.17g rounds it to even."""
+    for X in range(-4, 16):
+        lo, hi = math.ceil(10.0**X * 2.0 ** (17 - X)), min(10.0 ** (X + 1) * 2.0 ** (17 - X), 2.0**53)
+        for m in rng.integers(lo, hi, 200) | 1:
+            v = math.ldexp(float(m), X - 17)
+            if 10.0**X <= v < 10.0 ** (X + 1):
+                yield v
+
+
+def _near_powers_of_ten():
+    """30 ulps either side of each 10**k, k = -6..18."""
+    for k in range(-6, 19):
+        below = above = float(f"1e{k}")
+        yield below
+        for _ in range(30):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            yield below
+            yield above
+
+
+_SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    math.inf, -math.inf, math.nan, 1e17, -1e17, math.nextafter(1e17, 0.0), 1e16,
+    1e-4, -1e-4, math.nextafter(1e-4, 0.0), 1.7976931348623157e308,
+]
+
+
+def test_csv_rows_match_percent_formatting_on_edge_families():
+    halfway = list(_halfway_values(np.random.default_rng(0)))
+    assert len(halfway) > 3000
+    for v in halfway[::97]:  # each is a halfway case of the 17-digit rounding
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, v
+    _check_csv_rows(halfway + [-v for v in halfway])
+    _check_csv_rows(list(_near_powers_of_ten()))
+    _check_csv_rows(_SPECIAL_VALUES)
+    for v in _SPECIAL_VALUES:  # a row of its own, between rows of the fast path
+        _check_csv_rows([0.5, v, 2.5])
+
+
+def _sweep_argvs():
+    """(kind, argv) of random sweeps; kinds 0 and 2 have rows on both sides
+    of the formatter's fast path, kind 1 only rows off it."""
+    rng = np.random.default_rng(12)
+    for i in range(12):
+        lam = float(rng.random())
+        par = ("--lambda", repr(lam), "--delta", repr(lam * rng.random()),
+               "--alpha", repr(float(rng.random())), "--beta", repr(float(rng.random())))
+        steps = int(rng.integers(2, 3000))
+        kind = i % 4
+        if kind == 0:  # mu = 0 on the grid: a dyadic step from a multiple of it
+            h = 2.0 ** -int(rng.integers(1, 12))
+            k = int(rng.integers(1, steps))
+            lo, hi = -k * h, (steps - 1 - k) * h
+        elif kind == 1:  # 0 < |mu| < 1e-4, which %g writes in scientific notation
+            lo, hi = -float(rng.uniform(1e-6, 1e-4)), float(rng.uniform(1e-6, 1e-4))
+        elif kind == 2:  # a huge --mu-max: |mu| and the bounds pass 1e17
+            lo, hi = -float(rng.uniform(0.5, 2)), 10 ** float(rng.uniform(17, 300))
+        else:
+            lo, hi = -(10 ** float(rng.uniform(-5, 3))), 10 ** float(rng.uniform(-5, 3))
+        argv = (*par, "--mu-min", repr(lo), "--mu-max", repr(hi), "--steps", str(steps))
+        yield pytest.param(kind, argv, id=" ".join(argv[-6:]))
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("kind,argv", _sweep_argvs())
+def test_sweep_output_is_one_formatting_per_row(capsys, monkeypatch, kind, argv, block):
+    # the CSV and JSON a sweep prints, byte for byte, against each row's
+    # bound_real and bound_complex through %-formatting and json.dumps
+    from fslab import ClassParams, bound_complex, bound_real
+
+    if block is not None:
+        monkeypatch.setattr(fslab.cli, "_SWEEP_BLOCK", block)
+    opts = dict(zip(argv[::2], argv[1::2]))
+    par = ClassParams(*(float(opts[f]) for f in ("--lambda", "--delta", "--alpha", "--beta")))
+    lo, hi, steps = float(opts["--mu-min"]), float(opts["--mu-max"]), int(opts["--steps"])
+    rows = []
+    for mu in (lo + np.arange(steps) * ((hi - lo) / (steps - 1))).tolist():
+        rep = bound_real(par, mu)
+        rows.append((mu, rep.case_id, rep.value, rep.scaled_value, bound_complex(par, mu)))
+    fast = {all(1e-4 <= abs(v) < 1e17 for v in (r[0], *r[2:])) for r in rows}
+    if kind in (0, 2):
+        assert fast == {True, False}
+    elif kind == 1:
+        assert fast == {False}
+    csv = "mu,case,value,scaled_value,complex_bound\n" + "".join(_ROW_FORMAT % r for r in rows)
+    assert run(capsys, "sweep", *argv) == (0, csv, "")
+    doc = json.dumps({"format": 1, "rows": [dict(zip(fslab.cli._SWEEP_COLUMNS, r)) for r in rows]})
+    assert run(capsys, "sweep", *argv, "--output", "json") == (0, doc + "\n", "")
 
 
 # ----- verify -----
