@@ -9,8 +9,6 @@ value), :mod:`fslab.extremal` for the witnesses that attain them, and
 
 from .bounds import (
     BoundReport,
-    KM_SIGN_NOTE,
-    REDUCTION_PRESETS,
     bound_complex,
     bound_real,
     bound_sharp,
@@ -18,7 +16,6 @@ from .bounds import (
     breakpoints,
     caratheodory_bound,
     coeff_bounds,
-    reduction_bound,
     starlike_fs_bound,
 )
 from .errors import (
@@ -66,9 +63,7 @@ __all__ = [
     "DomainError",
     "FslabError",
     "HerglotzMeasure",
-    "KM_SIGN_NOTE",
     "NearSingular",
-    "REDUCTION_PRESETS",
     "SearchBudget",
     "SearchResult",
     "ViolationError",
@@ -88,7 +83,6 @@ __all__ = [
     "maximize_fs",
     "member_from_pq",
     "membership_spotcheck",
-    "reduction_bound",
     "sharp_witness",
     "sharpness_residual",
     "starlike_from_q",

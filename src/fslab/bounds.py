@@ -70,12 +70,13 @@ of the class described in :mod:`fslab.members`. Three routes exist:
   At mu = 0 it agrees exactly with the real routes; whether it is sharp for
   non-real mu is unknown, so only validity is ever asserted for it.
 
-Reduction presets recover published special cases of the same formula by
-pinning parameters (see REDUCTION_PRESETS). The fully classical preset
-(keogh-merkes) is implemented with the middle branch 1/3 + 4/(9 mu); a
-minus-sign variant of that branch seen in print is discontinuous at both
-interior breakpoints and is exceeded by explicit members (value 11/9 at
-mu = 1/2), so the continuous form is the correct one.
+Published special cases are bound_real with some parameters pinned to 0:
+ad2 pins delta; al-abbadi-darus pins delta and alpha; darus-thomas pins lam
+and delta; keogh-merkes (the classical close-to-convex class) pins all four.
+In the classical case the middle branch is 1/3 + 4/(9 mu); a minus-sign
+variant of that branch seen in print is discontinuous at mu = 1/3 and
+mu = 2/3 and is exceeded by explicit members (value 11/9 at mu = 1/2), so
+the continuous form is the correct one.
 """
 
 from __future__ import annotations
@@ -87,24 +88,6 @@ import numpy as np
 
 from .errors import DomainError
 from .members import ClassParams
-
-# Documents the sign choice in the classical reduction's middle branch.
-KM_SIGN_NOTE = (
-    "middle branch evaluated as 1/3 + 4/(9 mu); the minus-sign variant seen "
-    "in print is discontinuous at mu = 1/3 and mu = 2/3 and is exceeded by "
-    "explicit members (witness value 11/9 at mu = 1/2)"
-)
-
-# preset name -> (fixed parameter dict, free parameter names)
-REDUCTION_PRESETS: dict[str, tuple[dict[str, float], tuple[str, ...]]] = {
-    "ad2": ({"delta": 0.0}, ("lam", "alpha", "beta")),
-    "al-abbadi-darus": ({"delta": 0.0, "alpha": 0.0}, ("lam", "beta")),
-    "darus-thomas": ({"lam": 0.0, "delta": 0.0}, ("alpha", "beta")),
-    "keogh-merkes": (
-        {"lam": 0.0, "delta": 0.0, "alpha": 0.0, "beta": 0.0},
-        (),
-    ),
-}
 
 
 def _check_finite(mu) -> None:
@@ -340,28 +323,3 @@ def starlike_fs_bound(beta: float, mu: float) -> float:
     if isinstance(mu, complex) or not math.isfinite(mu):
         raise DomainError(f"mu must be finite real, got {mu!r}")
     return (1.0 - beta) * max(1.0, abs(3.0 - 2.0 * beta - 4.0 * mu * (1.0 - beta)))
-
-
-def reduction_bound(preset: str, mu: float, **free: float) -> float:
-    """Evaluate a named specialization of bound_real.
-
-    preset fixes some of (lam, delta, alpha, beta); the rest are keyword
-    arguments. Runs through exactly the same code path as bound_real, so the
-    reduction is an identity, not a reimplementation. Returns the bound on
-    |a_3 - mu a_2**2|.
-    """
-    if preset not in REDUCTION_PRESETS:
-        raise DomainError(
-            f"unknown preset {preset!r}; choose from {sorted(REDUCTION_PRESETS)}"
-        )
-    fixed, free_names = REDUCTION_PRESETS[preset]
-    unknown = set(free) - set(free_names)
-    if unknown:
-        raise DomainError(
-            f"preset {preset!r} does not accept {sorted(unknown)}; "
-            f"free parameters are {list(free_names)}"
-        )
-    kwargs = {"lam": 0.0, "delta": 0.0, "alpha": 0.0, "beta": 0.0}
-    kwargs.update(fixed)
-    kwargs.update(free)
-    return bound_real(ClassParams(**kwargs), mu).value

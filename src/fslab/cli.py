@@ -8,8 +8,6 @@ Subcommands:
             is out of scope by design)
     verify  randomized search vs the bound, JSON report
     sharp   witness attainment at one real mu, JSON report
-    reduce  named specialization vs the general formula (difference is 0
-            by construction), JSON report
     member  coefficient table for a member given explicitly by atoms
 
 JSON outputs carry a schema version field "format": 1. CSV uses '.' decimals,
@@ -35,15 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    KM_SIGN_NOTE,
-    REDUCTION_PRESETS,
-    _check_finite,
-    _grid_bounds,
-    bound_complex,
-    bound_real,
-    reduction_bound,
-)
+from .bounds import _check_finite, _grid_bounds, bound_complex, bound_real
 from .errors import CaseRangeError, DomainError, FslabError, NearSingular, ViolationError
 from .extremal import extremal_member
 from .members import ClassParams, HerglotzMeasure, fs_functional, member_from_pq
@@ -211,11 +201,6 @@ def _build_parser() -> _Parser:
     sub = subs.add_parser("sharp", help="attainment at one real mu")
     _add_param_flags(sub)
     sub.add_argument("--mu", type=float, required=True)
-
-    sub = subs.add_parser("reduce", help="named specialization vs the general path")
-    sub.add_argument("--preset", required=True, choices=sorted(REDUCTION_PRESETS))
-    sub.add_argument("--mu", type=float, required=True)
-    _add_param_flags(sub)
 
     sub = subs.add_parser("member", help="coefficient table for explicit atoms")
     _add_param_flags(sub)
@@ -450,7 +435,7 @@ def _cmd_sharp(args: argparse.Namespace) -> int:
     report = bound_real(params, args.mu)
     if not math.isfinite(report.value):
         raise DomainError(f"the bound overflows at mu = {args.mu}")
-    member = extremal_member(params, args.mu, report.case_id)
+    member = extremal_member(params, args.mu, report.case_id, 3)  # a_2, a_3 as at any order
     attained = abs(fs_functional(member, args.mu))
     residual = report.value - attained
     _emit_json(
@@ -463,30 +448,6 @@ def _cmd_sharp(args: argparse.Namespace) -> int:
         }
     )
     return 0 if abs(residual) <= SHARP_TOL * max(1.0, report.value) else 3
-
-
-def _cmd_reduce(args: argparse.Namespace) -> int:
-    fixed, free_names = REDUCTION_PRESETS[args.preset]
-    # reject explicit values that contradict what the preset pins to zero
-    for name, flag in (("lam", "--lambda"), ("delta", "--delta"), ("alpha", "--alpha"), ("beta", "--beta")):
-        value = getattr(args, name)
-        if name not in free_names and value != fixed.get(name, 0.0):
-            raise DomainError(f"preset {args.preset!r} fixes {flag[2:]}={fixed.get(name, 0.0)}")
-    free = {name: getattr(args, name) for name in free_names}
-    value = reduction_bound(args.preset, args.mu, **free)
-    full = bound_real(_params(args), args.mu).value
-    payload = {
-        "format": SCHEMA_VERSION,
-        "preset": args.preset,
-        "mu": args.mu,
-        "value": value,
-        "specialized_value": full,
-        "difference": 0.0 if value == full else value - full,  # inf - inf is NaN
-    }
-    if args.preset == "keogh-merkes":
-        payload["note"] = KM_SIGN_NOTE
-    _emit_json(payload)
-    return 0
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
@@ -531,7 +492,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "verify": _cmd_verify,
     "sharp": _cmd_sharp,
-    "reduce": _cmd_reduce,
     "member": _cmd_member,
 }
 

@@ -18,6 +18,7 @@ def test_no_test_only_or_wrapper_names():
     gone = {
         "sample_measure", "rotate", "shift_measure", "psi",
         "classical_s_bound", "VerificationReport", "ExtremalConfig",
+        "reduction_bound", "REDUCTION_PRESETS", "KM_SIGN_NOTE",
     }
     assert gone.isdisjoint(fslab.__all__)
     assert [n for n in gone if hasattr(fslab, n)] == []

@@ -26,7 +26,6 @@ from fslab import (
     herglotz_coeffs,
     member_from_pq,
     membership_spotcheck,
-    reduction_bound,
     starlike_from_q,
     starlike_fs_bound,
 )
@@ -328,34 +327,6 @@ def test_starlike_fs_validation():
         starlike_fs_bound(1.0, 0.5)
     with pytest.raises(DomainError):
         starlike_fs_bound(0.5, 1j)
-
-
-# ----- reductions -----
-
-@pytest.mark.parametrize(
-    "preset,free",
-    [
-        ("ad2", {"lam": 0.6, "alpha": 0.2, "beta": 0.3}),
-        ("al-abbadi-darus", {"lam": 0.4, "beta": 0.1}),
-        ("darus-thomas", {"alpha": 0.35, "beta": 0.25}),
-        ("keogh-merkes", {}),
-    ],
-)
-def test_reduction_is_identity(preset, free):
-    fixed = {"lam": 0.0, "delta": 0.0, "alpha": 0.0, "beta": 0.0}
-    fixed.update(free)
-    par = ClassParams(**fixed)
-    for mu in (-1.0, 0.0, 0.4, 0.7, 1.5, 3.0):
-        assert reduction_bound(preset, mu, **free) - bound_real(par, mu).value == 0.0
-
-
-def test_reduction_validation():
-    with pytest.raises(DomainError):
-        reduction_bound("nope", 0.5)
-    with pytest.raises(DomainError):
-        reduction_bound("keogh-merkes", 0.5, beta=0.2)
-    with pytest.raises(DomainError):
-        reduction_bound("ad2", 0.5, delta=0.1, lam=0.5)
 
 
 # ----- sanity against actual members -----

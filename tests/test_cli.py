@@ -505,40 +505,16 @@ def test_overflowing_mu_is_a_domain_error(capsys, argv):
         assert re.fullmatch(r"domain error: the bound overflows at mu = \S+\n", err), err
 
 
-# ----- reduce -----
+# ----- subcommands -----
 
-def test_reduce_difference_is_zero(capsys):
-    code, out, _ = run(
-        capsys, "reduce", "--preset", "ad2", "--mu", "0.5",
-        "--lambda", "0.6", "--alpha", "0.2", "--beta", "0.3",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert set(payload) == {
-        "format", "preset", "mu", "value", "specialized_value", "difference",
-    }
-    assert payload["difference"] == 0.0
-
-
-def test_reduce_classical_note(capsys):
-    code, out, _ = run(capsys, "reduce", "--preset", "keogh-merkes", "--mu", "0.5")
-    assert code == 0
-    payload = json.loads(out)
-    assert "note" in payload
-    assert "11/9" in payload["note"]
-    assert abs(payload["value"] - 11 / 9) < 1e-12
-
-
-def test_reduce_rejects_contradicting_flag(capsys):
-    code, _, err = run(
-        capsys, "reduce", "--preset", "keogh-merkes", "--mu", "0.5", "--beta", "0.2"
-    )
-    assert code == 2 and "domain error" in err
-
-
-def test_reduce_unknown_preset(capsys):
-    code, _, _ = run(capsys, "reduce", "--preset", "nope", "--mu", "0.5")
-    assert code == 1  # argparse choices violation is a usage error
+def test_subcommands(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "{bound,sweep,verify,sharp,member}" in capsys.readouterr().out
+    # a published special case is `bound` with the pinned flags left at 0
+    code, out, err = run(capsys, "reduce", "--preset", "keogh-merkes", "--mu", "0.5")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "invalid choice" in err
 
 
 # ----- member -----
@@ -593,8 +569,9 @@ def _both_parts(m: str) -> str:
 
 
 def _edge_argvs():
-    """Every subcommand at alpha, beta in _EDGE_AB and lam = delta = 1, with
-    mu on each breakpoint, at +-1e308 and at the smallest subnormal."""
+    """Every subcommand at alpha, beta in _EDGE_AB and lam = delta = 1, and
+    bound and sharp at lam = 1, delta = 0, with mu on each breakpoint of the
+    tuple, at +-1e308 and at the smallest subnormal."""
     from fslab import ClassParams
     from fslab.bounds import breakpoints
 
@@ -613,8 +590,11 @@ def _edge_argvs():
                 yield ("verify", *flags, "--samples", "200", "--mu", m)
                 yield ("verify", *flags, "--samples", "200", "--complex", "--mu", _both_parts(m))
                 yield ("sharp", *flags, "--mu", m)
-                # ad2 pins delta = 0, so lam = 1 is its edge
-                yield ("reduce", "--preset", "ad2", "--lambda", "1", *ab, "--mu", m)
+            # lam = 1 with delta = 0 has breakpoints of its own
+            flags = ("--lambda", "1", "--delta", "0", *ab)
+            for mu in (*breakpoints(ClassParams(1.0, 0.0, alpha, beta)), 1e308, -1e308, 5e-324):
+                yield ("bound", *flags, "--mu", repr(mu))
+                yield ("sharp", *flags, "--mu", repr(mu))
 
 
 _EDGE_COMMANDS = [
