@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import _check_finite, _grid_bounds, bound_complex, bound_real
-from .errors import CaseRangeError, DomainError, FslabError, NearSingular, ViolationError
+from .errors import DomainError, FslabError, ViolationError
 from .extremal import extremal_member
 from .members import ClassParams, HerglotzMeasure, fs_functional, member_from_pq
 from .search import SearchBudget, verify_inequality
@@ -504,16 +504,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    except (DomainError, CaseRangeError, NearSingular) as exc:
-        sys.stderr.write(f"domain error: {exc}\n")
-        return 2
     except ViolationError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         if exc.p_measure is not None:
             sys.stderr.write(f"the member, reproduced by:\n{_member_command(exc)}\n")
         return 3
-    except FslabError as exc:  # any future subtype: treat as domain-level
-        sys.stderr.write(f"error: {exc}\n")
+    except FslabError as exc:
+        sys.stderr.write(f"domain error: {exc}\n")
         return 2
 
 

@@ -128,8 +128,11 @@ def sharpness_residual(params: ClassParams, mu: float, order: int = DEFAULT_ORDE
     that case's witness, and returns bound_real(...).value minus the witness's
     |a_3 - mu a_2**2|. Up to roundoff this is zero for every real mu. The
     witness has order 3, whose a_2 and a_3 are bitwise those of any order.
+    A mu at which the bound overflows is a DomainError.
     """
     report = bound_real(params, mu)
+    if not math.isfinite(report.value):
+        raise DomainError(f"the bound overflows at mu = {mu}")
     member = extremal_member(params, mu, report.case_id, min(order, 3))
     return report.value - abs(fs_functional(member, mu))
 

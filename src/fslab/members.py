@@ -34,6 +34,17 @@ by long division. It then checks the ratio's real part on a grid. Univalence
 of members is not verified. Jets are plain tuples of complex numbers, index k
 holding the coefficient of z**k, and their sums are exactly rounded. Entries
 0..k of a jet do not depend on the order, so a_2 and a_3 need only order 3.
+
+The functional depends on a member only through c_1, c_2 (of p) and q_1, q_2.
+With u = 1 - alpha and v = 1 - beta,
+
+    a_2 = (v q_1 + u c_1) / (2 tau)
+    a_3 = (v (q_2 + v q_1**2) / 2 + u v c_1 q_1 + u c_2) / (3 sigma).
+
+_a2_a3 writes this closed form once, in complex arithmetic, from the pairs
+(c_1, c_2) that _c12 sums over floats or numpy arrays (one entry per sample).
+The search's random phase, its polish and its seeded floor (_pair_value,
+through herglotz_coeffs) all read it; member_from_pq stays the reference.
 """
 
 from __future__ import annotations
@@ -261,6 +272,46 @@ def member_from_pq(
 def fs_functional(member: ClassMember, mu: complex) -> complex:
     """The coefficient functional a_3 - mu * a_2**2 (mu real or complex)."""
     return member.a[3] - mu * member.a[2] ** 2
+
+
+def _coefficients(params: ClassParams) -> tuple[float, float, float, float]:
+    """(u, v, 2 tau, 3 sigma), the constants of _a2_a3, once per search."""
+    return 1.0 - params.alpha, 1.0 - params.beta, 2.0 * params.tau, 3.0 * params.sigma
+
+
+def _c12(atoms):
+    """(c_1, c_2), c_k = 2 sum_i w_i z_i**k, from (w_i, z_i) pairs.
+
+    atoms yields one atom at a time, as floats or as arrays (one entry per
+    sample); atoms of zero weight add nothing. Atoms are summed in order, so
+    a sample's value does not depend on the other entries of its arrays.
+    """
+    c1 = c2 = 0.0
+    for w, z in atoms:
+        c1 = c1 + w * z
+        c2 = c2 + w * (z * z)
+    return 2.0 * c1, 2.0 * c2
+
+
+def _a2_a3(coef, c, q):
+    """(a_2, a_3) from _coefficients and the (c_1, c_2) pairs of p and q."""
+    u, v, two_tau, three_sigma = coef
+    (c1, c2), (q1, q2) = c, q
+    b2 = v * q1  # g = z + b_2 z**2 + b_3 z**3 + ...
+    b3 = v * (q2 + b2 * q1) / 2.0
+    uc1 = u * c1
+    return (b2 + uc1) / two_tau, (b3 + b2 * uc1 + u * c2) / three_sigma
+
+
+def _fs_value(coef, mu: complex, c, q):
+    """|a_3 - mu a_2**2| from _coefficients and the (c_1, c_2) pairs of p and q."""
+    a2, a3 = _a2_a3(coef, c, q)
+    return abs(a3 - mu * (a2 * a2))
+
+
+def _pair_value(coef, mu: complex, p: HerglotzMeasure, q: HerglotzMeasure) -> float:
+    """|a_3 - mu a_2**2| of member_from_pq(params, p, q), in closed form."""
+    return _fs_value(coef, mu, herglotz_coeffs(p, 2)[1:], herglotz_coeffs(q, 2)[1:])
 
 
 def _polyval(coeffs: tuple[complex, ...], pts: np.ndarray) -> np.ndarray:

@@ -13,31 +13,25 @@ phase DOES beat the piecewise value, and verify_inequality reports that
 honestly as a ViolationError. Whether max_atoms = 3 limits anything is unknown
 and irrelevant to the seeded floor.
 
-The functional depends on a member only through c_1, c_2 (of p) and q_1, q_2.
-With u = 1 - alpha and v = 1 - beta,
-
-    a_2 = (v q_1 + u c_1) / (2 tau)
-    a_3 = (v (q_2 + v q_1**2) / 2 + u v c_1 q_1 + u c_2) / (3 sigma),
-
-so the search evaluates this closed form, written once in complex arithmetic
+The search evaluates the closed form of a_2 and a_3 in :mod:`fslab.members`
 from c_k = 2 sum_i w_i z_i**k with z_i = exp(1j t_i): over numpy arrays
 (np.exp) for the random samples, one pair at a time (cmath.exp) for the
-seeded floor and the polish. The constants u, v, 2 tau and 3 sigma are
-computed once per search. The polish caches each atom's z_i and the side's
-normalized weights, so an angle step recomputes one z_i and a weight step
-only the weights; its every value is bitwise the one the uncached form
-gives. A round searches every angle, and every weight of a side with more
-than one atom. A search whose best point does not beat the incumbent is
-undone by setting the coordinate back, which restores the atoms, the
-cached z_i and weights and the incumbent bit for bit, and (c_1, c_2) is
-always rebuilt from those caches. So once a round's worth of searches in a
-row has kept no move, every later search would repeat one of them exactly:
-the polish stops there, which makes n_refine a maximum and changes no
-result. Only the returned member is built in full, by member_from_pq, and
-best_value is that member's |a_3 - mu a_2**2|. The closed form and the
-member can differ by a few ulps, so the polish is kept only if its member's
-value is not below the unpolished incumbent's: best_value with the polish
-is never below best_value without it.
+polish, and through herglotz_coeffs for the seeded floor. The constants u, v,
+2 tau and 3 sigma are computed once per search. The polish caches each atom's
+z_i and the side's normalized weights, so an angle step recomputes one z_i and
+a weight step only the weights; its every value is bitwise the one the
+uncached form gives. A round searches every angle, and every weight of a side
+with more than one atom. A search whose best point does not beat the incumbent
+is undone by setting the coordinate back, which restores the atoms, the cached
+z_i and weights and the incumbent bit for bit, and (c_1, c_2) is always
+rebuilt from those caches. So once a round's worth of searches in a row has
+kept no move, every later search would repeat one of them exactly: the polish
+stops there, which makes n_refine a maximum and changes no result. Only the
+incumbent and its polished copy are built in full, by member_from_pq, and
+best_value is the returned member's |a_3 - mu a_2**2|. The closed form and a
+member can differ by a few ulps, so the polished member is returned only if
+its value is not below the incumbent's: best_value with the polish is never
+below best_value without it.
 
 Screen: a chunk's samples first go through the same closed form with rough
 z~_i = cos(t32) + i sin(t32), t32 the angle rounded to float32, widened to
@@ -70,10 +64,8 @@ every chunk is reduced by the key (value, member fingerprint) that also ranks
 the seeded floor. The same inputs and budget always give a bitwise identical
 result, independent of the chunk size, and exact ties between seeded
 configurations (cases 1 and 2 share their witness at mu1) are broken the same
-way every time. This stream replaced a Philox stream (counter-based, but
-nothing used its counters, and it drew the same doubles 3-4x slower), which
-had replaced one generator per (seed, sample index); a given seed draws
-different samples than it did with either.
+way every time. A given seed draws different samples than earlier versions
+of this search did.
 """
 
 from __future__ import annotations
@@ -90,10 +82,13 @@ from .extremal import extremal_config
 from .members import (
     ClassMember,
     ClassParams,
-    DEFAULT_ORDER,
     HerglotzMeasure,
     MAX_ATOMS,
     TWO_PI,
+    _c12,
+    _coefficients,
+    _fs_value,
+    _pair_value,
     fs_functional,
     member_from_pq,
 )
@@ -159,51 +154,6 @@ class SearchResult:
 
 def _fingerprint(p: HerglotzMeasure, q: HerglotzMeasure) -> Fingerprint:
     return (p.atoms, q.atoms)
-
-
-def _c12(atoms):
-    """(c_1, c_2), c_k = 2 sum_i w_i z_i**k, from (w_i, z_i) pairs.
-
-    atoms yields one atom at a time, as floats or as arrays (one entry per
-    sample); atoms of zero weight add nothing. Atoms are summed in order, so
-    a sample's value does not depend on the other entries of its arrays.
-    """
-    c1 = c2 = 0.0
-    for w, z in atoms:
-        c1 = c1 + w * z
-        c2 = c2 + w * (z * z)
-    return 2.0 * c1, 2.0 * c2
-
-
-def _coefficients(params: ClassParams) -> tuple[float, float, float, float]:
-    """(u, v, 2 tau, 3 sigma), the constants of _a2_a3, once per search."""
-    return 1.0 - params.alpha, 1.0 - params.beta, 2.0 * params.tau, 3.0 * params.sigma
-
-
-def _a2_a3(coef, c, q):
-    """(a_2, a_3) from _coefficients and the _c12 pairs of p and q."""
-    u, v, two_tau, three_sigma = coef
-    (c1, c2), (q1, q2) = c, q
-    b2 = v * q1  # g = z + b_2 z**2 + b_3 z**3 + ...
-    b3 = v * (q2 + b2 * q1) / 2.0
-    uc1 = u * c1
-    return (b2 + uc1) / two_tau, (b3 + b2 * uc1 + u * c2) / three_sigma
-
-
-def _fs_value(coef, mu: complex, c, q):
-    """|a_3 - mu a_2**2| from _coefficients and the _c12 pairs of p and q."""
-    a2, a3 = _a2_a3(coef, c, q)
-    return abs(a3 - mu * (a2 * a2))
-
-
-def _unit_atoms(atoms) -> list[tuple[float, complex]]:
-    """(w_i, exp(1j t_i)) per atom (w_i, t_i), the pairs _c12 reads."""
-    return [(w, cmath.exp(1j * t)) for w, t in atoms]
-
-
-def _pair_value(coef, mu: complex, p: HerglotzMeasure, q: HerglotzMeasure) -> float:
-    """|a_3 - mu a_2**2| of member_from_pq(params, p, q), in closed form."""
-    return _fs_value(coef, mu, _c12(_unit_atoms(p.atoms)), _c12(_unit_atoms(q.atoms)))
 
 
 def _sample_columns(u: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,10 +268,10 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     then every weight (a lone weight is fixed) while the other side's
     (c_1, c_2) stays put, and keeps a move only if it beats best_v. It
     returns once a round's worth of searches in a row kept no move (module
-    docstring). Every evaluation equals
-    _fs_value(coef, mu, *(_c12(_unit_atoms(_normalized(side))) for side in
-    sides)) bit for bit, but reads cached parts: an angle step recomputes
-    one atom's exp(1j t) and a weight step only the side's _weights.
+    docstring). Every evaluation equals _fs_value over _c12 of each side's
+    _normalized atoms as (w, exp(1j t)) pairs bit for bit, but reads cached
+    parts: an angle step recomputes one atom's exp(1j t) and a weight step
+    only the side's _weights.
     """
     evals = 0
     units = [[cmath.exp(1j * t) for _, t in side] for side in sides]
@@ -417,22 +367,18 @@ def maximize_fs(
         left -= size
     best_v, _, p, q = best
 
+    best_member = member_from_pq(params, p, q)
+    best_value = abs(fs_functional(best_member, mu))
     if budget.n_refine:
         sides = [[[w, t] for w, t in m.atoms] for m in (p, q)]
         evals += _polish(coef, mu, sides, best_v, budget.n_refine)
-        polished = [HerglotzMeasure(_normalized(side)) for side in sides]
-
         # The polish ranks moves by the closed form, which can differ from
-        # the member's value by a few ulps, so it is kept only if its member
-        # is not below the incumbent's. Order 3 suffices: a_2 and a_3 are
-        # bitwise the same at any order.
-        def value(p: HerglotzMeasure, q: HerglotzMeasure) -> float:
-            return abs(fs_functional(member_from_pq(params, p, q, 3), mu))
-
-        if value(*polished) >= value(p, q):
-            p, q = polished
-    best_member = member_from_pq(params, p, q, DEFAULT_ORDER)
-    best_value = abs(fs_functional(best_member, mu))
+        # a member's value by a few ulps, so it is kept only if its member
+        # is not below the incumbent's.
+        polished = member_from_pq(params, *(HerglotzMeasure(_normalized(side)) for side in sides))
+        polished_value = abs(fs_functional(polished, mu))
+        if polished_value >= best_value:
+            best_member, best_value = polished, polished_value
     return SearchResult(
         best_value=best_value,
         best_member=best_member,

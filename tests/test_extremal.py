@@ -186,6 +186,19 @@ def test_residual_classical_spot_values():
         assert abs(sharpness_residual(P0, mu)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "par,mu",
+    [
+        (P0, 1e308),  # inf - inf would be nan
+        (P0, -1e308),
+        (ClassParams(1.0, 1.0, 1 - 2**-52, 1 - 2**-52), 1e308),  # inf - finite
+    ],
+)
+def test_residual_overflowing_bound_is_a_domain_error(par, mu):
+    with pytest.raises(DomainError, match="the bound overflows"):
+        sharpness_residual(par, mu)
+
+
 def test_sharp_witness_attains_bound_sharp():
     # half of the draws sit past mu2, where the two-atom term beats the
     # paper's value about half the time, so both witness kinds are covered

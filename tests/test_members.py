@@ -1,4 +1,4 @@
-"""Member construction: parameters, measures, recurrences, rotation, spot checks."""
+"""Member construction: parameters, measures, recurrences, closed form, rotation, spot checks."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    EDGE_PARAMS,
     atom_measure,
     random_member,
     random_params,
@@ -31,7 +32,18 @@ from fslab import (
     starlike_from_q,
     transform_spotcheck,
 )
-from fslab.members import MAX_ATOMS, _circle, _jet, _polyval
+from fslab.extremal import _ATOM0, _HALF, _SIDE
+from fslab.members import (
+    MAX_ATOMS,
+    _a2_a3,
+    _c12,
+    _circle,
+    _coefficients,
+    _jet,
+    _pair_value,
+    _polyval,
+)
+from fslab.search import _batch_values
 
 PI = math.pi
 
@@ -173,6 +185,16 @@ def test_coeffs_match_the_per_order_recurrence():
         assert _bits(herglotz_coeffs(m, 1000)) == _bits(_per_order_coeffs(m, 1000))
 
 
+def test_c12_pairs_are_the_herglotz_coeffs():
+    # the polish sums _c12 over (w, exp(1j t)) pairs, the seeded floor reads
+    # herglotz_coeffs: one value, signed zeros included
+    rng = np.random.default_rng(1013)
+    measures = [_ATOM0, _HALF, _SIDE] + [sample_measure(rng, MAX_ATOMS) for _ in range(2000)]
+    for m in measures:
+        pairs = _c12([(w, cmath.exp(1j * t)) for w, t in m.atoms])
+        assert repr(pairs) == repr(herglotz_coeffs(m, 2)[1:]), m
+
+
 @pytest.mark.parametrize(
     "coeffs,message",
     [
@@ -262,6 +284,45 @@ def test_member_recurrence_identities():
 def test_member_order_floor():
     with pytest.raises(ValueError):
         member_from_pq(ClassParams(0, 0, 0, 0), atom_measure(), atom_measure(), 2)
+
+
+# ----- the closed form of a_2 and a_3 -----
+
+def _padded(measures):
+    """(weights, angles), each (MAX_ATOMS, len(measures)), zero-padded."""
+    w = np.zeros((MAX_ATOMS, len(measures)))
+    t = np.zeros((MAX_ATOMS, len(measures)))
+    for i, m in enumerate(measures):
+        for j, (wj, tj) in enumerate(m.atoms):
+            w[j, i], t[j, i] = wj, tj
+    return w, t
+
+
+def test_closed_form_matches_member_from_pq():
+    # the batched kernel and the one-pair form against full construction,
+    # 20 parameter tuples x 100 measure pairs x 2 values of mu
+    rng = np.random.default_rng(211)
+    tuples = EDGE_PARAMS + [random_params(rng) for _ in range(16)]
+    worst = 0.0
+    for par in tuples:
+        coef = _coefficients(par)
+        ps = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
+        qs = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
+        (pw, pt), (qw, qt) = _padded(ps), _padded(qs)
+        a2, a3 = _a2_a3(coef, _c12(zip(pw, np.exp(1j * pt))), _c12(zip(qw, np.exp(1j * qt))))
+        for mu in (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2))):
+            values = _batch_values(coef, mu, pw, pt, qw, qt)
+            for i, (p, q) in enumerate(zip(ps, qs)):
+                m = member_from_pq(par, p, q, 3)
+                ref = abs(fs_functional(m, mu))
+                for got, want in (
+                    (a2[i], m.a2),
+                    (a3[i], m.a3),
+                    (values[i], ref),
+                    (_pair_value(coef, mu, p, q), ref),
+                ):
+                    worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    assert worst <= 2e-15, worst
 
 
 # ----- rotation -----

@@ -27,19 +27,14 @@ from fslab import (
     membership_spotcheck,
     verify_inequality,
 )
-from fslab.members import MAX_ATOMS, TWO_PI
+from fslab.members import MAX_ATOMS, TWO_PI, _c12, _coefficients, _fs_value, _pair_value
 from fslab.search import (
     _SCREEN_EPS,
-    _a2_a3,
     _batch_values,
-    _c12,
     _chunk_best,
-    _coefficients,
     _draw_chunk,
     _exact_unit,
-    _fs_value,
     _golden_max,
-    _pair_value,
     _polish,
     _rough_unit,
 )
@@ -195,43 +190,6 @@ def test_best_value_is_the_members_functional(par, mu):
     r = maximize_fs(par, mu, budget)
     assert r.best_value == abs(fs_functional(r.best_member, mu))
     assert r.margin == r.bound - r.best_value
-
-
-def _padded(measures):
-    """(weights, angles), each (MAX_ATOMS, len(measures)), zero-padded."""
-    w = np.zeros((MAX_ATOMS, len(measures)))
-    t = np.zeros((MAX_ATOMS, len(measures)))
-    for i, m in enumerate(measures):
-        for j, (wj, tj) in enumerate(m.atoms):
-            w[j, i], t[j, i] = wj, tj
-    return w, t
-
-
-def test_closed_form_matches_member_from_pq():
-    # the batched kernel and the one-pair form against full construction,
-    # 20 parameter tuples x 100 measure pairs x 2 values of mu
-    rng = np.random.default_rng(211)
-    tuples = EDGE_PARAMS + [random_params(rng) for _ in range(16)]
-    worst = 0.0
-    for par in tuples:
-        coef = _coefficients(par)
-        ps = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
-        qs = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
-        (pw, pt), (qw, qt) = _padded(ps), _padded(qs)
-        a2, a3 = _a2_a3(coef, _c12(zip(pw, np.exp(1j * pt))), _c12(zip(qw, np.exp(1j * qt))))
-        for mu in (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2))):
-            values = _batch_values(coef, mu, pw, pt, qw, qt)
-            for i, (p, q) in enumerate(zip(ps, qs)):
-                m = member_from_pq(par, p, q, 3)
-                ref = abs(fs_functional(m, mu))
-                for got, want in (
-                    (a2[i], m.a2),
-                    (a3[i], m.a3),
-                    (values[i], ref),
-                    (_pair_value(coef, mu, p, q), ref),
-                ):
-                    worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    assert worst <= 2e-15, worst
 
 
 # ----- the screen -----
