@@ -35,8 +35,8 @@ import numpy as np
 
 from .bounds import _check_finite, _grid_bounds, bound_complex, bound_real
 from .errors import DomainError, FslabError, ViolationError
-from .extremal import extremal_member
-from .members import ClassParams, HerglotzMeasure, fs_functional, member_from_pq
+from .extremal import _witness_check
+from .members import ClassParams, HerglotzMeasure, member_from_pq
 from .search import SearchBudget, verify_inequality
 
 SCHEMA_VERSION = 1
@@ -431,12 +431,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sharp(args: argparse.Namespace) -> int:
-    params = _params(args)
-    report = bound_real(params, args.mu)
-    if not math.isfinite(report.value):
-        raise DomainError(f"the bound overflows at mu = {args.mu}")
-    member = extremal_member(params, args.mu, report.case_id, 3)  # a_2, a_3 as at any order
-    attained = abs(fs_functional(member, args.mu))
+    report, attained = _witness_check(_params(args), args.mu)
     residual = report.value - attained
     _emit_json(
         {

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .bounds import bound_real, bound_sharp, breakpoints, two_atom_extreme
+from .bounds import BoundReport, bound_real, bound_sharp, breakpoints, two_atom_extreme
 from .errors import CaseRangeError, DomainError
 from .members import (
     ClassMember,
@@ -121,20 +121,26 @@ def extremal_member(
     return member_from_pq(params, p, q, order)
 
 
-def sharpness_residual(params: ClassParams, mu: float, order: int = DEFAULT_ORDER) -> float:
-    """bound - |functional| at the witness for mu's own case; ~0 when sharp.
-
-    Selects the case exactly as bound_real does (ties to the lower id), builds
-    that case's witness, and returns bound_real(...).value minus the witness's
-    |a_3 - mu a_2**2|. Up to roundoff this is zero for every real mu. The
-    witness has order 3, whose a_2 and a_3 are bitwise those of any order.
-    A mu at which the bound overflows is a DomainError.
-    """
+def _witness_check(params: ClassParams, mu: float) -> tuple[BoundReport, float]:
+    """bound_real's report at mu and |a_3 - mu a_2**2| at its case's order-3
+    witness (a_2, a_3 as at any order); an overflowing bound is a DomainError."""
     report = bound_real(params, mu)
     if not math.isfinite(report.value):
         raise DomainError(f"the bound overflows at mu = {mu}")
-    member = extremal_member(params, mu, report.case_id, min(order, 3))
-    return report.value - abs(fs_functional(member, mu))
+    member = extremal_member(params, mu, report.case_id, 3)
+    return report, abs(fs_functional(member, mu))
+
+
+def sharpness_residual(params: ClassParams, mu: float, order: int = DEFAULT_ORDER) -> float:
+    """bound - |functional| at the witness for mu's own case; ~0 when sharp.
+
+    The case is bound_real's (ties to the lower id). `fslab sharp` reports the
+    same numbers; _witness_check holds the witness and the overflow rule.
+    """
+    if order < 3:
+        raise ValueError("order must be at least 3")
+    report, attained = _witness_check(params, mu)
+    return report.value - attained
 
 
 def sharp_witness(params: ClassParams, mu: float, order: int = DEFAULT_ORDER) -> ClassMember:

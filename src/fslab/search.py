@@ -338,8 +338,6 @@ def maximize_fs(
     # Seeded floor: the admissible extremal configurations, once each.
     candidates: list[tuple[float, Fingerprint, HerglotzMeasure, HerglotzMeasure]] = []
     for case_id in (1, 2, 3, 4):
-        if case_id == 2 and not real_mu:
-            continue
         try:
             p, q = extremal_config(params, case_id, float(mu) if real_mu else None)
         except CaseRangeError:

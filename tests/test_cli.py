@@ -505,6 +505,50 @@ def test_overflowing_mu_is_a_domain_error(capsys, argv):
         assert re.fullmatch(r"domain error: the bound overflows at mu = \S+\n", err), err
 
 
+def _sharp_params():
+    """The edge tuples (P0 among them), the CLI's domain-edge tuples and four
+    random ones."""
+    from fslab import ClassParams
+
+    from conftest import EDGE_PARAMS, random_params
+
+    rng = np.random.default_rng(83)
+    ends = (0.0, 1.0 - 2.0**-52)
+    edges = (ClassParams(1.0, d, a, b) for d in (1.0, 0.0) for a in ends for b in ends)
+    return list(dict.fromkeys([*EDGE_PARAMS, *edges, *(random_params(rng) for _ in range(4))]))
+
+
+@pytest.mark.parametrize("par", _sharp_params(), ids=repr)
+def test_sharp_is_the_library_bit_for_bit(capsys, par):
+    # fslab sharp formats the library's witness check, with mu on each
+    # breakpoint and one ulp either side of it
+    from fslab import bound_real, extremal_member, fs_functional, sharpness_residual
+    from fslab.bounds import breakpoints
+
+    flags = ("--lambda", repr(par.lam), "--delta", repr(par.delta),
+             "--alpha", repr(par.alpha), "--beta", repr(par.beta))
+    for bp in breakpoints(par):
+        for mu in (math.nextafter(bp, -math.inf), bp, math.nextafter(bp, math.inf)):
+            code, out, err = run(capsys, "sharp", *flags, "--mu", repr(mu))
+            assert (code, err) == (0, ""), (mu, err)
+            payload = json.loads(out)
+            report = bound_real(par, mu)
+            attained = abs(fs_functional(extremal_member(par, mu, report.case_id, 3), mu))
+            assert payload["case"] == report.case_id
+            assert payload["bound"].hex() == report.value.hex()
+            assert payload["attained_value"].hex() == attained.hex()
+            assert payload["residual"].hex() == sharpness_residual(par, mu).hex()
+
+
+@pytest.mark.parametrize("mu", [1e308, -1e308])
+def test_sharp_overflow_is_the_library_error(capsys, mu):
+    from fslab import ClassParams, DomainError, sharpness_residual
+
+    with pytest.raises(DomainError) as info:
+        sharpness_residual(ClassParams(0, 0, 0, 0), mu)
+    assert run(capsys, "sharp", "--mu", repr(mu)) == (2, "", f"domain error: {info.value}\n")
+
+
 # ----- subcommands -----
 
 def test_subcommands(capsys):
@@ -641,12 +685,21 @@ def test_complex_bound_overflows_to_inf(capsys, alpha_beta):
     assert json.loads(out)["value"] == math.inf
 
 
-@pytest.mark.parametrize("argv", _EDGE_COMMANDS[2:], ids=" ".join)
-def test_edge_commands_in_a_fresh_interpreter(argv):
+_FRESH_COMMANDS = [
+    *((argv, 0, "") for argv in _EDGE_COMMANDS[2:]),
+    # raised inside the library, reported by main
+    (("sharp", "--mu", "1e308"), 2, "domain error: the bound overflows at mu = 1e+308\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,err", _FRESH_COMMANDS, ids=[" ".join(argv) for argv, _, _ in _FRESH_COMMANDS]
+)
+def test_edge_commands_in_a_fresh_interpreter(argv, code, err):
     # the console script's path, where an escaping exception is a traceback
     src = str(Path(fslab.cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "fslab.cli", *argv],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
-    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (proc.returncode, proc.stderr) == (code, err)

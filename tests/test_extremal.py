@@ -95,8 +95,9 @@ def test_case2_degenerates_at_lower_end():
     assert p.atoms == ((1.0, 0.0),)  # same witness as case 1
 
 
-@pytest.mark.parametrize("mu", [0.9, 0.2, -1.0, 0.0])
+@pytest.mark.parametrize("mu", [0.9, 0.2, -1.0, 0.0, 1j, 0.5 + 0j, math.nan, math.inf])
 def test_case2_rejects_out_of_window(mu):
+    # complex and non-finite mu are a CaseRangeError, not a TypeError
     with pytest.raises(CaseRangeError):
         extremal_config(P0, 2, mu)
 

@@ -142,6 +142,12 @@ def test_two_atom_example():
     assert abs(c[1] - 2 / 3) < 1e-15 and abs(c[2] - 2) < 1e-15
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_coeffs_need_a_positive_order(n):
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        herglotz_coeffs(atom_measure(0.0), n)
+
+
 def test_coefficient_modulus_capped_at_two():
     rng = np.random.default_rng(11)
     for _ in range(500):
@@ -230,6 +236,12 @@ def test_starlike_low_order_closed_forms():
 def test_starlike_needs_enough_q_coefficients():
     with pytest.raises(ValueError):
         starlike_from_q((1.0, 2.0), 0.0, 3)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_starlike_needs_a_positive_order(n):
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        starlike_from_q(herglotz_coeffs(atom_measure(0.0), 3), 0.0, n)
 
 
 # ----- denominators -----
