@@ -23,42 +23,40 @@ of the class described in :mod:`fslab.members`. Three routes exist:
   Validity caveat: every branch value is attained by an explicit member (see
   :mod:`fslab.extremal`), and on cases 1-2 no member exceeding it has ever
   been found, but on cases 3-4 the value is NOT an upper bound whenever
-  alpha > 0. The two-atom family q = atom(t), p = equal atoms at t +- phi
-  exceeds it on an open mu window starting just below mu3: with u = 1-alpha,
-  v = 1-beta, x = cos phi, the scaled functional there is
+  alpha > 0 (below). bound_real keeps the paper's value unchanged as the
+  reproduction target; bound_sharp is the real-mu bound to sweep against.
 
-      u (4 - 3 rho u) x**2 + 2 u v (2 - 3 rho) x + (v + 2 v**2 - 2u - 3 rho v**2)
+* real mu, sharp. With u = 1-alpha, v = 1-beta and (apart from A, B, C above)
 
-  (times a rotation), whose interior vertex dips below minus the branch value.
-  Smallest concrete instance kept under test: alpha=0.6, beta=0, mu=1.25 gives
-  branch value 0.65 while the member with x = 0.7 reaches |a_3 - mu a_2**2|
-  = 0.68. The excess stops once rho >= max((4-2 beta)/(3(1-beta)),
-  4/(3(1-alpha))), where case 4 coincides with the complex-mu route below;
-  it vanishes identically at alpha = 0. bound_real keeps the paper's value
-  unchanged as the reproduction target; bound_sharp is the real-mu bound to
-  sweep against.
+      E = v/4 + v**2/2 - 3 rho v**2/4,  F = u v (1 - 3 rho/2),
+      G = u/2 - 3 rho u**2/4,  Q+-(x) = 4 (E + F x + G x**2) +- 2u (1 - x**2),
 
-* real mu, sharp: bound_sharp takes the larger of the paper's value and the
-  best member of the two-atom family above,
+  q = atom at 0 and the p with c_1 = 2x, c_2 = 2x**2 + 2(1 - x**2) zeta on
+  the zeta = +-1 boundary of c_2 = c_1**2/2 + (2 - |c_1|**2/2) zeta,
+  |zeta| <= 1 (Libera-Zlotkiewicz, Proc. AMS 1982) give 3 sigma (a_3 -
+  mu a_2**2) = Q+-(x). Q+-(1) is branch 1 (minus branch 4), Q+ at its vertex
+  is branch 2 and c_1 = q_1 = 0 gives branch 3, so with x+ the clipped vertex
 
-      max(paper value, max |Q(x)| / (3 sigma)) over x in {-1, 1, clip(x_v)},
-      Q(x) = u (4 - 3 rho u) x**2 + 2 u v (2 - 3 rho) x
-             + (v + 2 v**2 - 2u - 3 rho v**2),
-      x_v  = -v (2 - 3 rho) / (4 - 3 rho u).
+      3 sigma bound_real = max(2u + v, |Q+(1)|, |Q+(x+)|).
 
-  Both terms are attained by explicit members, so the value is sharp. That it
-  is also an upper bound is established numerically, not proved here. The
-  Libera-Zlotkiewicz description c_2 = c_1**2/2 + (2 - |c_1|**2/2) zeta,
-  |zeta| <= 1 (Proc. AMS 1982), and its analogue for q_2 make the maximum
-  over zeta and the q-side parameter explicit. A grid search with local
-  polish over the remaining (|q_1|, |c_1|, arg c_1) matched bound_sharp to
-  1e-15 relative on 300 random (params, mu) draws and never beat it beyond
-  roundoff; random member search and the acceptance sweep never beat it
-  either. On cases 1-2 and at alpha = 0 the two-atom term never exceeds the
-  paper's value beyond roundoff, and there bound_sharp returns that value
-  exactly; at alpha = 0 this is Koepf's result for close-to-convex functions
-  (Proc. AMS 101, 1987).
-  At the pinned instance above bound_sharp is 0.68, attained at x* = 0.7.
+  The defect is the dropped zeta = -1 vertex x- = -v (2 - 3 rho)/(4 - 3 rho u):
+  on cases 3-4 with alpha > 0 bound_sharp adds |Q-(x-)| / (3 sigma) where
+  -1 < x- < 1. The ends cannot beat the paper's value there: |Q(1)| =
+  max(branch 1, branch 4), and Q(-1) = Q(1) + 4uv(3 rho - 2) = 2u + v - 2u**2
+  - (3 rho - 2)(u - v)**2 lies in [Q(1), 2u + v) once rho >= 2/3. Nor can
+  the corner q_1 = 0, |c_1| = 2, worth v + 4|G|: it is below Q+(1) for
+  rho <= 0, at most 2u + v up to rho = 4/(3u), and past that
+  -Q+(1) - (v + 4|G|) = v (3 rho (2u + v) - 2 - 2v - 4u) > 0. At alpha=0.6,
+  beta=0, mu=1.25 the paper's value is 0.65 and x- = 0.7 gives 0.68; the
+  excess stops once rho >= max((4-2 beta)/(3(1-beta)), 4/(3(1-alpha))).
+  Every term is attained, so bound_sharp is sharp; that it is an upper bound
+  is established numerically, not proved: with the q-side analogue of the
+  description, a grid search with polish over (|q_1|, |c_1|, arg c_1)
+  matched it to 1e-15 relative on 300 draws and never beat it beyond
+  roundoff, nor have random search and the acceptance sweep. On cases 1-2
+  and at alpha = 0 |Q-(x-)| never exceeded the paper's value beyond
+  roundoff, and there bound_sharp returns that value bitwise; at alpha = 0
+  this is Koepf's result (Proc. AMS 101, 1987).
 
 * complex mu: a triangle-inequality bound. With Psi(s) = 3 sigma (1-s)/tau**2,
 
@@ -209,39 +207,34 @@ def bound_real(params: ClassParams, mu: float) -> BoundReport:
     )
 
 
-def two_atom_extreme(params: ClassParams, mu: float) -> tuple[float, float]:
-    """(x*, |a_3 - mu a_2**2|) for the best member of the two-atom family.
-
-    The family is q = atom at 0, p = equal atoms at +-acos(x) for x in
-    [-1, 1]; its scaled functional is the quadratic Q(x) of the module
-    docstring, so |Q| peaks at x = -1, x = 1 or the clipped vertex, tried in
-    that order (ties keep the earlier one). x_v is skipped when Q is linear.
-    """
-    u, v = 1.0 - params.alpha, 1.0 - params.beta
-    rho = _rho(params, mu)
-    qa = u * (4.0 - 3.0 * rho * u)
-    qb = 2.0 * u * v * (2.0 - 3.0 * rho)
-    qc = v + 2.0 * v * v - 2.0 * u - 3.0 * rho * v * v
-    xs = [-1.0, 1.0]
-    if qa != 0.0:
-        xs.append(min(max(-qb / (2.0 * qa), -1.0), 1.0))
-    x_star = max(xs, key=lambda x: abs((qa * x + qb) * x + qc))
-    return x_star, abs((qa * x_star + qb) * x_star + qc) / (3.0 * params.sigma)
+def _sharp(params: ClassParams, mu: float) -> tuple[float, BoundReport, float | None]:
+    """(bound_sharp's value, bound_real's report, x*) at mu: x* is the
+    interior vertex x- of Q- (module docstring) where |Q-(x-)| / (3 sigma)
+    beats the paper's value strictly, else None. On cases 1-2 and at
+    alpha = 0 that value is returned bitwise, not raced against terms equal
+    to it up to roundoff, and x = +-1 never beat it on cases 3-4."""
+    report = bound_real(params, mu)
+    if report.case_id > 2 and params.alpha != 0.0:
+        u, v = 1.0 - params.alpha, 1.0 - params.beta
+        rho = _rho(params, report.mu)
+        qa = u * (4.0 - 3.0 * rho * u)
+        qb = 2.0 * u * v * (2.0 - 3.0 * rho)
+        qc = v + 2.0 * v * v - 2.0 * u - 3.0 * rho * v * v
+        x = -qb / (2.0 * qa) if qa != 0.0 else math.nan
+        if -1.0 < x < 1.0:
+            value = abs((qa * x + qb) * x + qc) / (3.0 * params.sigma)
+            if value > report.value:
+                return value, report, x
+    return report.value, report, None
 
 
 def bound_sharp(params: ClassParams, mu: float) -> float:
     """Sharp bound on |a_3 - mu a_2**2| for real mu, valid on all four cases.
 
     The larger of bound_real's value and the two-atom term (see the module
-    docstring); :func:`fslab.extremal.sharp_witness` attains it. On cases 1-2
-    and at alpha = 0, where the paper's value is already sharp, that value
-    is returned bitwise unchanged instead of racing it against a two-atom
-    term equal to it up to roundoff.
+    docstring); :func:`fslab.extremal.sharp_witness` attains it.
     """
-    report = bound_real(params, mu)
-    if report.case_id <= 2 or params.alpha == 0.0:
-        return report.value
-    return max(report.value, two_atom_extreme(params, report.mu)[1])
+    return _sharp(params, mu)[0]
 
 
 def _triangle(params: ClassParams, mu, absf, maxf):

@@ -16,9 +16,11 @@ witness. Outside [mu1, mu2] case 2 has no witness: the formula pushes c_1 out
 of [0, 2] and no probability measure realizes it, hence CaseRangeError. The
 measures of cases 1, 3 and 4 are shared module constants (they are frozen).
 
-bound_sharp is attained by sharp_witness: the case witness above wherever the
-paper's value wins, and otherwise the two-atom member q = atom at 0,
-p = {(1/2, -acos x*), (1/2, acos x*)} with x* from bounds.two_atom_extreme.
+_boundary_measure(x, zeta) has c_1 = 2x, c_2 = 2x**2 + 2(1 - x**2) zeta:
+zeta = +1 is case 2's p at x = c_1/2, zeta = -1 the pair at -+acos x.
+sharp_witness and the search's seeded floor read _sharp_pair: the case witness
+where bound_sharp keeps the paper's value, else q = atom at 0 and the zeta = -1
+p at the x* of bounds._sharp.
 
 The transform F = (1-lam+delta) f + (lam-delta) z f' + lam delta z^2 f''
 rescales coefficients to A_k = (D_k / k) a_k, in particular A_2 = tau a_2 and
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from .bounds import BoundReport, bound_real, bound_sharp, breakpoints, two_atom_extreme
+from .bounds import BoundReport, _sharp, bound_real, breakpoints
 from .errors import CaseRangeError, DomainError
 from .members import (
     ClassMember,
@@ -71,6 +73,22 @@ def transform_spotcheck(
     return _grid_spotcheck(member, num, radius, grid)
 
 
+def _boundary_measure(x: float, zeta: float) -> HerglotzMeasure:
+    """The measure with c_1 = 2x and c_2 = 2x**2 + 2(1 - x**2) zeta, zeta = +-1.
+
+    zeta = +1 gives {((1+x)/2, 0), ((1-x)/2, pi)} for x in (-1, 1], collapsed
+    to _ATOM0 within 1e-12 of x = 1; zeta = -1 gives {(1/2, -acos x),
+    (1/2, acos x)} for x in (-1, 1), two distinct angles.
+    """
+    if zeta > 0.0:
+        w = (1.0 + x) / 2.0
+        if w >= 1.0 - 1e-12:
+            return _ATOM0
+        return HerglotzMeasure(((w, 0.0), (1.0 - w, math.pi)))
+    phi = math.acos(x)
+    return HerglotzMeasure(((0.5, -phi), (0.5, phi)))
+
+
 def _case2_p_measure(params: ClassParams, mu: float) -> HerglotzMeasure:
     mu1, mu2, _ = breakpoints(params)
     if isinstance(mu, complex) or not math.isfinite(mu):
@@ -81,19 +99,10 @@ def _case2_p_measure(params: ClassParams, mu: float) -> HerglotzMeasure:
             "(the induced c_1 escapes [0, 2])"
         )
     t2, s3 = params.tau**2, 3.0 * params.sigma
-    c1 = (
-        2.0
-        * (1.0 - params.beta)
-        * (2.0 * t2 - s3 * mu)
-        / (s3 * (1.0 - params.alpha) * mu)
-    )
+    c1 = 2.0 * (1.0 - params.beta) * (2.0 * t2 - s3 * mu) / (s3 * (1.0 - params.alpha) * mu)
     if not -_EDGE_TOL <= c1 <= 2.0 + _EDGE_TOL:
         raise CaseRangeError(f"induced c_1 = {c1} escapes [0, 2] at mu = {mu}")
-    c1 = min(max(c1, 0.0), 2.0)
-    w = (2.0 + c1) / 4.0
-    if w >= 1.0 - 1e-12:
-        return _ATOM0
-    return HerglotzMeasure(((w, 0.0), (1.0 - w, math.pi)))
+    return _boundary_measure(min(max(c1, 0.0), 2.0) / 2.0, 1.0)
 
 
 def extremal_config(
@@ -117,8 +126,7 @@ def extremal_member(
     params: ClassParams, mu: float | None, case_id: int, order: int = DEFAULT_ORDER
 ) -> ClassMember:
     """Build the witness member for one case via member_from_pq."""
-    p, q = extremal_config(params, case_id, mu)
-    return member_from_pq(params, p, q, order)
+    return member_from_pq(params, *extremal_config(params, case_id, mu), order)
 
 
 def _witness_check(params: ClassParams, mu: float) -> tuple[BoundReport, float]:
@@ -136,6 +144,7 @@ def sharpness_residual(params: ClassParams, mu: float, order: int = DEFAULT_ORDE
 
     The case is bound_real's (ties to the lower id). `fslab sharp` reports the
     same numbers; _witness_check holds the witness and the overflow rule.
+    order is only validated (bench/workloads.py passes it): a_2, a_3 ignore it.
     """
     if order < 3:
         raise ValueError("order must be at least 3")
@@ -143,15 +152,15 @@ def sharpness_residual(params: ClassParams, mu: float, order: int = DEFAULT_ORDE
     return report.value - attained
 
 
-def sharp_witness(params: ClassParams, mu: float, order: int = DEFAULT_ORDER) -> ClassMember:
-    """A member whose |a_3 - mu a_2**2| equals bound_sharp(params, mu).
+def _sharp_pair(params: ClassParams, mu: float) -> tuple[HerglotzMeasure, HerglotzMeasure]:
+    """The (p, q) attaining bound_sharp(params, mu): bound_real's case witness,
+    or q = atom at 0 with the zeta = -1 boundary measure at _sharp's x*."""
+    _, report, x_star = _sharp(params, mu)
+    if x_star is None:
+        return extremal_config(params, report.case_id, mu)
+    return _boundary_measure(x_star, -1.0), _ATOM0
 
-    Returns the witness of bound_real's own case where bound_sharp keeps the
-    paper's value, and the two-atom member at x* where the two-atom term wins.
-    """
-    report = bound_real(params, mu)
-    if bound_sharp(params, mu) == report.value:
-        return extremal_member(params, mu, report.case_id, order)
-    phi = math.acos(two_atom_extreme(params, report.mu)[0])
-    p = HerglotzMeasure(((0.5, -phi), (0.5, phi)))
-    return member_from_pq(params, p, _ATOM0, order)
+
+def sharp_witness(params: ClassParams, mu: float, order: int = DEFAULT_ORDER) -> ClassMember:
+    """A member whose |a_3 - mu a_2**2| equals bound_sharp(params, mu)."""
+    return member_from_pq(params, *_sharp_pair(params, mu), order)

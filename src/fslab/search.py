@@ -2,16 +2,17 @@
 
 This is the independent check on the closed-form bounds: sample measure pairs,
 evaluate the functional of the members they induce, and keep the largest
-modulus. Sharpness never depends on luck because the four extremal
-configurations (when admissible) are always part of the evaluated set, each
-once: rotating a member, f -> e^{-i theta} f(e^{i theta} z), leaves
-|a_3 - mu a_2**2| unchanged (acceptance criterion 8 checks this), so rotated
-copies of a configuration would add nothing. Random samples and a coordinatewise
-golden-section polish then try to beat them. On cases 1-2 nothing ever has; on
-the case-3/4 window with alpha > 0 described in :mod:`fslab.bounds` the random
-phase DOES beat the piecewise value, and verify_inequality reports that
-honestly as a ViolationError. Whether max_atoms = 3 limits anything is unknown
-and irrelevant to the seeded floor.
+modulus. Sharpness never depends on luck because the seeded floor is always
+evaluated first: bound_sharp's witness for real mu (extremal._sharp_pair),
+and the case-1 and case-3 witnesses for complex mu. Rotating a member,
+f -> e^{-i theta} f(e^{i theta} z), leaves |a_3 - mu a_2**2| unchanged
+(acceptance criterion 8 checks this), so case 4, case 1 rotated, adds
+nothing. Random samples and a coordinatewise golden-section polish then try
+to beat the floor; for real mu none has beyond roundoff. On the case-3/4
+window with alpha > 0 described in :mod:`fslab.bounds` the seeded witness
+itself beats the piecewise value, and verify_inequality reports that
+honestly as a ViolationError. Whether max_atoms = 3 limits anything is
+unknown and irrelevant to the seeded floor.
 
 The search evaluates the closed form of a_2 and a_3 in :mod:`fslab.members`
 from c_k = 2 sum_i w_i z_i**k with z_i = exp(1j t_i): over numpy arrays
@@ -62,10 +63,9 @@ are drawn and ignored). Sample i therefore reads the same doubles however the
 samples are split into chunks, the kernel's arithmetic is elementwise, and
 every chunk is reduced by the key (value, member fingerprint) that also ranks
 the seeded floor. The same inputs and budget always give a bitwise identical
-result, independent of the chunk size, and exact ties between seeded
-configurations (cases 1 and 2 share their witness at mu1) are broken the same
-way every time. A given seed draws different samples than earlier versions
-of this search did.
+result, independent of the chunk size, and exact ties are broken the same way
+every time. A given seed draws different samples than earlier versions of
+this search did.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_complex, bound_real
-from .errors import CaseRangeError, DomainError, ViolationError
-from .extremal import extremal_config
+from .errors import DomainError, ViolationError
+from .extremal import _sharp_pair, extremal_config
 from .members import (
     ClassMember,
     ClassParams,
@@ -333,17 +333,15 @@ def maximize_fs(
         raise DomainError(f"the bound overflows at mu = {mu}")
 
     coef = _coefficients(params)
-    evals = 0
 
-    # Seeded floor: the admissible extremal configurations, once each.
-    candidates: list[tuple[float, Fingerprint, HerglotzMeasure, HerglotzMeasure]] = []
-    for case_id in (1, 2, 3, 4):
-        try:
-            p, q = extremal_config(params, case_id, float(mu) if real_mu else None)
-        except CaseRangeError:
-            continue
-        candidates.append((_pair_value(coef, mu, p, q), _fingerprint(p, q), p, q))
-        evals += 1
+    # Seeded floor: bound_sharp's witness for real mu, the witnesses of cases
+    # 1 and 3 for complex mu (case 4 is case 1 rotated).
+    if real_mu:
+        seeds = [_sharp_pair(params, float(mu))]
+    else:
+        seeds = [extremal_config(params, case_id) for case_id in (1, 3)]
+    candidates = [(_pair_value(coef, mu, p, q), _fingerprint(p, q), p, q) for p, q in seeds]
+    evals = len(candidates)
 
     # Random phase: chunks of the one SFC64 stream through the screened
     # kernel. Only a chunk's best samples become measures, so the incumbent

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import EDGE_PARAMS, atom_measure, random_member, random_params
+from fslab.extremal import _boundary_measure
 from fslab import (
     CaseRangeError,
     ClassParams,
@@ -20,6 +21,7 @@ from fslab import (
     extremal_config,
     extremal_member,
     fs_functional,
+    herglotz_coeffs,
     libera_transform,
     membership_spotcheck,
     sharp_witness,
@@ -201,14 +203,14 @@ def test_residual_overflowing_bound_is_a_domain_error(par, mu):
 
 
 def test_sharp_witness_attains_bound_sharp():
-    # half of the draws sit past mu2, where the two-atom term beats the
-    # paper's value about half the time, so both witness kinds are covered
+    # three draws in four sit past mu2, where the two-atom term beats the
+    # paper's value about one time in eight, so both witness kinds are covered
     rng = np.random.default_rng(79)
     two_atom = 0
-    for i in range(400):
+    for i in range(800):
         par = random_params(rng)
         _, mu2, mu3 = breakpoints(par)
-        mu = float(rng.uniform(-2.0, 3.0) if i % 2 else rng.uniform(mu2, 2.0 * mu3))
+        mu = float(rng.uniform(-2.0, 3.0) if i % 4 == 1 else rng.uniform(mu2, 2.0 * mu3))
         bound = bound_sharp(par, mu)
         two_atom += bound > bound_real(par, mu).value
         m = sharp_witness(par, mu, order=3)
@@ -232,6 +234,65 @@ def test_sharp_witness_passes_membership():
         _, mu2, mu3 = breakpoints(par)
         m = sharp_witness(par, float(rng.uniform(mu2, 2.0 * mu3)))
         assert membership_spotcheck(m, radius=0.3, grid=32)
+
+
+def _sharp_draws(seed, n):
+    """(params, mu) pairs on all four cases, half of them past mu2, with the
+    edge parameters among them."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        par = EDGE_PARAMS[i % 4] if i % 10 == 0 else random_params(rng)
+        _, mu2, mu3 = breakpoints(par)
+        yield par, float(rng.uniform(-2.0, 3.0) if i % 2 else rng.uniform(mu2, 2.0 * mu3))
+
+
+def test_sharp_witness_has_distinct_angles():
+    # a two-atom term won by roundoff at x = 1 once gave p = {(1/2, 0), (1/2, 0)}
+    for par, mu in _sharp_draws(89, 2000):
+        m = sharp_witness(par, mu, order=3)
+        for measure in (m.p_measure, m.q_measure):
+            angles = [t for _, t in measure.atoms]
+            assert len(set(angles)) == len(angles), (par, mu, measure)
+
+
+def test_bound_sharp_is_bound_real_where_the_witness_is_the_case_witness():
+    paper = 0
+    for par, mu in _sharp_draws(97, 2000):
+        report = bound_real(par, mu)
+        m = sharp_witness(par, mu, order=3)
+        pair = (m.p_measure, m.q_measure)
+        if pair == extremal_config(par, report.case_id, mu):
+            paper += 1
+            assert bound_sharp(par, mu).hex() == report.value.hex(), (par, mu)
+        else:
+            assert bound_sharp(par, mu) > report.value, (par, mu)
+    assert paper >= 1000
+
+
+@pytest.mark.parametrize("zeta", [1.0, -1.0])
+def test_boundary_measure_coefficients(zeta):
+    # c_1 = 2x and c_2 = 2x**2 + 2(1 - x**2) zeta up to roundoff; the angle
+    # 2 pi - acos x is stored to an ulp of 2 pi, and the largest error seen
+    # on this grid is 2.2e-15 (in c_2 at zeta = -1); zeta = +1 reaches x = 1
+    xs = np.linspace(-1.0, 1.0, 401)[1:] if zeta > 0 else np.linspace(-1.0, 1.0, 401)[1:-1]
+    for x in map(float, xs):
+        c1, c2 = herglotz_coeffs(_boundary_measure(x, zeta), 2)[1:]
+        assert abs(c1 - 2.0 * x) <= 4e-15, x
+        assert abs(c2 - (2.0 * x * x + 2.0 * (1.0 - x * x) * zeta)) <= 4e-15, x
+
+
+def test_case2_measure_is_the_written_out_weight():
+    rng = np.random.default_rng(101)
+    for par in (P0, *EDGE_PARAMS, *(random_params(rng) for _ in range(50))):
+        mu1, mu2, _ = breakpoints(par)
+        for mu in (mu1, mu2, *map(float, rng.uniform(mu1, mu2, 20))):
+            t2, s3 = par.tau**2, 3.0 * par.sigma
+            c1 = 2.0 * (1.0 - par.beta) * (2.0 * t2 - s3 * mu) / (s3 * (1.0 - par.alpha) * mu)
+            w = (2.0 + min(max(c1, 0.0), 2.0)) / 4.0
+            want = ((1.0, 0.0),) if w >= 1.0 - 1e-12 else ((w, 0.0), (1.0 - w, PI))
+            p, q = extremal_config(par, 2, mu)
+            assert p.atoms == HerglotzMeasure(want).atoms, (par, mu)
+            assert q.atoms == ((1.0, 0.0),)
 
 
 # ----- transform -----

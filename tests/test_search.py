@@ -13,12 +13,12 @@ import pytest
 import fslab.search
 from conftest import EDGE_PARAMS, random_params, sample_measure
 from fslab import (
-    CaseRangeError,
     ClassParams,
     DomainError,
     SearchBudget,
     ViolationError,
     bound_real,
+    bound_sharp,
     breakpoints,
     extremal_config,
     fs_functional,
@@ -27,6 +27,7 @@ from fslab import (
     membership_spotcheck,
     verify_inequality,
 )
+from fslab.extremal import _sharp_pair
 from fslab.members import MAX_ATOMS, TWO_PI, _c12, _coefficients, _fs_value, _pair_value
 from fslab.search import (
     _SCREEN_EPS,
@@ -95,9 +96,9 @@ def test_attains_for_general_params():
 
 
 def test_search_beats_piecewise_value_on_window():
-    # past mu3 with alpha > 0 the sampler outruns the four-branch value; the
-    # seeded witness attains 0.65 but random pairs reach 0.68 (see bounds
-    # module docstring), so verify reports a violation rather than attainment
+    # past mu3 with alpha > 0 members outrun the four-branch value 0.65: the
+    # seeded witness of bound_sharp reaches 0.68 (see bounds module
+    # docstring), so verify reports a violation rather than attainment
     par = ClassParams(0, 0, 0.6, 0)
     r = maximize_fs(par, 1.25, SMALL)
     assert r.bound == pytest.approx(0.65, abs=1e-12)
@@ -153,22 +154,19 @@ def test_bitwise_repeatable():
 def _seeded_floor(par, mu):
     """The largest closed-form value over the configurations the search seeds."""
     coef = _coefficients(par)
-    real_mu = not isinstance(mu, complex)
-    values = []
-    for case_id in (1, 2, 3, 4) if real_mu else (1, 3, 4):
-        try:
-            p, q = extremal_config(par, case_id, mu if real_mu else None)
-        except CaseRangeError:
-            continue
-        values.append(_pair_value(coef, mu, p, q))
-    return max(values)
+    if isinstance(mu, complex):
+        seeds = [extremal_config(par, 1), extremal_config(par, 3)]
+    else:
+        seeds = [_sharp_pair(par, mu)]
+    return max(_pair_value(coef, mu, p, q) for p, q in seeds)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 2048, SMALL.n_samples])
-@pytest.mark.parametrize("mu", [1.25, complex(0.8, 0.3)])
+@pytest.mark.parametrize("mu", [complex(1.25, 0.25), complex(0.8, 0.3)])
 def test_chunk_size_is_invisible(monkeypatch, chunk, mu):
     # at both mu a random sample beats the seeded floor, so the result
-    # depends on the random phase
+    # depends on the random phase (for real mu the floor is bound_sharp's
+    # witness, which no sample beats)
     par = ClassParams(0.0, 0.0, 0.6, 0.0)
     random_best = maximize_fs(par, mu, dataclasses.replace(SMALL, n_refine=0)).best_value
     assert random_best > _seeded_floor(par, mu)
@@ -429,13 +427,33 @@ def test_rounds_past_the_fixed_point_change_nothing():
     assert reached >= 20
 
 
-def test_seeded_floor_evaluates_each_case_once():
-    # at the classical parameters mu = 1/2 admits all four cases; the one
-    # random sample is the fifth evaluation
+def test_seeded_floor_is_one_witness_for_real_mu():
+    # real mu seeds bound_sharp's witness alone, complex mu the witnesses of
+    # cases 1 and 3 (case 4 is case 1 rotated); the one random sample is the
+    # last evaluation
     r = maximize_fs(P0, 0.5, SearchBudget(n_samples=1, n_refine=0))
-    assert r.evaluations == 5
+    assert r.evaluations == 2
     r = maximize_fs(P0, 0.5j, SearchBudget(n_samples=1, n_refine=0))
-    assert r.evaluations == 4  # case 2 needs real mu
+    assert r.evaluations == 3
+
+
+def test_seeded_floor_reaches_bound_sharp_on_the_defect_window():
+    # where bound_sharp exceeds the paper's value the seeds alone attain it,
+    # so the search meets the sharp value there without luck
+    rng = np.random.default_rng(409)
+    floor = SearchBudget(n_samples=1, n_refine=0)
+    window = 0
+    for _ in range(2000):
+        par = random_params(rng)
+        _, mu2, mu3 = breakpoints(par)
+        mu = float(rng.uniform(mu2, 2.0 * mu3))
+        sharp = bound_sharp(par, mu)
+        if sharp == bound_real(par, mu).value:
+            continue
+        window += 1
+        r = maximize_fs(par, mu, floor)
+        assert r.best_value >= sharp * (1.0 - 1e-12), (par, mu)
+    assert window >= 100
 
 
 @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
