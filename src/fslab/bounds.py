@@ -88,6 +88,11 @@ from .errors import DomainError
 from .members import ClassParams
 
 
+def _scalar_mu(mu) -> float | complex:
+    """The one real-or-complex test of a scalar mu: complex (numpy's too), else float."""
+    return complex(mu) if isinstance(mu, (complex, np.complexfloating)) else float(mu)
+
+
 def _check_finite(mu) -> None:
     """DomainError naming mu, or an array's first non-finite entry, if any."""
     if isinstance(mu, np.ndarray):
@@ -174,7 +179,7 @@ def branch_value(params: ClassParams, mu: float, case_id: int) -> float:
     """
     if case_id not in (1, 2, 3, 4):
         raise DomainError(f"case_id must be 1..4, got {case_id}")
-    rho = _rho(params, mu)
+    rho = _rho(params, _scalar_mu(mu))
     if case_id == 2 and rho == 0.0:
         raise DomainError("the middle branch is undefined at mu = 0")
     return _branch(params, rho, case_id)
@@ -191,9 +196,9 @@ def bound_real(params: ClassParams, mu: float) -> BoundReport:
 
     Complex mu is rejected rather than projected; use bound_complex for it.
     """
+    mu = _scalar_mu(mu)
     if isinstance(mu, complex):
         raise DomainError("bound_real takes real mu; use bound_complex")
-    mu = float(mu)
     _check_finite(mu)
     bps = breakpoints(params)
     case_id = _case_id(mu, bps)
@@ -313,6 +318,7 @@ def starlike_fs_bound(beta: float, mu: float) -> float:
     """Bound on |b_3 - mu b_2**2| over functions starlike of order beta."""
     if not (0.0 <= beta < 1.0):
         raise DomainError(f"need 0 <= beta < 1, got {beta}")
+    mu = _scalar_mu(mu)
     if isinstance(mu, complex) or not math.isfinite(mu):
         raise DomainError(f"mu must be finite real, got {mu!r}")
     return (1.0 - beta) * max(1.0, abs(3.0 - 2.0 * beta - 4.0 * mu * (1.0 - beta)))

@@ -10,7 +10,7 @@ class DomainError(FslabError):
 
 
 class NearSingular(FslabError):
-    """Series division rejected: leading denominator coefficient below tolerance."""
+    """A spot check's long division by g / z rejected: |b_1| <= DIVISOR_TOL."""
 
 
 class CaseRangeError(FslabError):

@@ -18,9 +18,9 @@ measures of cases 1, 3 and 4 are shared module constants (they are frozen).
 
 _boundary_measure(x, zeta) has c_1 = 2x, c_2 = 2x**2 + 2(1 - x**2) zeta:
 zeta = +1 is case 2's p at x = c_1/2, zeta = -1 the pair at -+acos x.
-sharp_witness and the search's seeded floor read _sharp_pair: the case witness
-where bound_sharp keeps the paper's value, else q = atom at 0 and the zeta = -1
-p at the x* of bounds._sharp.
+sharp_witness and the search read _sharp_pair: _sharp's bound_real report and
+the case witness where bound_sharp keeps the paper's value, else q = atom at 0
+and the zeta = -1 p at the x* of bounds._sharp.
 
 The transform F = (1-lam+delta) f + (lam-delta) z f' + lam delta z^2 f''
 rescales coefficients to A_k = (D_k / k) a_k, in particular A_2 = tau a_2 and
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from .bounds import BoundReport, _sharp, bound_real, breakpoints
+from .bounds import BoundReport, _scalar_mu, _sharp, bound_real, breakpoints
 from .errors import CaseRangeError, DomainError
 from .members import (
     ClassMember,
@@ -91,6 +91,7 @@ def _boundary_measure(x: float, zeta: float) -> HerglotzMeasure:
 
 def _case2_p_measure(params: ClassParams, mu: float) -> HerglotzMeasure:
     mu1, mu2, _ = breakpoints(params)
+    mu = _scalar_mu(mu)
     if isinstance(mu, complex) or not math.isfinite(mu):
         raise CaseRangeError(f"case 2 needs finite real mu, got {mu!r}")
     if not (mu1 - _EDGE_TOL <= mu <= mu2 + _EDGE_TOL) or mu <= 0.0:
@@ -135,8 +136,8 @@ def _witness_check(params: ClassParams, mu: float) -> tuple[BoundReport, float]:
     report = bound_real(params, mu)
     if not math.isfinite(report.value):
         raise DomainError(f"the bound overflows at mu = {mu}")
-    member = extremal_member(params, mu, report.case_id, 3)
-    return report, abs(fs_functional(member, mu))
+    member = extremal_member(params, report.mu, report.case_id, 3)
+    return report, abs(fs_functional(member, report.mu))
 
 
 def sharpness_residual(params: ClassParams, mu: float, order: int = DEFAULT_ORDER) -> float:
@@ -152,15 +153,16 @@ def sharpness_residual(params: ClassParams, mu: float, order: int = DEFAULT_ORDE
     return report.value - attained
 
 
-def _sharp_pair(params: ClassParams, mu: float) -> tuple[HerglotzMeasure, HerglotzMeasure]:
-    """The (p, q) attaining bound_sharp(params, mu): bound_real's case witness,
-    or q = atom at 0 with the zeta = -1 boundary measure at _sharp's x*."""
+def _sharp_pair(params: ClassParams, mu: float) -> tuple[BoundReport, HerglotzMeasure, HerglotzMeasure]:
+    """bound_real's report at mu and the (p, q) attaining bound_sharp: the
+    report's case witness, or q = atom at 0 and the zeta = -1 boundary
+    measure at _sharp's x*."""
     _, report, x_star = _sharp(params, mu)
     if x_star is None:
-        return extremal_config(params, report.case_id, mu)
-    return _boundary_measure(x_star, -1.0), _ATOM0
+        return report, *extremal_config(params, report.case_id, mu)
+    return report, _boundary_measure(x_star, -1.0), _ATOM0
 
 
 def sharp_witness(params: ClassParams, mu: float, order: int = DEFAULT_ORDER) -> ClassMember:
     """A member whose |a_3 - mu a_2**2| equals bound_sharp(params, mu)."""
-    return member_from_pq(params, *_sharp_pair(params, mu), order)
+    return member_from_pq(params, *_sharp_pair(params, mu)[1:], order)

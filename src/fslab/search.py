@@ -60,12 +60,12 @@ np.random.Generator(np.random.SFC64(seed)), with a fixed layout of
 2 (1 + 2 max_atoms) doubles per sample: for p and then q, one uniform for the
 atom count, max_atoms weights and max_atoms angles (slots past the atom count
 are drawn and ignored). Sample i therefore reads the same doubles however the
-samples are split into chunks, the kernel's arithmetic is elementwise, and
-every chunk is reduced by the key (value, member fingerprint) that also ranks
-the seeded floor. The same inputs and budget always give a bitwise identical
-result, independent of the chunk size, and exact ties are broken the same way
-every time. A given seed draws different samples than earlier versions of
-this search did.
+samples are split into chunks, and the kernel's arithmetic is elementwise.
+The incumbent is the first seed reaching the seeds' largest value; each
+chunk in stream order replaces it only with a strictly larger value, and
+then with its earliest sample reaching that value. So the result is the
+earliest candidate, seeds first, that reaches the maximum: bitwise identical
+for the same inputs and budget, ties included, independent of the chunk size.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_complex, bound_real
+from .bounds import _scalar_mu, bound_complex
 from .errors import DomainError, ViolationError
 from .extremal import _sharp_pair, extremal_config
 from .members import (
@@ -109,9 +109,6 @@ _CHUNK = 2048
 # Bound eps on |z~ - z| for the screen's float32 unit numbers, with a factor
 # of two to spare (module docstring).
 _SCREEN_EPS = 1e-6
-
-Fingerprint = tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -150,10 +147,6 @@ class SearchResult:
     def attained(self) -> bool:
         """best_value is within ATTAINED_RTOL of the bound (or above it)."""
         return self.margin <= ATTAINED_RTOL * self.bound
-
-
-def _fingerprint(p: HerglotzMeasure, q: HerglotzMeasure) -> Fingerprint:
-    return (p.atoms, q.atoms)
 
 
 def _sample_columns(u: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,31 +315,31 @@ def maximize_fs(
 ) -> SearchResult:
     """Best |a_3 - mu a_2**2| found over seeded, sampled, and polished members.
 
-    mu is treated as real (piecewise four-branch value) unless it is a
-    complex instance, in which case the triangle-inequality bound applies.
+    mu is treated as real (piecewise four-branch value) unless it is complex
+    (numpy's complex scalars too): then the triangle-inequality bound applies.
     A mu at which that bound overflows is a DomainError.
     """
     budget = budget or SearchBudget()
-    real_mu = not isinstance(mu, complex)
-    bound = bound_real(params, float(mu)).value if real_mu else bound_complex(params, mu)
+    mu = _scalar_mu(mu)
+    # Seeded floor: bound_sharp's witness for real mu, from the report the
+    # bound is read from, the witnesses of cases 1 and 3 for complex mu.
+    if isinstance(mu, complex):
+        bound = bound_complex(params, mu)
+        seeds = [extremal_config(params, case_id) for case_id in (1, 3)]
+    else:
+        report, *pair = _sharp_pair(params, mu)
+        bound, seeds = report.value, [pair]
     if not math.isfinite(bound):
         raise DomainError(f"the bound overflows at mu = {mu}")
 
+    # The incumbent is the first seed reaching the seeds' largest value (max
+    # keeps the first of equals), then each chunk of the one SFC64 stream
+    # whose value is strictly larger, with that chunk's earliest winner.
     coef = _coefficients(params)
-
-    # Seeded floor: bound_sharp's witness for real mu, the witnesses of cases
-    # 1 and 3 for complex mu (case 4 is case 1 rotated).
-    if real_mu:
-        seeds = [_sharp_pair(params, float(mu))]
-    else:
-        seeds = [extremal_config(params, case_id) for case_id in (1, 3)]
-    candidates = [(_pair_value(coef, mu, p, q), _fingerprint(p, q), p, q) for p, q in seeds]
-    evals = len(candidates)
-
-    # Random phase: chunks of the one SFC64 stream through the screened
-    # kernel. Only a chunk's best samples become measures, so the incumbent
-    # is still reduced by the (value, fingerprint) key.
-    best = max(candidates, key=lambda t: t[:2])
+    values = [_pair_value(coef, mu, p, q) for p, q in seeds]
+    best_v = max(values)
+    p, q = seeds[values.index(best_v)]
+    evals = len(seeds)
     rng = np.random.Generator(np.random.SFC64(budget.seed))
     k = budget.max_atoms
     left = budget.n_samples
@@ -354,14 +347,11 @@ def maximize_fs(
         size = min(_CHUNK, left)
         pw, pt, qw, qt = _draw_chunk(rng, size, k)
         top, winners = _chunk_best(coef, mu, pw, pt, qw, qt)
-        for i in winners:
-            p, q = _measure(pw[:, i], pt[:, i]), _measure(qw[:, i], qt[:, i])
-            key = (top, _fingerprint(p, q))
-            if key > best[:2]:
-                best = (*key, p, q)
+        if top > best_v:
+            i = winners[0]
+            best_v, p, q = top, _measure(pw[:, i], pt[:, i]), _measure(qw[:, i], qt[:, i])
         evals += size
         left -= size
-    best_v, _, p, q = best
 
     best_member = member_from_pq(params, p, q)
     best_value = abs(fs_functional(best_member, mu))

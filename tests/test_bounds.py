@@ -96,6 +96,30 @@ def test_bound_real_rejects_bad_mu():
         bound_real(P0, float("inf"))
 
 
+@pytest.mark.parametrize("mu", [np.complex64(1 + 1j), np.complex64(0.5)])
+def test_numpy_complex_mu_is_rejected_not_projected(mu):
+    # a numpy complex scalar is complex, as Python's complex is, even with a
+    # zero imaginary part: no real route drops the imaginary part
+    for route in (bound_real, bound_sharp, lambda par, m: branch_value(par, m, 1)):
+        with pytest.raises(DomainError):
+            route(P0, mu)
+    with pytest.raises(DomainError):
+        starlike_fs_bound(0.5, mu)
+    assert bound_complex(PMIX, mu) == bound_complex(PMIX, complex(mu))
+
+
+def test_numpy_real_mu_is_its_float():
+    # a float32 mu is evaluated as the float it equals, not in float32
+    for mu in np.linspace(-1, 3, 41, dtype=np.float32):
+        x = float(mu)
+        assert bound_real(PMIX, mu) == bound_real(PMIX, x)
+        assert bound_sharp(PMIX, mu) == bound_sharp(PMIX, x)
+        for case_id in (1, 2, 3, 4) if x else (1, 3, 4):
+            got = branch_value(PMIX, mu, case_id)
+            assert type(got) is float and got == branch_value(PMIX, x, case_id)
+        assert starlike_fs_bound(0.5, mu) == starlike_fs_bound(0.5, x)
+
+
 def test_branch_value_validation():
     with pytest.raises(DomainError):
         branch_value(P0, 0.5, 5)

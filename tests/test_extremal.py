@@ -97,11 +97,24 @@ def test_case2_degenerates_at_lower_end():
     assert p.atoms == ((1.0, 0.0),)  # same witness as case 1
 
 
-@pytest.mark.parametrize("mu", [0.9, 0.2, -1.0, 0.0, 1j, 0.5 + 0j, math.nan, math.inf])
+@pytest.mark.parametrize("mu", [0.9, 0.2, -1.0, 0.0, 1j, 0.5 + 0j, np.complex64(0.5), math.nan, math.inf])
 def test_case2_rejects_out_of_window(mu):
-    # complex and non-finite mu are a CaseRangeError, not a TypeError
+    # complex (numpy's complex scalars too) and non-finite mu are a CaseRangeError, not a TypeError
     with pytest.raises(CaseRangeError):
         extremal_config(P0, 2, mu)
+
+
+def test_float32_mu_is_its_float():
+    # the case-2 witness and the residual are computed at the float a
+    # float32 mu equals, not in float32
+    par = ClassParams(0.3, 0.1, 0.2, 0.1)
+    mu1, mu2, mu3 = breakpoints(par)
+    for mu in np.linspace(mu1, mu2, 17, dtype=np.float32)[1:-1]:
+        assert extremal_config(par, 2, mu) == extremal_config(par, 2, float(mu))
+    for mu in np.linspace(mu1 - 1.0, mu3 + 1.0, 33, dtype=np.float32):
+        got = sharpness_residual(par, mu)
+        assert type(got) is float and got == sharpness_residual(par, float(mu))
+        assert sharp_witness(par, mu) == sharp_witness(par, float(mu))
 
 
 def test_case2_weight_monotone():

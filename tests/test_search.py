@@ -157,7 +157,7 @@ def _seeded_floor(par, mu):
     if isinstance(mu, complex):
         seeds = [extremal_config(par, 1), extremal_config(par, 3)]
     else:
-        seeds = [_sharp_pair(par, mu)]
+        seeds = [_sharp_pair(par, mu)[1:]]
     return max(_pair_value(coef, mu, p, q) for p, q in seeds)
 
 
@@ -511,11 +511,83 @@ def test_verify_complex_mu_valid_not_attained():
 
 
 def test_verify_raises_on_violation(monkeypatch):
-    # force an absurdly small bound so the seeded witnesses exceed it
-    def tiny_bound(params, mu):
-        real = fslab.search.bound_complex(params, complex(mu))
-        return type("R", (), {"value": real * 1e-3})()
+    # force an absurdly small bound into the report _sharp makes, which the
+    # search reads its bound from, so the seeded witness exceeds it
+    real = fslab.bounds.bound_real
 
-    monkeypatch.setattr(fslab.search, "bound_real", tiny_bound)
+    def tiny_bound(params, mu):
+        report = real(params, mu)
+        return dataclasses.replace(report, value=report.value * 1e-3)
+
+    monkeypatch.setattr(fslab.bounds, "bound_real", tiny_bound)
     with pytest.raises(ViolationError):
         verify_inequality(P0, 0.5, SMALL)
+
+
+@pytest.mark.parametrize(
+    "par,mu",
+    [(P0, -1.0), (P0, 0.5), (P0, 0.8), (P0, 3.0), (ClassParams(0.0, 0.0, 0.6, 0.0), 1.25)],
+)
+def test_real_mu_search_reads_one_bound_report(monkeypatch, par, mu):
+    # the bound and the seeded witness come from one bound_real evaluation,
+    # in every case and on the defect window
+    real = fslab.bounds.bound_real
+    calls = []
+
+    def counted(params, m):
+        calls.append(m)
+        return real(params, m)
+
+    monkeypatch.setattr(fslab.bounds, "bound_real", counted)
+    monkeypatch.setattr(fslab.extremal, "bound_real", counted)
+    r = maximize_fs(par, mu, SMALL)
+    assert calls == [mu]
+    assert r.bound.hex() == real(par, mu).value.hex()
+    assert not hasattr(fslab.search, "bound_real")
+
+
+@pytest.mark.parametrize("chunk", [1, 2048])
+def test_exact_tie_keeps_the_earliest_sample(monkeypatch, chunk):
+    # two samples with the same two p atoms in swapped order tie exactly
+    # (two-term float sums commute); the lexicographically larger atoms come
+    # second, and the earlier sample must win however the stream is chunked
+    par, mu = ClassParams(0.0, 0.0, 0.6, 0.0), complex(0.8, 0.3)
+    a, b = (0.5, 0.6235987755982988), (0.5, math.pi)
+    assert (b, a) > (a, b)
+    pw = np.array([[a[0], b[0]], [b[0], a[0]]])  # (atoms, samples)
+    pt = np.array([[a[1], b[1]], [b[1], a[1]]])
+    qw = np.array([[1.0, 1.0], [0.0, 0.0]])
+    qt = np.array([[math.pi / 4, math.pi / 4], [0.0, 0.0]])
+    coef = _coefficients(par)
+    v0, v1 = _batch_values(coef, mu, pw, pt, qw, qt)
+    assert v0 == v1 > _seeded_floor(par, mu)
+    drawn = 0
+
+    def draw(rng, samples, max_atoms):
+        nonlocal drawn
+        cols = slice(drawn, drawn + samples)
+        drawn += samples
+        return tuple(x[:, cols] for x in (pw, pt, qw, qt))
+
+    monkeypatch.setattr(fslab.search, "_draw_chunk", draw)
+    monkeypatch.setattr(fslab.search, "_CHUNK", chunk)
+    r = maximize_fs(par, mu, SearchBudget(n_samples=2, n_refine=0, max_atoms=2))
+    assert r.best_member.p_measure.atoms == (a, b)
+    assert r.best_member.q_measure.atoms == ((1.0, math.pi / 4),)
+
+
+def test_numpy_complex_mu_takes_the_complex_route():
+    par = ClassParams(0.0, 0.0, 0.6, 0.0)
+    for mu in (np.complex64(1.25 + 0.25j), np.complex64(1.25)):
+        assert maximize_fs(par, mu, SMALL) == maximize_fs(par, complex(mu), SMALL)
+
+
+def test_numpy_float32_mu_is_searched_as_its_float():
+    # float32 arithmetic would put best_value ~6e-8 off the bound, which
+    # verify reports as a violation on cases 1-2
+    par = ClassParams(0.3, 0.1, 0.2, 0.1)
+    budget = SearchBudget(n_samples=200, n_refine=0)
+    for mu in np.linspace(-1, 0.6, 40, dtype=np.float32):
+        r = verify_inequality(par, mu, budget)
+        assert type(r.best_value) is float
+        assert r == maximize_fs(par, float(mu), budget)
