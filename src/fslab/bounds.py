@@ -85,12 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .members import ClassParams
-
-
-def _scalar_mu(mu) -> float | complex:
-    """The one real-or-complex test of a scalar mu: complex (numpy's too), else float."""
-    return complex(mu) if isinstance(mu, (complex, np.complexfloating)) else float(mu)
+from .members import ClassParams, _scalar_mu
 
 
 def _check_finite(mu) -> None:

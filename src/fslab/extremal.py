@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from .bounds import BoundReport, _scalar_mu, _sharp, bound_real, breakpoints
+from .bounds import BoundReport, _sharp, bound_real, breakpoints
 from .errors import CaseRangeError, DomainError
 from .members import (
     ClassMember,
@@ -40,6 +40,7 @@ from .members import (
     DEFAULT_ORDER,
     HerglotzMeasure,
     _grid_spotcheck,
+    _scalar_mu,
     fs_functional,
     member_from_pq,
 )

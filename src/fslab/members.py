@@ -43,8 +43,10 @@ With u = 1 - alpha and v = 1 - beta,
 
 _a2_a3 writes this closed form once, in complex arithmetic, from the pairs
 (c_1, c_2) that _c12 sums over floats or numpy arrays (one entry per sample).
-The search's random phase, its polish and its seeded floor (_pair_value,
-through herglotz_coeffs) all read it; member_from_pq stays the reference.
+The search's seeded floor (_pair_value, through herglotz_coeffs), its polish
+and the exact pass of its random phase read it, and the screen of that phase
+reads _folded, the same form with its constants folded; member_from_pq stays
+the reference.
 """
 
 from __future__ import annotations
@@ -269,9 +271,14 @@ def member_from_pq(
     return ClassMember(params, p, q, c, qk, b, a, d)
 
 
+def _scalar_mu(mu) -> float | complex:
+    """The one real-or-complex test of a scalar mu: complex (numpy's too), else float."""
+    return complex(mu) if isinstance(mu, (complex, np.complexfloating)) else float(mu)
+
+
 def fs_functional(member: ClassMember, mu: complex) -> complex:
     """The coefficient functional a_3 - mu * a_2**2 (mu real or complex)."""
-    return member.a[3] - mu * member.a[2] ** 2
+    return member.a[3] - _scalar_mu(mu) * member.a[2] ** 2
 
 
 def _coefficients(params: ClassParams) -> tuple[float, float, float, float]:
@@ -301,6 +308,14 @@ def _a2_a3(coef, c, q):
     b3 = v * (q2 + b2 * q1) / 2.0
     uc1 = u * c1
     return (b2 + uc1) / two_tau, (b3 + b2 * uc1 + u * c2) / three_sigma
+
+
+def _folded(coef, mu: complex):
+    """(d, e, A, B, C), a_3 - mu a_2**2 = d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2."""
+    u, v, two_tau, three_sigma = coef
+    u2, v2, six_sigma = u / two_tau, v / two_tau, 2.0 * three_sigma  # a_2 = v2 q_1 + u2 c_1
+    return (u / three_sigma, v / six_sigma, v * v / six_sigma - mu * (v2 * v2),
+            u * v / three_sigma - 2.0 * mu * (u2 * v2), -mu * (u2 * u2))
 
 
 def _fs_value(coef, mu: complex, c, q):

@@ -34,26 +34,37 @@ member can differ by a few ulps, so the polished member is returned only if
 its value is not below the incumbent's: best_value with the polish is never
 below best_value without it.
 
-Screen: a chunk's samples first go through the same closed form with rough
-z~_i = cos(t32) + i sin(t32), t32 the angle rounded to float32, widened to
-complex128. Rounding the angle moves z by at most half a float32 ulp at
-2 pi (2.4e-7), and float32 cos and sin add about one float32 ulp each, so
-|z~ - z| <= eps / 2 with eps = 1e-6 (the largest seen is 2.9e-7). With
-|c_k|, |q_k| <= 2, u, v <= 1 and tau, sigma >= 1, a z_i error d moves c_1
-and q_1 by at most 2 d, c_2 and q_2 by 2 d (2 + d), a_2 by 2 d, a_2**2 by
-8 d (1 + d/2) and a_3 by 6 d (1 + d/2), so
+Screen: a chunk's samples first go through the same closed form, folded by
+members._folded to d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2 and read
+straight from the uniforms: a side's weights are 1 - u where u_0 max_atoms
+>= j (the atoms _sample_columns keeps), its unit numbers the rough
+z~_i = x_i + i y_i = cos(t32) + i sin(t32), t32 the angle 2 pi u rounded to
+float32, and c_1 = 2 sum_i w_i z~_i and c_2 = 2 sum_i w_i z~_i**2 are summed
+in real float64 arithmetic (z~**2 as x**2 - y**2 + 2 i x y) and divided by
+sum_i w_i after the sum. Rounding the angle moves z by at most half a float32
+ulp at 2 pi (2.4e-7), and float32 cos and sin add about one float32 ulp
+each, so |z~ - z| <= eps / 2 with eps = 1e-6 (the largest seen is 2.9e-7).
+With |c_k|, |q_k| <= 2, u, v <= 1 and tau, sigma >= 1, a z_i error d moves
+c_1 and q_1 by at most 2 d, c_2 and q_2 by 2 d (2 + d), a_2 by 2 d, a_2**2 by
+8 d (1 + d/2) and a_3 by 6 d (1 + d/2), so in exact arithmetic
 
     |rough - exact| <= (6 + 8 |mu|) d (1 + d/2).
 
-At d = eps / 2 this is below E = 8 eps (1 + |mu|) by more than
-4 eps (1 + |mu|) (1 - eps), far more than the float64 rounding of both
-passes, so |rough - exact| <= E. A sample whose exact value
-is the chunk's maximum M has rough >= M - E >= max(rough) - 2 E, so the
-samples with rough >= max(rough) - 2 E include every sample that reaches M.
-Only those go through the exact kernel (np.exp); when a rough value or the
-threshold is not finite (an overflowing mu), every sample does. The kernel
-is elementwise, so the chunk's maximum and the samples that reach it are
-bitwise those of the unscreened kernel, and so is every search result.
+Normalizing after the sum and the folded constants only reassociate: every
+intermediate of either pass is at most 10 (1 + |mu|) in modulus and each
+rounds a few dozen times by 2**-53 of that. At d = eps / 2 the bound is
+below E = 8 eps (1 + |mu|) by more than 4 eps (1 + |mu|) (1 - eps), far more
+than that rounding, so |rough - exact| <= E. With m the chunk's largest
+rough value and best_v the incumbent's, only the samples with rough >=
+max(m - 2 E, best_v - E) go through the exact kernel (np.exp), their columns
+from _sample_columns, which works sample by sample. A sample reaching the
+chunk's exact maximum M has rough >= M - E >= m - 2 E, and rough > best_v - E
+if M > best_v: whenever M can replace the incumbent, every sample reaching
+it is kept. When M <= best_v no kept sample can replace it either, since the
+incumbent changes only on a strictly larger value; a chunk with m < best_v - E
+keeps no sample and skips the exact kernel. When m is not finite (an
+overflowing mu) every sample is kept. The kernel is elementwise, so every
+search result is bitwise that of the unscreened kernel.
 
 Determinism contract: the random phase reads one stream,
 np.random.Generator(np.random.SFC64(seed)), with a fixed layout of
@@ -76,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _scalar_mu, bound_complex
+from .bounds import bound_complex
 from .errors import DomainError, ViolationError
 from .extremal import _sharp_pair, extremal_config
 from .members import (
@@ -87,8 +98,10 @@ from .members import (
     TWO_PI,
     _c12,
     _coefficients,
+    _folded,
     _fs_value,
     _pair_value,
+    _scalar_mu,
     fs_functional,
     member_from_pq,
 )
@@ -149,75 +162,76 @@ class SearchResult:
         return self.margin <= ATTAINED_RTOL * self.bound
 
 
+def _used(u0: np.ndarray, max_atoms: int) -> np.ndarray:
+    """Slot j < the atom count, uniform in 1..max_atoms: u0 max_atoms >= j."""
+    return u0 * max_atoms >= np.arange(float(max_atoms))[:, None]
+
+
 def _sample_columns(u: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights and angles, each (max_atoms, samples), from one side's uniforms.
 
     u is (1 + 2 max_atoms, samples): per sample the atom count draw,
-    max_atoms weight draws and max_atoms angle draws. The atom count is
-    uniform in 1..max_atoms; weights past it are 0, the others normalized
-    positive draws; angles are uniform on [0, 2 pi).
+    max_atoms weight draws and max_atoms angle draws. Weights past the atom
+    count are 0, the others normalized positive draws; angles are uniform
+    on [0, 2 pi). Each sample's columns depend on its own draws only.
     """
-    count = np.minimum(1.0 + np.floor(u[0] * max_atoms), max_atoms)
-    used = np.arange(max_atoms)[:, None] < count
-    w = np.where(used, 1.0 - u[1 : 1 + max_atoms], 0.0)  # in (0, 1] where used
+    w = np.where(_used(u[0], max_atoms), 1.0 - u[1 : 1 + max_atoms], 0.0)  # (0, 1] where used
     total = w[0]
     for j in range(1, max_atoms):
         total = total + w[j]
     return w / total, TWO_PI * u[1 + max_atoms :]
 
 
-def _draw_chunk(rng: np.random.Generator, samples: int, max_atoms: int):
-    """(pw, pt, qw, qt) of the stream's next samples, each (max_atoms, samples)."""
-    draws = rng.random((samples, 2, 1 + 2 * max_atoms))
-    pu, qu = np.ascontiguousarray(draws.transpose(1, 2, 0))  # (slots, samples) per side
-    return (*_sample_columns(pu, max_atoms), *_sample_columns(qu, max_atoms))
+def _draw_chunk(rng: np.random.Generator, samples: int, max_atoms: int) -> np.ndarray:
+    """The stream's next samples' uniforms, (2, 1 + 2 max_atoms, samples): p's, then q's."""
+    return np.ascontiguousarray(rng.random((samples, 2, 1 + 2 * max_atoms)).transpose(1, 2, 0))
 
 
-def _exact_unit(t: np.ndarray) -> np.ndarray:
-    return np.exp(1j * t)
-
-
-def _rough_unit(t: np.ndarray) -> np.ndarray:
-    """cos(t32) + 1j sin(t32) as complex128, t32 the angles as float32.
-
-    Within _SCREEN_EPS / 2 of _exact_unit (module docstring).
-    """
+def _rough_unit(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos t32, sin t32), t32 the angles as float32: z~ = cos t32 + i sin t32
+    is within _SCREEN_EPS / 2 of exp(1j t) (module docstring)."""
     t32 = t.astype(np.float32)
-    z = np.empty(t.shape, np.complex128)
-    z.real = np.cos(t32)
-    z.imag = np.sin(t32)
-    return z
+    return np.cos(t32), np.sin(t32)
 
 
-def _batch_values(coef, mu: complex, pw, pt, qw, qt, unit=_exact_unit) -> np.ndarray:
-    """|a_3 - mu a_2**2| per sample of (atoms, samples) weights and angles.
-
-    unit maps the angles to the z_i of _c12: _exact_unit, or _rough_unit
-    for the screen.
-    """
-    return _fs_value(coef, mu, _c12(zip(pw, unit(pt))), _c12(zip(qw, unit(qt))))
+def _batch_values(coef, mu: complex, pw, pt, qw, qt) -> np.ndarray:
+    """|a_3 - mu a_2**2| per sample of (atoms, samples) weights and angles."""
+    return _fs_value(coef, mu, _c12(zip(pw, np.exp(1j * pt))), _c12(zip(qw, np.exp(1j * qt))))
 
 
-def _chunk_best(coef, mu: complex, pw, pt, qw, qt) -> tuple[float, np.ndarray]:
-    """A chunk's largest _batch_values entry and the samples that reach it.
+def _rough_values(fold, u: np.ndarray, max_atoms: int) -> np.ndarray:
+    """The screen's |a_3 - mu a_2**2| per sample of uniforms u, fold from _folded."""
+    k = max_atoms
+    w, wx, wxy = np.empty((3, 2, k, u.shape[-1]))  # one block: fewer page faults
+    np.subtract(1.0, u[:, 1 : 1 + k], out=w)
+    w *= _used(u[:, :1], k)
+    x, y = _rough_unit(TWO_PI * u[:, 1 + k :])
+    scale = 2.0 / w.sum(axis=1)
+    cq = np.empty((2, *scale.shape), np.complex128)  # (c_1, q_1), (c_2, q_2)
+    np.multiply(w, x, out=wx)
+    w *= y  # w y
+    np.multiply(wx, y, out=wxy)
+    np.multiply(wx.sum(axis=1), scale, out=cq[0].real)
+    np.multiply(w.sum(axis=1), scale, out=cq[0].imag)
+    np.multiply(2.0 * wxy.sum(axis=1), scale, out=cq[1].imag)
+    wx *= x
+    w *= y
+    wx -= w  # w x**2 - w y**2
+    np.multiply(wx.sum(axis=1), scale, out=cq[1].real)
+    (c1, q1), (c2, q2) = cq
+    d, e, a, b, c = fold
+    return np.abs(d * c2 + e * q2 + (a * q1 + b * c1) * q1 + c * (c1 * c1))
 
-    The screen (module docstring): only the samples whose rough value is at
-    least max(rough) - 2 E go through the exact kernel, and all of them when
-    a rough value or the threshold is not finite. The result is bitwise that
-    of the exact kernel over the whole chunk: NaN never wins, and a chunk of
-    NaN gives (nan, no samples).
-    """
+
+def _screened(fold, slack: float, best_v: float, u: np.ndarray, max_atoms: int) -> np.ndarray:
+    """The chunk's samples for the exact kernel: rough >= max(m - 2 E, best_v - E),
+    E = slack, or all of them if m is not finite (module docstring)."""
     with np.errstate(all="ignore"):  # the exact kernel reports, not the screen
-        rough = _batch_values(coef, mu, pw, pt, qw, qt, _rough_unit)
-        slack = 2.0 * (8.0 * _SCREEN_EPS * (1.0 + abs(mu)))  # 2 E
-        floor = np.max(rough) - slack
-    if math.isfinite(floor):
-        kept = np.flatnonzero(rough >= floor)
-    else:
-        kept = np.arange(rough.size)
-    values = _batch_values(coef, mu, pw[:, kept], pt[:, kept], qw[:, kept], qt[:, kept])
-    best = np.fmax.reduce(values)
-    return float(best), kept[values == best]
+        rough = _rough_values(fold, u, max_atoms)
+        m = float(rough.max())
+    if not math.isfinite(m):
+        return np.arange(rough.size)
+    return (rough >= max(m - 2.0 * slack, best_v - slack)).nonzero()[0]
 
 
 def _measure(w: np.ndarray, t: np.ndarray) -> HerglotzMeasure:
@@ -340,16 +354,21 @@ def maximize_fs(
     best_v = max(values)
     p, q = seeds[values.index(best_v)]
     evals = len(seeds)
+    fold, slack = _folded(coef, mu), 8.0 * _SCREEN_EPS * (1.0 + abs(mu))  # slack is E
     rng = np.random.Generator(np.random.SFC64(budget.seed))
     k = budget.max_atoms
     left = budget.n_samples
     while left:
         size = min(_CHUNK, left)
-        pw, pt, qw, qt = _draw_chunk(rng, size, k)
-        top, winners = _chunk_best(coef, mu, pw, pt, qw, qt)
-        if top > best_v:
-            i = winners[0]
-            best_v, p, q = top, _measure(pw[:, i], pt[:, i]), _measure(qw[:, i], qt[:, i])
+        u = _draw_chunk(rng, size, k)
+        kept = _screened(fold, slack, best_v, u, k)
+        if kept.size:  # else no sample of the chunk can beat the incumbent
+            (pw, pt), (qw, qt) = (_sample_columns(side[:, kept], k) for side in u)
+            values = _batch_values(coef, mu, pw, pt, qw, qt)
+            top = np.fmax.reduce(values)
+            if top > best_v:
+                i = np.flatnonzero(values == top)[0]
+                best_v, p, q = float(top), _measure(pw[:, i], pt[:, i]), _measure(qw[:, i], qt[:, i])
         evals += size
         left -= size
 

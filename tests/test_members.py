@@ -32,7 +32,7 @@ from fslab import (
     starlike_from_q,
     transform_spotcheck,
 )
-from fslab.extremal import _ATOM0, _HALF, _SIDE
+from fslab.extremal import _ATOM0, _HALF, _SIDE, extremal_member
 from fslab.members import (
     MAX_ATOMS,
     _a2_a3,
@@ -335,6 +335,19 @@ def test_closed_form_matches_member_from_pq():
                 ):
                     worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     assert worst <= 2e-15, worst
+
+
+def test_fs_functional_at_a_numpy_scalar_mu_is_the_python_scalars():
+    # a numpy scalar mu is computed as the Python float or complex it
+    # equals, not in numpy's precision (float32 gave complex64 0.5666144)
+    member = extremal_member(ClassParams(0.3, 0.1, 0.2, 0.1), None, 1)
+    for mu in (np.float32(0.5), np.float32(0.1), np.float16(0.3), np.float16(-2.5),
+               np.complex64(0.5 + 0.25j), np.complex64(0.1 - 1.3j), np.float64(0.1)):
+        got = fs_functional(member, mu)
+        want = fs_functional(member, complex(mu) if np.iscomplexobj(mu) else float(mu))
+        assert type(got) is complex and type(want) is complex
+        assert got == want, (mu, got, want)
+    assert fs_functional(member, np.float32(0.5)) == 0.5666143625757851
 
 
 # ----- rotation -----

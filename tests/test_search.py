@@ -15,8 +15,11 @@ from conftest import EDGE_PARAMS, random_params, sample_measure
 from fslab import (
     ClassParams,
     DomainError,
+    HerglotzMeasure,
     SearchBudget,
+    SearchResult,
     ViolationError,
+    bound_complex,
     bound_real,
     bound_sharp,
     breakpoints,
@@ -28,16 +31,28 @@ from fslab import (
     verify_inequality,
 )
 from fslab.extremal import _sharp_pair
-from fslab.members import MAX_ATOMS, TWO_PI, _c12, _coefficients, _fs_value, _pair_value
+from fslab.members import (
+    MAX_ATOMS,
+    TWO_PI,
+    _c12,
+    _coefficients,
+    _folded,
+    _fs_value,
+    _pair_value,
+    _scalar_mu,
+)
 from fslab.search import (
+    _CHUNK,
     _SCREEN_EPS,
     _batch_values,
-    _chunk_best,
     _draw_chunk,
-    _exact_unit,
     _golden_max,
     _polish,
     _rough_unit,
+    _rough_values,
+    _sample_columns,
+    _screened,
+    _used,
 )
 
 P0 = ClassParams(0, 0, 0, 0)
@@ -204,9 +219,15 @@ SCREEN_MUS = (
 
 @functools.cache
 def _screen_draws():
-    """2**17 samples of MAX_ATOMS atoms as the search draws them: 2**20 angles."""
+    """2**17 samples' uniforms for MAX_ATOMS atoms as the search draws them:
+    2**20 angles."""
     rng = np.random.Generator(np.random.Philox(key=2024))
     return _draw_chunk(rng, 2**17, MAX_ATOMS)
+
+
+def _exact_values(coef, mu, u, max_atoms):
+    """_batch_values over every sample of a chunk of uniforms."""
+    return _batch_values(coef, mu, *_sample_columns(u[0], max_atoms), *_sample_columns(u[1], max_atoms))
 
 
 def _f32_rounding_points():
@@ -223,70 +244,119 @@ def _f32_rounding_points():
 
 def test_rough_unit_is_within_half_eps():
     # the screen's bound rests on |z~ - z| <= eps / 2 (module docstring)
-    _, pt, _, qt = _screen_draws()
     edge = _f32_rounding_points()
     assert len(edge) > 100
-    t = np.concatenate([pt.ravel(), qt.ravel(), edge])
-    err = np.abs(_rough_unit(t) - _exact_unit(t))
+    t = np.concatenate([(TWO_PI * _screen_draws()[:, 1 + MAX_ATOMS :]).ravel(), edge])
+    assert t.size == 2**20 + edge.size
+    x, y = _rough_unit(t)
+    assert x.dtype == y.dtype == np.float32
+    err = np.abs(x + 1j * y.astype(np.float64) - np.exp(1j * t))
     assert err.max() <= _SCREEN_EPS / 2, err.max()
-    assert np.abs(_rough_unit(edge) - _exact_unit(edge)).max() > 0.5 * err.max()
+    assert err[-edge.size :].max() > 0.5 * err.max()
 
 
 @pytest.mark.parametrize("mu", SCREEN_MUS[:4])
 def test_rough_value_error_is_within_e(mu):
-    # |rough - exact| <= E = 8 eps (1 + |mu|) on the same 2**20 angles
-    pw, pt, qw, qt = _screen_draws()
-    zp, zq = _exact_unit(pt), _exact_unit(qt)
-    rp, rq = _rough_unit(pt), _rough_unit(qt)
+    # |rough - exact| <= E = 8 eps (1 + |mu|) on the same 2**20 angles: the
+    # screen's folded form from the uniforms against the exact kernel
+    u = _screen_draws()
     rng = np.random.default_rng(17)
     worst = 0.0
     for par in EDGE_PARAMS + [random_params(rng) for _ in range(2)]:
         coef = _coefficients(par)
-        exact = _fs_value(coef, mu, _c12(zip(pw, zp)), _c12(zip(qw, zq)))
-        rough = _fs_value(coef, mu, _c12(zip(pw, rp)), _c12(zip(qw, rq)))
+        exact = _exact_values(coef, mu, u, MAX_ATOMS)
+        rough = _rough_values(_folded(coef, mu), u, MAX_ATOMS)
         worst = max(worst, np.abs(rough - exact).max() / (8.0 * _SCREEN_EPS * (1.0 + abs(mu))))
     assert worst <= 1.0, worst
 
 
-def _unscreened_best(coef, mu, chunk):
-    values = _batch_values(coef, mu, *chunk)
-    best = np.fmax.reduce(values)
-    return best, np.flatnonzero(values == best)
+@pytest.mark.parametrize("max_atoms", range(1, MAX_ATOMS + 1))
+def test_atom_mask_is_the_atom_count(max_atoms):
+    # the screen keeps slot j where u_0 max_atoms >= j; it must be exactly
+    # the slots below the atom count min(1 + floor(u_0 max_atoms), max_atoms)
+    # that get a positive weight in the exact pass, also at u_0 = j / k and
+    # one ulp either side, or the screen would value other atoms
+    k = max_atoms
+    u = _screen_draws()[:, : 1 + 2 * k]
+    at = np.arange(k + 1) / k
+    edge = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
+    edge = edge[edge < 1.0]  # u_0 is drawn from [0, 1)
+    u0 = np.concatenate([u[0, 0], u[1, 0], edge])
+    want = np.arange(k)[:, None] < np.minimum(1.0 + np.floor(u0 * k), k)
+    assert np.array_equal(_used(u0, k), want)
+    # as count draws of sides with the weight and angle draws of real samples
+    draws = u[0, 1:][:, np.arange(u0.size) % u.shape[2]]
+    side = np.concatenate([u0[None], draws])
+    assert np.array_equal(_sample_columns(side, k)[0] > 0.0, want)
+    # the rough values of the boundary samples are within E of the exact ones
+    n = edge.size
+    chunk = np.stack([side[:, -n:], np.concatenate([u0[None, -n:], u[1, 1:, :n]])])
+    coef = _coefficients(EDGE_PARAMS[1])
+    for mu in SCREEN_MUS[:4]:
+        err = np.abs(_rough_values(_folded(coef, mu), chunk, k) - _exact_values(coef, mu, chunk, k))
+        assert err.max() <= 8.0 * _SCREEN_EPS * (1.0 + abs(mu))
 
 
 def _screen_chunks(rng, max_atoms):
-    """A drawn chunk, the same chunk with copies of its best sample appended
-    (exact ties), and rotated copies of one sample, whose values agree to the
-    last few bits (rotation leaves |a_3 - mu a_2**2| unchanged)."""
-    pw, pt, qw, qt = _draw_chunk(rng, 2048, max_atoms)
-    yield pw, pt, qw, qt
-    i = np.arange(2048) % 7
-    yield pw[:, i], pt[:, i], qw[:, i], qt[:, i]
-    shift = np.linspace(0.0, TWO_PI, 512, endpoint=False)
-    pw, pt, qw, qt = (np.repeat(a[:, :1], shift.size, axis=1) for a in (pw, pt, qw, qt))
-    yield pw, np.mod(pt + shift, TWO_PI), qw, np.mod(qt + shift, TWO_PI)
+    """A drawn chunk of uniforms, its first 7 samples repeated (exact ties),
+    and one sample with its angle draws shifted together, whose values agree
+    to the last few bits (rotation leaves |a_3 - mu a_2**2| unchanged)."""
+    u = _draw_chunk(rng, 2048, max_atoms)
+    yield u
+    yield u[:, :, np.arange(2048) % 7]
+    shift = np.linspace(0.0, 1.0, 512, endpoint=False)
+    one = np.repeat(u[:, :, :1], shift.size, axis=2)
+    one[:, 1 + max_atoms :] = np.mod(one[:, 1 + max_atoms :] + shift, 1.0)
+    yield one
+
+
+def _incumbents(top, slack):
+    """Incumbent values below, at and above a chunk's maximum."""
+    if not math.isfinite(top):
+        return [0.0]
+    below, above = np.nextafter(top, -math.inf), np.nextafter(top, math.inf)
+    return [0.0, top - 3.0 * slack, top - slack, below, top, above, top + slack, top + 3.0 * slack]
 
 
 def test_screen_picks_the_unscreened_winner():
-    # _chunk_best against the exact kernel over the whole chunk, bitwise
+    # _screened and the exact kernel on its samples, as the search runs them,
+    # against the exact kernel over the whole chunk, bitwise: with the
+    # incumbent below, at and above the chunk's maximum, the chunk replaces
+    # it exactly when the unscreened chunk does, by the same value and the
+    # same samples
     rng = np.random.default_rng(5)
     tuples = EDGE_PARAMS + [random_params(rng) for _ in range(3)]
     stream = np.random.Generator(np.random.Philox(key=99))
-    kept_all = 0
-    for n, par in enumerate(tuples):
+    kept_all = skipped = replaced = 0
+    for par in tuples:
         coef = _coefficients(par)
         mus = (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2)), *SCREEN_MUS)
-        for max_atoms in range(1, MAX_ATOMS + 1):
-            for chunk in _screen_chunks(stream, max_atoms):
+        for k in range(1, MAX_ATOMS + 1):
+            for u in _screen_chunks(stream, k):
                 for mu in mus:
+                    fold, slack = _folded(coef, mu), 8.0 * _SCREEN_EPS * (1.0 + abs(mu))
                     with np.errstate(over="ignore", invalid="ignore"):
-                        got = _chunk_best(coef, mu, *chunk)
-                        want = _unscreened_best(coef, mu, chunk)
-                        kept_all += not np.isfinite(_batch_values(coef, mu, *chunk, _rough_unit)).all()
-                    assert isinstance(got[0], float)
-                    assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0])), (par, mu)
-                    assert np.array_equal(got[1], want[1]), (par, mu, max_atoms)
-    assert kept_all > 0  # the overflowing mu reached the keep-all fallback
+                        values = _exact_values(coef, mu, u, k)
+                        rough_finite = np.isfinite(_rough_values(fold, u, k)).all()
+                    top = float(np.fmax.reduce(values))
+                    winners = np.flatnonzero(values == top)
+                    for best_v in _incumbents(top, slack):
+                        kept = _screened(fold, slack, best_v, u, k)
+                        assert rough_finite or kept.size == values.size
+                        kept_all += not rough_finite
+                        skipped += kept.size == 0
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            got = _exact_values(coef, mu, u[:, :, kept], k)
+                        assert np.array_equal(got, values[kept], equal_nan=True)
+                        if top > best_v:
+                            replaced += 1
+                            assert np.fmax.reduce(got) == top, (par, mu, k, best_v)
+                            assert np.array_equal(kept[got == top], winners), (par, mu, k, best_v)
+                        else:
+                            assert not (got > best_v).any(), (par, mu, k, best_v)
+    # every rule was reached: the overflowing mu kept every sample, chunks
+    # far below the incumbent skipped the exact kernel
+    assert kept_all > 0 and skipped > 0 and replaced > 0
 
 
 # ----- the polish -----
@@ -330,10 +400,12 @@ def test_polish_cache_is_bitwise_the_uncached_form(monkeypatch):
     assert all(seen), f"{seen.count(False)} of {len(seen)} evaluations differ"
 
 
-def _reference_polish(coef, mu, sides, best_v, rounds):
-    """_polish as a plain loop that runs every round, without caches or an
-    early exit; returns the best value it kept and its evaluations."""
-    evals = 0
+def _reference_polish(coef, mu, sides, best_v, rounds, stop=False):
+    """_polish as a plain loop without caches that runs every round, or with
+    stop ends where _polish does, once a round's worth of searches in a row
+    kept no move; returns the best value it kept and its evaluations."""
+    evals = idle = 0
+    per_round = sum(len(side) if len(side) == 1 else 2 * len(side) for side in sides)
     for _ in range(rounds):
         for side in sides:
             coords = [(j, 1, 0.0, TWO_PI) for j in range(len(side))]
@@ -350,10 +422,12 @@ def _reference_polish(coef, mu, sides, best_v, rounds):
 
                 x, v = _golden_max(f, lo, hi)
                 if v > best_v:
-                    best_v = v
+                    best_v, idle = v, 0
                 else:
-                    x = saved
+                    x, idle = saved, idle + 1
                 side[j][k] = x
+                if stop and idle == per_round:
+                    return best_v, evals
     return best_v, evals
 
 
@@ -378,6 +452,68 @@ def test_polish_fixed_point_is_where_every_round_would_end():
         assert evals <= all_evals
         stopped += evals < all_evals
     assert stopped >= 10
+
+
+def _reference_search(par, mu, budget):
+    """maximize_fs with no screen, no skip and no polish caches: every sample
+    drawn at once and valued by _batch_values, the earliest that beats the
+    seeds kept, then _reference_polish."""
+    mu = _scalar_mu(mu)
+    if isinstance(mu, complex):
+        bound, seeds = bound_complex(par, mu), [extremal_config(par, 1), extremal_config(par, 3)]
+    else:
+        report, *pair = _sharp_pair(par, mu)
+        bound, seeds = report.value, [pair]
+    coef = _coefficients(par)
+    values = [_pair_value(coef, mu, p, q) for p, q in seeds]
+    best_v = max(values)
+    p, q = seeds[values.index(best_v)]
+    k = budget.max_atoms
+    rng = np.random.Generator(np.random.SFC64(budget.seed))
+    draws = rng.random((budget.n_samples, 2, 1 + 2 * k))
+    (pw, pt), (qw, qt) = (_sample_columns(draws[:, s].T, k) for s in (0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _batch_values(coef, mu, pw, pt, qw, qt)
+    top = np.fmax.reduce(values)
+    if top > best_v:
+        i = np.flatnonzero(values == top)[0]
+        best_v = float(top)
+        p, q = (HerglotzMeasure([(a, b) for a, b in zip(w[:, i], t[:, i]) if a > 0.0])
+                for w, t in ((pw, pt), (qw, qt)))
+    member = member_from_pq(par, p, q)
+    value = abs(fs_functional(member, mu))
+    evals = len(seeds) + budget.n_samples
+    if budget.n_refine:
+        sides = [[[w, t] for w, t in m.atoms] for m in (p, q)]
+        evals += _reference_polish(coef, mu, sides, best_v, budget.n_refine, stop=True)[1]
+        measures = []
+        for side in sides:
+            total = sum(w for w, _ in side)
+            measures.append(HerglotzMeasure([(w / total, t) for w, t in side]))
+        polished = member_from_pq(par, *measures)
+        if abs(fs_functional(polished, mu)) >= value:
+            member, value = polished, abs(fs_functional(polished, mu))
+    return SearchResult(value, member, bound, bound - value, evals)
+
+
+def test_search_is_the_plain_reference_search():
+    # the whole search, screen, skip and polish caches included, against the
+    # plain reference, bitwise: real and complex mu (|mu| = 1e300 among
+    # them), the edge tuples, 1-4 atoms, 0-3 polish rounds and sample counts
+    # on either side of the chunk edges
+    assert _CHUNK == 2048
+    rng = np.random.default_rng(83)
+    tuples = EDGE_PARAMS + [ClassParams(0.3, 0.1, 0.2, 0.1), ClassParams(0.0, 0.0, 0.6, 0.0)]
+    mus = (0.5, 1.25, -0.8, complex(1.25, 0.25), complex(-0.4, 1.3), 1e300, complex(-6e299, 8e299))
+    sizes = (1, 2047, 2048, 2049, 6145)
+    n = 0
+    for par in tuples:
+        for mu in mus:
+            for _ in range(2):
+                budget = SearchBudget(sizes[n % 5], n % 4, 1 + (n // 4) % MAX_ATOMS, int(rng.integers(2**32)))
+                n += 1
+                assert maximize_fs(par, mu, budget) == _reference_search(par, mu, budget), (par, mu, budget)
+    assert n == 84
 
 
 def test_polish_at_the_witness_makes_one_round(monkeypatch):
@@ -554,10 +690,19 @@ def test_exact_tie_keeps_the_earliest_sample(monkeypatch, chunk):
     par, mu = ClassParams(0.0, 0.0, 0.6, 0.0), complex(0.8, 0.3)
     a, b = (0.5, 0.6235987755982988), (0.5, math.pi)
     assert (b, a) > (a, b)
-    pw = np.array([[a[0], b[0]], [b[0], a[0]]])  # (atoms, samples)
-    pt = np.array([[a[1], b[1]], [b[1], a[1]]])
-    qw = np.array([[1.0, 1.0], [0.0, 0.0]])
-    qt = np.array([[math.pi / 4, math.pi / 4], [0.0, 0.0]])
+    # uniforms (sides, 1 + 2 max_atoms slots, samples): p's count draw 0.5
+    # gives two atoms, its weight draws 0.5 weights 0.5, its angle draws the
+    # angles over 2 pi; q's count draw 0 gives one atom, of weight 1 at pi / 4
+    ta, tb = a[1] / TWO_PI, b[1] / TWO_PI
+    u = np.array([
+        [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [ta, tb], [tb, ta]],
+        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.125, 0.125], [0.0, 0.0]],
+    ])
+    (pw, pt), (qw, qt) = (_sample_columns(side, 2) for side in u)
+    assert np.array_equal(pw, [[a[0], b[0]], [b[0], a[0]]])  # (atoms, samples)
+    assert np.array_equal(pt, [[a[1], b[1]], [b[1], a[1]]])
+    assert np.array_equal(qw, [[1.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(qt[0], [math.pi / 4, math.pi / 4])
     coef = _coefficients(par)
     v0, v1 = _batch_values(coef, mu, pw, pt, qw, qt)
     assert v0 == v1 > _seeded_floor(par, mu)
@@ -567,7 +712,7 @@ def test_exact_tie_keeps_the_earliest_sample(monkeypatch, chunk):
         nonlocal drawn
         cols = slice(drawn, drawn + samples)
         drawn += samples
-        return tuple(x[:, cols] for x in (pw, pt, qw, qt))
+        return u[:, :, cols]
 
     monkeypatch.setattr(fslab.search, "_draw_chunk", draw)
     monkeypatch.setattr(fslab.search, "_CHUNK", chunk)
