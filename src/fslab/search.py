@@ -16,11 +16,11 @@ unknown and irrelevant to the seeded floor.
 
 The search evaluates the closed form of a_2 and a_3 in :mod:`fslab.members`
 from c_k = 2 sum_i w_i z_i**k with z_i = exp(1j t_i): over numpy arrays
-(np.exp) for the random samples, one pair at a time (cmath.exp) for the
-polish, and through herglotz_coeffs for the seeded floor. The constants u, v,
-2 tau and 3 sigma are computed once per search. The polish caches each atom's
-z_i and the side's normalized weights, so an angle step recomputes one z_i and
-a weight step only the weights; its every value is bitwise the one the
+(np.cos and np.sin) for the random samples, one pair at a time (cmath.exp) for
+the polish, and through herglotz_coeffs for the seeded floor. The constants u,
+v, 2 tau and 3 sigma are computed once per search. The polish caches each
+atom's z_i and the side's normalized weights, so an angle step recomputes one
+z_i and a weight step only the weights; its every value is bitwise the one the
 uncached form gives. A round searches every angle, and every weight of a side
 with more than one atom. A search whose best point does not beat the incumbent
 is undone by setting the coordinate back, which restores the atoms, the cached
@@ -34,44 +34,44 @@ member can differ by a few ulps, so the polished member is returned only if
 its value is not below the incumbent's: best_value with the polish is never
 below best_value without it.
 
-Screen: a chunk's samples first go through the same closed form, folded by
-members._folded to d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2 and read
-straight from the uniforms: a side's weights are 1 - u where u_0 max_atoms
->= j (the atoms _sample_columns keeps), its unit numbers the rough
-z~_i = x_i + i y_i = cos(t32) + i sin(t32), t32 the angle 2 pi u rounded to
-float32, and c_1 = 2 sum_i w_i z~_i and c_2 = 2 sum_i w_i z~_i**2 are summed
-in real float64 arithmetic (z~**2 as x**2 - y**2 + 2 i x y) and divided by
-sum_i w_i after the sum. Rounding the angle moves z by at most half a float32
-ulp at 2 pi (2.4e-7), and float32 cos and sin add about one float32 ulp
-each, so |z~ - z| <= eps / 2 with eps = 1e-6 (the largest seen is 2.9e-7).
-With |c_k|, |q_k| <= 2, u, v <= 1 and tau, sigma >= 1, a z_i error d moves
-c_1 and q_1 by at most 2 d, c_2 and q_2 by 2 d (2 + d), a_2 by 2 d, a_2**2 by
-8 d (1 + d/2) and a_3 by 6 d (1 + d/2), so in exact arithmetic
+Random phase: _values evaluates a chunk's samples in the same closed form,
+folded by members._folded to d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2
+and read straight from the uniforms: a side's weights are 1 - u where
+u_0 max_atoms >= j (the atoms _measure decodes), its unit numbers
+z_i = x_i + i y_i = cos(t) + i sin(t), t the angle 2 pi u rounded to a given
+float dtype, and c_1 = 2 sum_i w_i z_i and c_2 = 2 sum_i w_i z_i**2 are summed
+in real float64 arithmetic (z**2 as x**2 - y**2 + 2 i x y) and divided by
+sum_i w_i after the sum. The screen runs it with float32 angles (rough, unit
+numbers z~), the exact pass with float64 ones (exact, z). Rounding the angle
+to float32 moves z by at most half a float32 ulp at 2 pi (2.4e-7), and
+float32 cos and sin add about one float32 ulp each, so |z~ - z| <= eps / 2
+with eps = 1e-6 (the largest seen is 2.9e-7). With |c_k|, |q_k| <= 2,
+u, v <= 1 and tau, sigma >= 1, a z_i error d moves c_1 and q_1 by at most
+2 d, c_2 and q_2 by 2 d (2 + d), a_2 by 2 d, a_2**2 by 8 d (1 + d/2) and a_3
+by 6 d (1 + d/2), so in exact arithmetic
 
     |rough - exact| <= (6 + 8 |mu|) d (1 + d/2).
 
-Normalizing after the sum and the folded constants only reassociate: every
-intermediate of either pass is at most 10 (1 + |mu|) in modulus and each
-rounds a few dozen times by 2**-53 of that. At d = eps / 2 the bound is
+Every intermediate of either pass is at most 10 (1 + |mu|) in modulus and
+each rounds a few dozen times by 2**-53 of that. At d = eps / 2 the bound is
 below E = 8 eps (1 + |mu|) by more than 4 eps (1 + |mu|) (1 - eps), far more
 than that rounding, so |rough - exact| <= E. With m the chunk's largest
 rough value and best_v the incumbent's, only the samples with rough >=
-max(m - 2 E, best_v - E) go through the exact kernel (np.exp), their columns
-from _sample_columns, which works sample by sample. A sample reaching the
+max(m - 2 E, best_v - E) go through the exact pass. A sample reaching the
 chunk's exact maximum M has rough >= M - E >= m - 2 E, and rough > best_v - E
 if M > best_v: whenever M can replace the incumbent, every sample reaching
 it is kept. When M <= best_v no kept sample can replace it either, since the
 incumbent changes only on a strictly larger value; a chunk with m < best_v - E
-keeps no sample and skips the exact kernel. When m is not finite (an
-overflowing mu) every sample is kept. The kernel is elementwise, so every
-search result is bitwise that of the unscreened kernel.
+keeps no sample and skips the exact pass. When m is not finite (an
+overflowing mu) every sample is kept. _values is elementwise, so every
+search result is bitwise that of the unscreened exact pass.
 
 Determinism contract: the random phase reads one stream,
 np.random.Generator(np.random.SFC64(seed)), with a fixed layout of
 2 (1 + 2 max_atoms) doubles per sample: for p and then q, one uniform for the
 atom count, max_atoms weights and max_atoms angles (slots past the atom count
 are drawn and ignored). Sample i therefore reads the same doubles however the
-samples are split into chunks, and the kernel's arithmetic is elementwise.
+samples are split into chunks, and _values is elementwise.
 The incumbent is the first seed reaching the seeds' largest value; each
 chunk in stream order replaces it only with a strictly larger value, and
 then with its earliest sample reaching that value. So the result is the
@@ -83,7 +83,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -138,6 +139,11 @@ class SearchBudget:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise DomainError(f"{field.name} must be an integer, got {value!r}")
+            object.__setattr__(self, field.name, int(value))
         if self.n_samples < 1:
             raise DomainError("n_samples must be positive")
         if self.n_refine < 0:
@@ -167,45 +173,20 @@ def _used(u0: np.ndarray, max_atoms: int) -> np.ndarray:
     return u0 * max_atoms >= np.arange(float(max_atoms))[:, None]
 
 
-def _sample_columns(u: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and angles, each (max_atoms, samples), from one side's uniforms.
-
-    u is (1 + 2 max_atoms, samples): per sample the atom count draw,
-    max_atoms weight draws and max_atoms angle draws. Weights past the atom
-    count are 0, the others normalized positive draws; angles are uniform
-    on [0, 2 pi). Each sample's columns depend on its own draws only.
-    """
-    w = np.where(_used(u[0], max_atoms), 1.0 - u[1 : 1 + max_atoms], 0.0)  # (0, 1] where used
-    total = w[0]
-    for j in range(1, max_atoms):
-        total = total + w[j]
-    return w / total, TWO_PI * u[1 + max_atoms :]
-
-
 def _draw_chunk(rng: np.random.Generator, samples: int, max_atoms: int) -> np.ndarray:
     """The stream's next samples' uniforms, (2, 1 + 2 max_atoms, samples): p's, then q's."""
     return np.ascontiguousarray(rng.random((samples, 2, 1 + 2 * max_atoms)).transpose(1, 2, 0))
 
 
-def _rough_unit(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos t32, sin t32), t32 the angles as float32: z~ = cos t32 + i sin t32
-    is within _SCREEN_EPS / 2 of exp(1j t) (module docstring)."""
-    t32 = t.astype(np.float32)
-    return np.cos(t32), np.sin(t32)
-
-
-def _batch_values(coef, mu: complex, pw, pt, qw, qt) -> np.ndarray:
-    """|a_3 - mu a_2**2| per sample of (atoms, samples) weights and angles."""
-    return _fs_value(coef, mu, _c12(zip(pw, np.exp(1j * pt))), _c12(zip(qw, np.exp(1j * qt))))
-
-
-def _rough_values(fold, u: np.ndarray, max_atoms: int) -> np.ndarray:
-    """The screen's |a_3 - mu a_2**2| per sample of uniforms u, fold from _folded."""
+def _values(fold, u: np.ndarray, max_atoms: int, unit) -> np.ndarray:
+    """|a_3 - mu a_2**2| per sample of uniforms u, fold from _folded, the
+    angles rounded to the dtype unit (module docstring)."""
     k = max_atoms
     w, wx, wxy = np.empty((3, 2, k, u.shape[-1]))  # one block: fewer page faults
     np.subtract(1.0, u[:, 1 : 1 + k], out=w)
     w *= _used(u[:, :1], k)
-    x, y = _rough_unit(TWO_PI * u[:, 1 + k :])
+    t = (TWO_PI * u[:, 1 + k :]).astype(unit, copy=False)
+    x, y = np.cos(t), np.sin(t)
     scale = 2.0 / w.sum(axis=1)
     cq = np.empty((2, *scale.shape), np.complex128)  # (c_1, q_1), (c_2, q_2)
     np.multiply(w, x, out=wx)
@@ -224,18 +205,23 @@ def _rough_values(fold, u: np.ndarray, max_atoms: int) -> np.ndarray:
 
 
 def _screened(fold, slack: float, best_v: float, u: np.ndarray, max_atoms: int) -> np.ndarray:
-    """The chunk's samples for the exact kernel: rough >= max(m - 2 E, best_v - E),
+    """The chunk's samples for the exact pass: rough >= max(m - 2 E, best_v - E),
     E = slack, or all of them if m is not finite (module docstring)."""
-    with np.errstate(all="ignore"):  # the exact kernel reports, not the screen
-        rough = _rough_values(fold, u, max_atoms)
+    with np.errstate(all="ignore"):  # the exact pass reports, not the screen
+        rough = _values(fold, u, max_atoms, np.float32)
         m = float(rough.max())
     if not math.isfinite(m):
         return np.arange(rough.size)
     return (rough >= max(m - 2.0 * slack, best_v - slack)).nonzero()[0]
 
 
-def _measure(w: np.ndarray, t: np.ndarray) -> HerglotzMeasure:
-    return HerglotzMeasure(tuple((float(a), float(b)) for a, b in zip(w, t) if a > 0.0))
+def _measure(u: np.ndarray, max_atoms: int) -> HerglotzMeasure:
+    """One sample's measure from one side's uniforms u, (1 + 2 max_atoms,):
+    the atoms _values uses, weights w / sum(w) and angles 2 pi u."""
+    used = _used(u[:1], max_atoms)[:, 0]
+    w = 1.0 - u[1 : 1 + max_atoms][used]
+    total = np.add.accumulate(w)[-1]  # in slot order, as _values sums
+    return HerglotzMeasure(tuple(zip((w / total).tolist(), (TWO_PI * u[1 + max_atoms :][used]).tolist())))
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -363,12 +349,11 @@ def maximize_fs(
         u = _draw_chunk(rng, size, k)
         kept = _screened(fold, slack, best_v, u, k)
         if kept.size:  # else no sample of the chunk can beat the incumbent
-            (pw, pt), (qw, qt) = (_sample_columns(side[:, kept], k) for side in u)
-            values = _batch_values(coef, mu, pw, pt, qw, qt)
+            values = _values(fold, u[:, :, kept], k, np.float64)
             top = np.fmax.reduce(values)
             if top > best_v:
-                i = np.flatnonzero(values == top)[0]
-                best_v, p, q = float(top), _measure(pw[:, i], pt[:, i]), _measure(qw[:, i], qt[:, i])
+                i = kept[np.flatnonzero(values == top)[0]]
+                best_v, p, q = float(top), _measure(u[0, :, i], k), _measure(u[1, :, i], k)
         evals += size
         left -= size
 

@@ -39,11 +39,12 @@ from fslab.members import (
     _c12,
     _circle,
     _coefficients,
+    _folded,
     _jet,
     _pair_value,
     _polyval,
 )
-from fslab.search import _batch_values
+from fslab.search import _draw_chunk, _measure, _values
 
 PI = math.pi
 
@@ -300,36 +301,27 @@ def test_member_order_floor():
 
 # ----- the closed form of a_2 and a_3 -----
 
-def _padded(measures):
-    """(weights, angles), each (MAX_ATOMS, len(measures)), zero-padded."""
-    w = np.zeros((MAX_ATOMS, len(measures)))
-    t = np.zeros((MAX_ATOMS, len(measures)))
-    for i, m in enumerate(measures):
-        for j, (wj, tj) in enumerate(m.atoms):
-            w[j, i], t[j, i] = wj, tj
-    return w, t
-
-
 def test_closed_form_matches_member_from_pq():
-    # the batched kernel and the one-pair form against full construction,
-    # 20 parameter tuples x 100 measure pairs x 2 values of mu
+    # the search's exact pass on drawn uniforms, the polish's and the seeds'
+    # one-pair forms against full construction from the measures _measure
+    # decodes, 20 parameter tuples x 100 measure pairs x 2 values of mu
     rng = np.random.default_rng(211)
     tuples = EDGE_PARAMS + [random_params(rng) for _ in range(16)]
     worst = 0.0
     for par in tuples:
         coef = _coefficients(par)
-        ps = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
-        qs = [sample_measure(rng, MAX_ATOMS) for _ in range(100)]
-        (pw, pt), (qw, qt) = _padded(ps), _padded(qs)
-        a2, a3 = _a2_a3(coef, _c12(zip(pw, np.exp(1j * pt))), _c12(zip(qw, np.exp(1j * qt))))
+        u = _draw_chunk(rng, 100, MAX_ATOMS)
+        ps, qs = ([_measure(side[:, i], MAX_ATOMS) for i in range(100)] for side in u)
+        polish = [_c12([(w, cmath.exp(1j * t)) for w, t in m.atoms]) for m in ps + qs]
         for mu in (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2))):
-            values = _batch_values(coef, mu, pw, pt, qw, qt)
+            values = _values(_folded(coef, mu), u, MAX_ATOMS, np.float64)
             for i, (p, q) in enumerate(zip(ps, qs)):
                 m = member_from_pq(par, p, q, 3)
                 ref = abs(fs_functional(m, mu))
+                a2, a3 = _a2_a3(coef, polish[i], polish[100 + i])
                 for got, want in (
-                    (a2[i], m.a2),
-                    (a3[i], m.a3),
+                    (a2, m.a2),
+                    (a3, m.a3),
                     (values[i], ref),
                     (_pair_value(coef, mu, p, q), ref),
                 ):

@@ -44,15 +44,13 @@ from fslab.members import (
 from fslab.search import (
     _CHUNK,
     _SCREEN_EPS,
-    _batch_values,
     _draw_chunk,
     _golden_max,
+    _measure,
     _polish,
-    _rough_unit,
-    _rough_values,
-    _sample_columns,
     _screened,
     _used,
+    _values,
 )
 
 P0 = ClassParams(0, 0, 0, 0)
@@ -88,6 +86,27 @@ def test_budget_validation():
         SearchBudget(max_atoms=9)
     with pytest.raises(DomainError):
         SearchBudget(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field", [{"n_samples": 3000.0}, {"n_refine": 1.5}, {"max_atoms": 2.0}, {"seed": 1.5},
+              {"n_samples": True}, {"seed": np.bool_(True)}, {"seed": "7"}, {"n_refine": None}],
+)
+def test_budget_rejects_non_integers(field):
+    # a float, bool or string would otherwise fail later, as a raw TypeError
+    # inside the random stream
+    with pytest.raises(DomainError, match="must be an integer"):
+        SearchBudget(**field)
+
+
+def test_budget_stores_numpy_integers_as_int():
+    budget = SearchBudget(np.int64(100), np.int32(1), np.uint8(2), np.uint64(2**64 - 1))
+    assert budget == SearchBudget(100, 1, 2, 2**64 - 1)
+    assert all(type(v) is int for v in dataclasses.astuple(budget))
+    par = ClassParams(0.3, 0.1, 0.2, 0.4)
+    assert maximize_fs(par, 0.7, SearchBudget(n_samples=np.int64(100))) == maximize_fs(
+        par, 0.7, SearchBudget(n_samples=100)
+    )
 
 
 # ----- attainment -----
@@ -225,11 +244,6 @@ def _screen_draws():
     return _draw_chunk(rng, 2**17, MAX_ATOMS)
 
 
-def _exact_values(coef, mu, u, max_atoms):
-    """_batch_values over every sample of a chunk of uniforms."""
-    return _batch_values(coef, mu, *_sample_columns(u[0], max_atoms), *_sample_columns(u[1], max_atoms))
-
-
 def _f32_rounding_points():
     """Float64 angles just below 2 pi that float32 rounding moves the most:
     the midpoints of consecutive float32 values and their neighbours."""
@@ -242,40 +256,59 @@ def _f32_rounding_points():
     return t[t < TWO_PI]
 
 
+def _unit(t, unit):
+    """The unit numbers (cos, sin) that _values computes from float64 angles
+    t with its angles rounded to the dtype unit."""
+    t = t.astype(unit, copy=False)
+    return np.cos(t), np.sin(t)
+
+
 def test_rough_unit_is_within_half_eps():
     # the screen's bound rests on |z~ - z| <= eps / 2 (module docstring)
     edge = _f32_rounding_points()
     assert len(edge) > 100
     t = np.concatenate([(TWO_PI * _screen_draws()[:, 1 + MAX_ATOMS :]).ravel(), edge])
     assert t.size == 2**20 + edge.size
-    x, y = _rough_unit(t)
+    x, y = _unit(t, np.float32)
     assert x.dtype == y.dtype == np.float32
-    err = np.abs(x + 1j * y.astype(np.float64) - np.exp(1j * t))
+    ex, ey = _unit(t, np.float64)
+    err = np.abs(x + 1j * y.astype(np.float64) - (ex + 1j * ey))
     assert err.max() <= _SCREEN_EPS / 2, err.max()
     assert err[-edge.size :].max() > 0.5 * err.max()
 
 
 @pytest.mark.parametrize("mu", SCREEN_MUS[:4])
 def test_rough_value_error_is_within_e(mu):
-    # |rough - exact| <= E = 8 eps (1 + |mu|) on the same 2**20 angles: the
-    # screen's folded form from the uniforms against the exact kernel
+    # |rough - exact| <= E = 8 eps (1 + |mu|) on the same 2**20 angles:
+    # _values with float32 angles against _values with float64 ones
     u = _screen_draws()
     rng = np.random.default_rng(17)
     worst = 0.0
     for par in EDGE_PARAMS + [random_params(rng) for _ in range(2)]:
-        coef = _coefficients(par)
-        exact = _exact_values(coef, mu, u, MAX_ATOMS)
-        rough = _rough_values(_folded(coef, mu), u, MAX_ATOMS)
+        fold = _folded(_coefficients(par), mu)
+        exact = _values(fold, u, MAX_ATOMS, np.float64)
+        rough = _values(fold, u, MAX_ATOMS, np.float32)
         worst = max(worst, np.abs(rough - exact).max() / (8.0 * _SCREEN_EPS * (1.0 + abs(mu))))
     assert worst <= 1.0, worst
 
 
+def _plain_measure(u, k):
+    """The measure of one side's uniforms u: the first min(1 + floor(u_0 k), k)
+    slots' weights 1 - u, divided by their sum in slot order, and angles 2 pi u."""
+    count = min(1 + math.floor(u[0] * k), k)
+    w = [1.0 - x for x in u[1 : 1 + count].tolist()]
+    total = w[0]
+    for x in w[1:]:
+        total += x
+    return HerglotzMeasure([(x / total, TWO_PI * t) for x, t in zip(w, u[1 + k : 1 + k + count].tolist())])
+
+
 @pytest.mark.parametrize("max_atoms", range(1, MAX_ATOMS + 1))
 def test_atom_mask_is_the_atom_count(max_atoms):
-    # the screen keeps slot j where u_0 max_atoms >= j; it must be exactly
-    # the slots below the atom count min(1 + floor(u_0 max_atoms), max_atoms)
-    # that get a positive weight in the exact pass, also at u_0 = j / k and
-    # one ulp either side, or the screen would value other atoms
+    # _values keeps slot j where u_0 max_atoms >= j; it must be exactly the
+    # slots below the atom count min(1 + floor(u_0 max_atoms), max_atoms),
+    # and their number the atoms of _measure's measure, also at u_0 = j / k
+    # and one ulp either side, or the winner would be decoded to other atoms
     k = max_atoms
     u = _screen_draws()[:, : 1 + 2 * k]
     at = np.arange(k + 1) / k
@@ -287,13 +320,17 @@ def test_atom_mask_is_the_atom_count(max_atoms):
     # as count draws of sides with the weight and angle draws of real samples
     draws = u[0, 1:][:, np.arange(u0.size) % u.shape[2]]
     side = np.concatenate([u0[None], draws])
-    assert np.array_equal(_sample_columns(side, k)[0] > 0.0, want)
-    # the rough values of the boundary samples are within E of the exact ones
     n = edge.size
+    for i in [*range(1000), *range(u0.size - n, u0.size)]:
+        m = _measure(side[:, i], k)
+        assert len(m.atoms) == want[:, i].sum(), (k, u0[i])
+        assert m == _plain_measure(side[:, i], k), (k, i)  # weights summed in slot order
+    # the rough values of the boundary samples are within E of the exact ones
     chunk = np.stack([side[:, -n:], np.concatenate([u0[None, -n:], u[1, 1:, :n]])])
     coef = _coefficients(EDGE_PARAMS[1])
     for mu in SCREEN_MUS[:4]:
-        err = np.abs(_rough_values(_folded(coef, mu), chunk, k) - _exact_values(coef, mu, chunk, k))
+        fold = _folded(coef, mu)
+        err = np.abs(_values(fold, chunk, k, np.float32) - _values(fold, chunk, k, np.float64))
         assert err.max() <= 8.0 * _SCREEN_EPS * (1.0 + abs(mu))
 
 
@@ -319,8 +356,8 @@ def _incumbents(top, slack):
 
 
 def test_screen_picks_the_unscreened_winner():
-    # _screened and the exact kernel on its samples, as the search runs them,
-    # against the exact kernel over the whole chunk, bitwise: with the
+    # _screened and the exact pass on its samples, as the search runs them,
+    # against the exact pass over the whole chunk, bitwise: with the
     # incumbent below, at and above the chunk's maximum, the chunk replaces
     # it exactly when the unscreened chunk does, by the same value and the
     # same samples
@@ -336,8 +373,8 @@ def test_screen_picks_the_unscreened_winner():
                 for mu in mus:
                     fold, slack = _folded(coef, mu), 8.0 * _SCREEN_EPS * (1.0 + abs(mu))
                     with np.errstate(over="ignore", invalid="ignore"):
-                        values = _exact_values(coef, mu, u, k)
-                        rough_finite = np.isfinite(_rough_values(fold, u, k)).all()
+                        values = _values(fold, u, k, np.float64)
+                        rough_finite = np.isfinite(_values(fold, u, k, np.float32)).all()
                     top = float(np.fmax.reduce(values))
                     winners = np.flatnonzero(values == top)
                     for best_v in _incumbents(top, slack):
@@ -346,7 +383,7 @@ def test_screen_picks_the_unscreened_winner():
                         kept_all += not rough_finite
                         skipped += kept.size == 0
                         with np.errstate(over="ignore", invalid="ignore"):
-                            got = _exact_values(coef, mu, u[:, :, kept], k)
+                            got = _values(fold, u[:, :, kept], k, np.float64)
                         assert np.array_equal(got, values[kept], equal_nan=True)
                         if top > best_v:
                             replaced += 1
@@ -355,7 +392,7 @@ def test_screen_picks_the_unscreened_winner():
                         else:
                             assert not (got > best_v).any(), (par, mu, k, best_v)
     # every rule was reached: the overflowing mu kept every sample, chunks
-    # far below the incumbent skipped the exact kernel
+    # far below the incumbent skipped the exact pass
     assert kept_all > 0 and skipped > 0 and replaced > 0
 
 
@@ -456,8 +493,8 @@ def test_polish_fixed_point_is_where_every_round_would_end():
 
 def _reference_search(par, mu, budget):
     """maximize_fs with no screen, no skip and no polish caches: every sample
-    drawn at once and valued by _batch_values, the earliest that beats the
-    seeds kept, then _reference_polish."""
+    drawn at once and valued by _values with float64 angles, the earliest
+    that beats the seeds kept, then _reference_polish."""
     mu = _scalar_mu(mu)
     if isinstance(mu, complex):
         bound, seeds = bound_complex(par, mu), [extremal_config(par, 1), extremal_config(par, 3)]
@@ -470,16 +507,14 @@ def _reference_search(par, mu, budget):
     p, q = seeds[values.index(best_v)]
     k = budget.max_atoms
     rng = np.random.Generator(np.random.SFC64(budget.seed))
-    draws = rng.random((budget.n_samples, 2, 1 + 2 * k))
-    (pw, pt), (qw, qt) = (_sample_columns(draws[:, s].T, k) for s in (0, 1))
+    u = rng.random((budget.n_samples, 2, 1 + 2 * k)).transpose(1, 2, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _batch_values(coef, mu, pw, pt, qw, qt)
+        values = _values(_folded(coef, mu), u, k, np.float64)
     top = np.fmax.reduce(values)
     if top > best_v:
         i = np.flatnonzero(values == top)[0]
         best_v = float(top)
-        p, q = (HerglotzMeasure([(a, b) for a, b in zip(w[:, i], t[:, i]) if a > 0.0])
-                for w, t in ((pw, pt), (qw, qt)))
+        p, q = (_plain_measure(side[:, i], k) for side in u)
     member = member_from_pq(par, p, q)
     value = abs(fs_functional(member, mu))
     evals = len(seeds) + budget.n_samples
@@ -514,6 +549,30 @@ def test_search_is_the_plain_reference_search():
                 n += 1
                 assert maximize_fs(par, mu, budget) == _reference_search(par, mu, budget), (par, mu, budget)
     assert n == 84
+
+
+def test_polish_starts_from_the_exact_maximum(monkeypatch):
+    # the incumbent value the polish must beat is the float64 exact pass's
+    # maximum over every sample, bitwise, where that beats the seeds; a
+    # rough value there would let a sample just below the seeds replace them
+    started = []
+
+    def polish(coef, mu, sides, best_v, rounds):
+        started.append(best_v)
+        return 0
+
+    monkeypatch.setattr(fslab.search, "_polish", polish)
+    beaten = 0
+    for par, mu in ((ClassParams(0.0, 0.0, 0.6, 0.0), complex(0.8, 0.3)),
+                    (ClassParams(0.3, 0.1, 0.2, 0.1), complex(-0.4, 1.3)), (P0, 0.5)):
+        for k, seed in ((1, 3), (3, 7), (4, 11)):
+            maximize_fs(par, mu, SearchBudget(n_samples=3000, n_refine=1, max_atoms=k, seed=seed))
+            u = np.random.Generator(np.random.SFC64(seed)).random((3000, 2, 1 + 2 * k)).transpose(1, 2, 0)
+            top = float(np.fmax.reduce(_values(_folded(_coefficients(par), mu), u, k, np.float64)))
+            floor = _seeded_floor(par, mu)
+            beaten += top > floor
+            assert started.pop() == max(top, floor), (par, mu, k)
+    assert 0 < beaten < 9
 
 
 def test_polish_at_the_witness_makes_one_round(monkeypatch):
@@ -698,13 +757,10 @@ def test_exact_tie_keeps_the_earliest_sample(monkeypatch, chunk):
         [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [ta, tb], [tb, ta]],
         [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.125, 0.125], [0.0, 0.0]],
     ])
-    (pw, pt), (qw, qt) = (_sample_columns(side, 2) for side in u)
-    assert np.array_equal(pw, [[a[0], b[0]], [b[0], a[0]]])  # (atoms, samples)
-    assert np.array_equal(pt, [[a[1], b[1]], [b[1], a[1]]])
-    assert np.array_equal(qw, [[1.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(qt[0], [math.pi / 4, math.pi / 4])
-    coef = _coefficients(par)
-    v0, v1 = _batch_values(coef, mu, pw, pt, qw, qt)
+    assert _measure(u[0, :, 0], 2).atoms == (a, b)
+    assert _measure(u[0, :, 1], 2).atoms == (b, a)
+    assert _measure(u[1, :, 0], 2).atoms == _measure(u[1, :, 1], 2).atoms == ((1.0, math.pi / 4),)
+    v0, v1 = _values(_folded(_coefficients(par), mu), u, 2, np.float64)
     assert v0 == v1 > _seeded_floor(par, mu)
     drawn = 0
 
