@@ -194,10 +194,9 @@ def bound_real(params: ClassParams, mu: float) -> BoundReport:
     mu = _scalar_mu(mu)
     if isinstance(mu, complex):
         raise DomainError("bound_real takes real mu; use bound_complex")
-    _check_finite(mu)
     bps = breakpoints(params)
     case_id = _case_id(mu, bps)
-    scaled = branch_value(params, mu, case_id)
+    scaled = _branch(params, _rho(params, mu), case_id)
     return BoundReport(
         mu=mu,
         case_id=case_id,

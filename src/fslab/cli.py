@@ -14,7 +14,8 @@ JSON outputs carry a schema version field "format": 1. CSV uses '.' decimals,
 17 significant digits, and plain newline line endings regardless of locale.
 sweep's CSV is byte for byte "%.17g" per value: values with 1e-4 <= |v| < 1e17
 go through an exact 17-digit conversion in numpy, and rows with any other
-value fall back to per-row %-formatting. sweep writes CSV and JSON in blocks.
+value, or with one a few ulps below a power of ten, fall back to per-row
+%-formatting. sweep writes CSV and JSON in blocks.
 Exit codes: 0 success, 1 usage, 2 domain error, 3 verification failure.
 verify exits 3 wherever the search beats the bound beyond tolerance; for real
 mu on the known case-3/4 window with alpha > 0 that is the expected outcome
@@ -57,7 +58,7 @@ _MAX_STEPS = 1_000_000
 # stays flat in --steps.
 _SWEEP_BLOCK = 32_768
 
-# Bytes of one float field in _csv_fields: a sign, 21 (character, point) pairs
+# Bytes of one float field in _csv_rows: a sign, 21 (character, point) pairs
 # and 3 separator bytes.
 _CSV_FIELD = 46
 
@@ -280,12 +281,9 @@ def _scaled_round(a: np.ndarray, exp: np.ndarray, pow10: np.ndarray) -> np.ndarr
 def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where 1e-4 <= |v| < 1e17, "%.17g" % v is fixed notation: the 17-digit
     integer D = round(|v| 10**(16 - X)) placed by the decimal exponent X.
-    Returns that mask, X (int8) and D's digits (17 rows of ASCII, the most
-    significant first) for each v in x; X and D mean nothing off the mask.
-
-    X starts as floor(log10 |v|), which can be one off next to a power of
-    ten; D then falls outside [10**16, 10**17), and the neighbouring
-    exponent is tried.
+    Returns the mask of the v where X = floor(log10 |v|) gives such a D (it
+    misses a few ulps below a power of ten), X (int8) and D's digits (17 rows
+    of ASCII, the most significant first); X and D mean nothing off the mask.
     """
     digit_table, pow10 = _csv_tables()
     a = np.abs(x)
@@ -294,11 +292,7 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a[~ok] = 1.0
     exp = np.clip(np.floor(np.log10(a)).astype(np.int8), -4, 16)
     d = _scaled_round(a, exp, pow10)
-    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
-    if off.size:
-        exp[off] = np.clip(exp[off] + np.where(d[off] < 10**16, -1, 1), -4, 16)
-        d[off] = _scaled_round(a[off], exp[off], pow10)
-        ok &= (d >= 10**16) & (d < 10**17)
+    ok &= (d >= 10**16) & (d < 10**17)
     # a leading digit, then four groups of four through the table
     high, low = np.divmod(d, 10**8)
     high = high.astype(float)
@@ -313,17 +307,19 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ok, exp, digits
 
 
-def _csv_fields(mu, case_id, value, scaled, complex_bound) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes of the CSV rows at fixed offsets, NUL where unused, one
-    column of _CSV_FIELD bytes per float in row-major order, and the rows
-    left to %-formatting, each reduced to a single 0x01 byte.
+def _csv_rows(mu, case_id, value, scaled, complex_bound) -> str:
+    """The CSV lines of the given columns, byte for byte what
+    "%.17g,%d,%.17g,%.17g,%.17g" % row plus a newline gives for each row.
 
-    A float field is its sign, then characters E_0..E_20 = "0000" and
-    _decimal17's digits, each followed by a possible point. The units digit
-    is E_{4+X}; the field shows E_j for 4 + min(X, 0) <= j < 4 + max(k, X + 1),
-    where the last nonzero digit is the k-th, and a point after the units
-    digit when characters follow it. That drops trailing fractional zeros and
-    a bare point, as %g does. Case ids are 1..4, one digit each.
+    Each row fills a slot of 4 _CSV_FIELD bytes, NUL where unused, one field
+    per float. A float field is its sign, then characters
+    E_0..E_20 = "0000" and _decimal17's digits, each followed by a possible
+    point. The units digit is E_{4+X}; the field shows E_j for
+    4 + min(X, 0) <= j < 4 + max(k, X + 1), where the last nonzero digit is
+    the k-th, and a point after the units digit when characters follow it.
+    That drops trailing fractional zeros and a bare point, as %g does. Case
+    ids are 1..4, one digit each. A row with a value off _decimal17's mask is
+    %-formatted into its slot instead.
     """
     n = mu.size
     x = np.stack((mu, value, scaled, complex_bound), axis=1).ravel()
@@ -348,27 +344,13 @@ def _csv_fields(mu, case_id, value, scaled, complex_bound) -> tuple[np.ndarray, 
     rows[44, :, 0] = case_id + ord("0")
     rows[45, :, 0] = ord(",")
     slow = np.flatnonzero(~ok.reshape(n, 4).all(axis=1))
-    rows[:, slow] = 0
-    rows[0, slow, 0] = 1
-    return text, slow
-
-
-def _csv_rows(mu, case_id, value, scaled, complex_bound) -> str:
-    """The CSV lines of the given columns, byte for byte what
-    "%.17g,%d,%.17g,%.17g,%.17g" % row plus a newline gives for each row:
-    laid out by _csv_fields where _decimal17 applies to the whole row, and
-    %-formatted in place elsewhere."""
-    text, slow = _csv_fields(mu, case_id, value, scaled, complex_bound)
-    out = text.T.tobytes().translate(None, b"\0").decode("ascii")
-    if not slow.size:
-        return out
-    pieces, at = [], 0
-    for row in zip(*(col[slow].tolist() for col in (mu, case_id, value, scaled, complex_bound))):
-        mark = out.index("\x01", at)
-        pieces += out[at:mark], "%.17g,%d,%.17g,%.17g,%.17g\n" % row
-        at = mark + 1
-    pieces.append(out[at:])
-    return "".join(pieces)
+    cols = (mu, case_id, value, scaled, complex_bound)
+    lines = ["%.17g,%d,%.17g,%.17g,%.17g\n" % r for r in zip(*(c[slow].tolist() for c in cols))]
+    # at most 102 bytes (four 24-byte floats like -2.2250738585072014e-308, the case
+    # digit, four commas and a newline): the "S" dtype NUL-pads each row to its 184-byte slot
+    slots = np.array(lines, f"S{4 * _CSV_FIELD}").view(np.uint8).reshape(-1, 4, _CSV_FIELD)
+    rows[:, slow] = slots.transpose(2, 0, 1)
+    return text.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

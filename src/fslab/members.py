@@ -58,8 +58,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
+from numbers import Real
 from operator import mul
 from typing import Sequence
 
@@ -100,8 +101,10 @@ class ClassParams:
 
     def __post_init__(self) -> None:
         vals = (self.lam, self.delta, self.alpha, self.beta)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals):
-            raise DomainError(f"parameters must be finite reals, got {vals!r}")
+        for field, v in zip(fields(self), vals):
+            if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+                raise DomainError(f"parameters must be finite reals, got {vals!r}")
+            object.__setattr__(self, field.name, float(v))
         if not (0.0 <= self.delta <= self.lam <= 1.0):
             raise DomainError(
                 f"need 0 <= delta <= lam <= 1, got lam={self.lam}, delta={self.delta}"

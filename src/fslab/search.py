@@ -62,9 +62,14 @@ chunk's exact maximum M has rough >= M - E >= m - 2 E, and rough > best_v - E
 if M > best_v: whenever M can replace the incumbent, every sample reaching
 it is kept. When M <= best_v no kept sample can replace it either, since the
 incumbent changes only on a strictly larger value; a chunk with m < best_v - E
-keeps no sample and skips the exact pass. When m is not finite (an
-overflowing mu) every sample is kept. _values is elementwise, so every
-search result is bitwise that of the unscreened exact pass.
+keeps no sample and skips the exact pass. When m is not finite every sample
+is kept. maximize_fs never reaches that rule with an overflow, since wherever
+the rough values overflow the bound overflows first and the search raises
+DomainError; it is the NaN guard. One NaN sample makes m NaN, and rough >=
+max(nan, ...) keeps nothing, so the threshold alone would skip the chunk
+silently where the exact pass's np.fmax still finds its largest value.
+_values is elementwise, so every search result is bitwise that of the
+unscreened exact pass.
 
 Determinism contract: the random phase reads one stream,
 np.random.Generator(np.random.SFC64(seed)), with a fixed layout of

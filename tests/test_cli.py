@@ -305,6 +305,18 @@ def test_csv_rows_match_percent_formatting_on_edge_families():
         _check_csv_rows([0.5, v, 2.5])
 
 
+def test_csv_rows_longest_fallback_row_fits_its_slot():
+    # no float prints longer than these 24 characters under %.17g, so a
+    # %-formatted row has at most 102 bytes and fits its 184-byte slot whole
+    longest = (-2.2250738585072014e-308, 4, -1.7976931348623157e308,
+               -4.9406564584124654e-324, -1.2345678901234567e-300)
+    assert {len("%.17g" % v) for v in longest[:1] + longest[2:]} == {24}
+    assert len(_ROW_FORMAT % longest) == 102 <= 4 * fslab.cli._CSV_FIELD
+    rows = [(0.5, 1, 0.25, 0.75, 1.5), longest, (2.5, 2, 0.125, 0.375, 3.5)]
+    cols = [np.array(c) for c in zip(*rows)]
+    assert fslab.cli._csv_rows(*cols) == "".join(_ROW_FORMAT % r for r in rows)
+
+
 def _sweep_argvs():
     """(kind, argv) of random sweeps; kinds 0 and 2 have rows on both sides
     of the formatter's fast path, kind 1 only rows off it."""

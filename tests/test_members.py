@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,8 @@ from fslab import (
     DomainError,
     HerglotzMeasure,
     NearSingular,
+    bound_complex,
+    bound_real,
     denominators,
     fs_functional,
     herglotz_coeffs,
@@ -74,6 +76,27 @@ def test_params_scale_factors():
 def test_params_validation(bad):
     with pytest.raises(DomainError):
         ClassParams(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(True, False, 0.0, 0.0), (0.5, 0.0, np.bool_(False), 0.0), ("0.5", 0, 0, 0), (0.5j, 0, 0, 0), (None, 0, 0, 0)],
+)
+def test_params_reject_non_reals(bad):
+    # a bool is an int to Python, but not a parameter
+    with pytest.raises(DomainError, match="parameters must be finite reals"):
+        ClassParams(*bad)
+
+
+def test_params_store_numpy_reals_as_float():
+    par = ClassParams(np.float32(0.5), np.int64(0), np.float64(0.3), np.float16(0.25))
+    plain = ClassParams(0.5, 0.0, 0.3, 0.25)
+    assert par == plain and repr(par) == repr(plain)
+    assert all(type(v) is float for v in astuple(par))
+    assert ClassParams(np.int64(1), 1, 0, 0) == ClassParams(1.0, 1.0, 0.0, 0.0)
+    for mu in (-1.5, 0.7, 2.0, 40.0):
+        assert bound_real(par, mu) == bound_real(plain, mu)
+        assert bound_complex(par, complex(mu, 1.0)) == bound_complex(plain, complex(mu, 1.0))
 
 
 # ----- measures -----

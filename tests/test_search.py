@@ -336,8 +336,9 @@ def test_atom_mask_is_the_atom_count(max_atoms):
 
 def _screen_chunks(rng, max_atoms):
     """A drawn chunk of uniforms, its first 7 samples repeated (exact ties),
-    and one sample with its angle draws shifted together, whose values agree
-    to the last few bits (rotation leaves |a_3 - mu a_2**2| unchanged)."""
+    one sample with its angle draws shifted together, whose values agree
+    to the last few bits (rotation leaves |a_3 - mu a_2**2| unchanged), and
+    16 samples one of which has a NaN angle, so the rough maximum is NaN."""
     u = _draw_chunk(rng, 2048, max_atoms)
     yield u
     yield u[:, :, np.arange(2048) % 7]
@@ -345,6 +346,9 @@ def _screen_chunks(rng, max_atoms):
     one = np.repeat(u[:, :, :1], shift.size, axis=2)
     one[:, 1 + max_atoms :] = np.mod(one[:, 1 + max_atoms :] + shift, 1.0)
     yield one
+    nan = u[:, :, :16].copy()
+    nan[0, 1 + max_atoms, 5] = math.nan  # p's first angle, an atom every sample uses
+    yield nan
 
 
 def _incumbents(top, slack):
@@ -391,8 +395,8 @@ def test_screen_picks_the_unscreened_winner():
                             assert np.array_equal(kept[got == top], winners), (par, mu, k, best_v)
                         else:
                             assert not (got > best_v).any(), (par, mu, k, best_v)
-    # every rule was reached: the overflowing mu kept every sample, chunks
-    # far below the incumbent skipped the exact pass
+    # every rule was reached: the overflowing mu and the NaN sample kept
+    # every sample, chunks far below the incumbent skipped the exact pass
     assert kept_all > 0 and skipped > 0 and replaced > 0
 
 
