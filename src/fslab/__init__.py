@@ -12,7 +12,6 @@ from .bounds import (
     bound_complex,
     bound_real,
     bound_sharp,
-    branch_value,
     breakpoints,
     caratheodory_bound,
     coeff_bounds,
@@ -70,7 +69,6 @@ __all__ = [
     "bound_complex",
     "bound_real",
     "bound_sharp",
-    "branch_value",
     "breakpoints",
     "caratheodory_bound",
     "coeff_bounds",

@@ -100,8 +100,6 @@ def _check_finite(mu) -> None:
 def _rho(params: ClassParams, mu):
     """rho = mu sigma / tau**2: real mu after passing to the second-order
     transform (defined for finite real mu only, a float or an array)."""
-    if isinstance(mu, complex):
-        raise DomainError("rho substitution is defined for real mu only")
     _check_finite(mu)
     return mu * params.sigma / params.tau**2
 
@@ -164,20 +162,6 @@ def _branch(params: ClassParams, rho, case_id: int):
     if case_id == 3:
         return big_b
     return -big_a * big_b + 3.0 * rho * big_c**2
-
-
-def branch_value(params: ClassParams, mu: float, case_id: int) -> float:
-    """Evaluate one branch formula (scaled form) regardless of mu's range.
-
-    Exposed so continuity at the breakpoints can be checked by evaluating
-    both adjacent branches at the same point. case 2 requires mu != 0.
-    """
-    if case_id not in (1, 2, 3, 4):
-        raise DomainError(f"case_id must be 1..4, got {case_id}")
-    rho = _rho(params, _scalar_mu(mu))
-    if case_id == 2 and rho == 0.0:
-        raise DomainError("the middle branch is undefined at mu = 0")
-    return _branch(params, rho, case_id)
 
 
 def bound_real(params: ClassParams, mu: float) -> BoundReport:

@@ -102,7 +102,11 @@ class ClassParams:
     def __post_init__(self) -> None:
         vals = (self.lam, self.delta, self.alpha, self.beta)
         for field, v in zip(fields(self), vals):
-            if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+            try:
+                ok = not isinstance(v, bool) and isinstance(v, Real) and math.isfinite(v)
+            except OverflowError:  # an int or a Fraction past the float range
+                ok = False
+            if not ok:
                 raise DomainError(f"parameters must be finite reals, got {vals!r}")
             object.__setattr__(self, field.name, float(v))
         if not (0.0 <= self.delta <= self.lam <= 1.0):

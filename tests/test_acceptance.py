@@ -40,7 +40,6 @@ from fslab import (
     bound_complex,
     bound_real,
     bound_sharp,
-    branch_value,
     breakpoints,
     caratheodory_bound,
     fs_functional,
@@ -51,6 +50,7 @@ from fslab import (
     sharpness_residual,
     transform_spotcheck,
 )
+from fslab.bounds import _branch, _rho
 
 P0 = ClassParams(0, 0, 0, 0)
 
@@ -92,7 +92,8 @@ def test_criterion_2():
         mu1, mu2, mu3 = breakpoints(par)
         ordered &= 0.0 < mu1 < mu2 < mu3
         for mu, lo, hi in ((mu1, 1, 2), (mu2, 2, 3), (mu3, 3, 4)):
-            worst = max(worst, abs(branch_value(par, mu, lo) - branch_value(par, mu, hi)))
+            rho = _rho(par, mu)
+            worst = max(worst, abs(_branch(par, rho, lo) - _branch(par, rho, hi)))
     ok = ordered and worst <= 1e-9
     elapsed = _report(2, "branch-continuity", ok, t0)
     assert ok, f"ordered={ordered}, worst breakpoint mismatch {worst}"

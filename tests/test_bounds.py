@@ -18,7 +18,6 @@ from fslab import (
     bound_complex,
     bound_real,
     bound_sharp,
-    branch_value,
     breakpoints,
     caratheodory_bound,
     coeff_bounds,
@@ -29,7 +28,7 @@ from fslab import (
     starlike_from_q,
     starlike_fs_bound,
 )
-from fslab.bounds import _grid_bounds, _psi
+from fslab.bounds import _branch, _grid_bounds, _psi, _rho
 
 P0 = ClassParams(0, 0, 0, 0)
 PMIX = ClassParams(0.5, 0.25, 0.25, 0.5)
@@ -100,7 +99,7 @@ def test_bound_real_rejects_bad_mu():
 def test_numpy_complex_mu_is_rejected_not_projected(mu):
     # a numpy complex scalar is complex, as Python's complex is, even with a
     # zero imaginary part: no real route drops the imaginary part
-    for route in (bound_real, bound_sharp, lambda par, m: branch_value(par, m, 1)):
+    for route in (bound_real, bound_sharp):
         with pytest.raises(DomainError):
             route(P0, mu)
     with pytest.raises(DomainError):
@@ -113,18 +112,9 @@ def test_numpy_real_mu_is_its_float():
     for mu in np.linspace(-1, 3, 41, dtype=np.float32):
         x = float(mu)
         assert bound_real(PMIX, mu) == bound_real(PMIX, x)
+        assert type(bound_real(PMIX, mu).scaled_value) is float
         assert bound_sharp(PMIX, mu) == bound_sharp(PMIX, x)
-        for case_id in (1, 2, 3, 4) if x else (1, 3, 4):
-            got = branch_value(PMIX, mu, case_id)
-            assert type(got) is float and got == branch_value(PMIX, x, case_id)
         assert starlike_fs_bound(0.5, mu) == starlike_fs_bound(0.5, x)
-
-
-def test_branch_value_validation():
-    with pytest.raises(DomainError):
-        branch_value(P0, 0.5, 5)
-    with pytest.raises(DomainError):
-        branch_value(P0, 0.0, 2)
 
 
 def test_branch_continuity_random_params():
@@ -133,8 +123,9 @@ def test_branch_continuity_random_params():
         par = random_params(rng)
         mu1, mu2, mu3 = breakpoints(par)
         for mu, lo, hi in [(mu1, 1, 2), (mu2, 2, 3), (mu3, 3, 4)]:
-            a = branch_value(par, mu, lo)
-            b = branch_value(par, mu, hi)
+            rho = _rho(par, mu)
+            a = _branch(par, rho, lo)
+            b = _branch(par, rho, hi)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
@@ -293,10 +284,11 @@ def test_coeff_bounds_examples():
 
 def test_functional_params_rho():
     # at alpha = beta = 0 case 1 reads A*B - 3 rho C**2 = 9 - 12 rho
-    rho = (9.0 - branch_value(ClassParams(0.5, 0.25, 0, 0), 0.5, 1)) / 12.0
+    par = ClassParams(0.5, 0.25, 0, 0)
+    rho = (9.0 - _branch(par, _rho(par, 0.5), 1)) / 12.0
     assert abs(rho - 0.5) < 1e-15  # sigma == tau**2
     with pytest.raises(DomainError):
-        branch_value(P0, 1j, 1)
+        bound_real(P0, 1j)
 
 
 # ----- quadratic functional over positive-real-part functions -----

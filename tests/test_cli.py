@@ -660,6 +660,10 @@ _EDGE_COMMANDS = [
     ("sharp", "--mu", "1e16"),
     ("bound", "--complex", "--mu", "1e308+1e308i"),
     ("bound", "--complex", "--alpha", "0.5", "--beta", "0.5", "--mu", "1e308+1e308i"),
+    # mu = mu2 at 1 - alpha = 2.6e-8, where roundoff in case 2's c_1 reaches -8.6e-9
+    ("sharp", "--lambda", "0.3950893773108496", "--alpha", "0.9999999736028787", "--mu", "0.7247970314550558"),
+    ("verify", "--samples", "200", "--lambda", "0.3950893773108496", "--alpha", "0.9999999736028787",
+     "--mu", "0.7247970314550558"),
 ]
 
 
@@ -669,6 +673,8 @@ def test_domain_edges(capsys, argv):
     # traceback, so it fails this test by escaping
     code, out, err = run(capsys, *argv)
     assert code in (0, 2, 3), err
+    if code == 2:  # the one domain error an edge input may meet
+        assert err.startswith("domain error: the bound overflows at mu = "), err
     assert "Traceback" not in err
     assert not re.search(r"\bnan\b", out, re.IGNORECASE), out
 

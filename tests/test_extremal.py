@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fslab import (
     ClassParams,
     DomainError,
     HerglotzMeasure,
+    SearchBudget,
     bound_real,
     bound_sharp,
     breakpoints,
@@ -23,6 +25,7 @@ from fslab import (
     fs_functional,
     herglotz_coeffs,
     libera_transform,
+    maximize_fs,
     membership_spotcheck,
     sharp_witness,
     sharpness_residual,
@@ -294,9 +297,20 @@ def test_boundary_measure_coefficients(zeta):
         assert abs(c2 - (2.0 * x * x + 2.0 * (1.0 - x * x) * zeta)) <= 4e-15, x
 
 
+# a 1 - alpha of 2.6e-8 puts roundoff of -8.6e-9 into case 2's c_1 at mu = mu2
+NEAR_ONE = ClassParams(0.3950893773108496, 0.0, 0.9999999736028787, 0.0)
+
+
 def test_case2_measure_is_the_written_out_weight():
     rng = np.random.default_rng(101)
-    for par in (P0, *EDGE_PARAMS, *(random_params(rng) for _ in range(50))):
+    # near alpha = 1, where 1/(1 - alpha) amplifies the roundoff in c_1
+    edge_rng = np.random.default_rng(102)
+    near_one = [
+        replace(random_params(edge_rng), alpha=1.0 - eps)
+        for eps in (1e-8, 1e-12, 2.0**-52)
+        for _ in range(10)
+    ]
+    for par in (P0, *EDGE_PARAMS, *(random_params(rng) for _ in range(50)), NEAR_ONE, *near_one):
         mu1, mu2, _ = breakpoints(par)
         for mu in (mu1, mu2, *map(float, rng.uniform(mu1, mu2, 20))):
             t2, s3 = par.tau**2, 3.0 * par.sigma
@@ -306,6 +320,16 @@ def test_case2_measure_is_the_written_out_weight():
             p, q = extremal_config(par, 2, mu)
             assert p.atoms == HerglotzMeasure(want).atoms, (par, mu)
             assert q.atoms == ((1.0, 0.0),)
+
+
+def test_case2_witness_near_alpha_one():
+    mu = breakpoints(NEAR_ONE)[1]
+    assert mu == 0.7247970314550558 and bound_real(NEAR_ONE, mu).case_id == 2
+    assert abs(sharpness_residual(NEAR_ONE, mu)) <= 1e-8
+    bound = bound_sharp(NEAR_ONE, mu)
+    assert abs(bound - abs(fs_functional(sharp_witness(NEAR_ONE, mu, order=3), mu))) <= 1e-12
+    result = maximize_fs(NEAR_ONE, mu, SearchBudget(n_samples=200, n_refine=1))
+    assert result.bound == bound_real(NEAR_ONE, mu).value and result.attained
 
 
 # ----- transform -----

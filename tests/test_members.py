@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,10 +81,14 @@ def test_params_validation(bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [(True, False, 0.0, 0.0), (0.5, 0.0, np.bool_(False), 0.0), ("0.5", 0, 0, 0), (0.5j, 0, 0, 0), (None, 0, 0, 0)],
+    [
+        (True, False, 0.0, 0.0), (0.5, 0.0, np.bool_(False), 0.0), ("0.5", 0, 0, 0), (0.5j, 0, 0, 0),
+        (None, 0, 0, 0), (10**400, 0, 0, 0), (0.5, 0, Fraction(-(10**400)), 0),
+    ],
 )
 def test_params_reject_non_reals(bad):
-    # a bool is an int to Python, but not a parameter
+    # a bool is an int to Python, but not a parameter; an int or a Fraction
+    # past the float range is not finite as a float
     with pytest.raises(DomainError, match="parameters must be finite reals"):
         ClassParams(*bad)
 
