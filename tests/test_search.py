@@ -6,6 +6,13 @@ import cmath
 import dataclasses
 import functools
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,7 +248,7 @@ def _screen_draws():
     """2**17 samples' uniforms for MAX_ATOMS atoms as the search draws them:
     2**20 angles."""
     rng = np.random.Generator(np.random.Philox(key=2024))
-    return _draw_chunk(rng, 2**17, MAX_ATOMS)
+    return _draw_chunk(rng, 2**17, MAX_ATOMS)[0]
 
 
 def _f32_rounding_points():
@@ -339,7 +346,7 @@ def _screen_chunks(rng, max_atoms):
     one sample with its angle draws shifted together, whose values agree
     to the last few bits (rotation leaves |a_3 - mu a_2**2| unchanged), and
     16 samples one of which has a NaN angle, so the rough maximum is NaN."""
-    u = _draw_chunk(rng, 2048, max_atoms)
+    u, _ = _draw_chunk(rng, 2048, max_atoms)
     yield u
     yield u[:, :, np.arange(2048) % 7]
     shift = np.linspace(0.0, 1.0, 512, endpoint=False)
@@ -398,6 +405,62 @@ def test_screen_picks_the_unscreened_winner():
     # every rule was reached: the overflowing mu and the NaN sample kept
     # every sample, chunks far below the incumbent skipped the exact pass
     assert kept_all > 0 and skipped > 0 and replaced > 0
+
+
+# ----- the workspace -----
+
+REFAULT_SEARCHES = textwrap.dedent("""
+    import resource
+    from fslab import ClassParams, SearchBudget, maximize_fs
+
+    tuples = [ClassParams(0.3, 0.1, 0.2, 0.1), ClassParams(1, 1, 0.95, 0.95), ClassParams(0, 0, 0.6, 0)]
+    mus = [0.5, 1.25, complex(1.25, 0.25), -3.0]
+
+    def search(i):
+        maximize_fs(tuples[i % 3], mus[i % 4], SearchBudget(max_atoms=1 + i % 4, seed=i))
+
+    for i in range(10):
+        search(i)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(10, 110):
+        search(i)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="measures glibc's heap on Linux")
+def test_search_does_not_refault_its_workspace():
+    # every chunk's arrays are carved from one block per search, which glibc
+    # serves from its heap, untrimmed, from the second search on; chunk
+    # temporaries freed at the top of the heap were trimmed and faulted back
+    # in, 100 to 170 minor faults per default search (module docstring)
+    src = str(Path(fslab.search.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", REFAULT_SEARCHES], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert float(out) <= 5.0
+
+
+def test_concurrent_searches_are_the_serial_ones():
+    # each search owns its workspace, and numpy releases the GIL inside
+    # ufuncs: two threads running the same searches in opposite orders get
+    # the serial results
+    tuples = (ClassParams(0.3, 0.1, 0.2, 0.1), ClassParams(1, 1, 0.95, 0.95))
+    mus = (1.25, complex(1.25, 0.25), complex(0.8, 0.3), -0.8)
+    sizes = (1, 2047, 2049, 6145)
+    jobs = [(tuples[i // 4 % 2], mus[i % 4], SearchBudget(sizes[i // 6], i % 4, 1 + i % 4, i)) for i in range(24)]
+    serial = [maximize_fs(*job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the Python parts too
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            forward = pool.submit(lambda: [maximize_fs(*job) for job in jobs])
+            backward = pool.submit(lambda: [maximize_fs(*job) for job in reversed(jobs)])
+            assert forward.result(timeout=60) == serial
+            assert backward.result(timeout=60) == serial[::-1]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ----- the polish -----
@@ -768,11 +831,11 @@ def test_exact_tie_keeps_the_earliest_sample(monkeypatch, chunk):
     assert v0 == v1 > _seeded_floor(par, mu)
     drawn = 0
 
-    def draw(rng, samples, max_atoms):
+    def draw(rng, samples, max_atoms, block):
         nonlocal drawn
         cols = slice(drawn, drawn + samples)
         drawn += samples
-        return u[:, :, cols]
+        return u[:, :, cols], block
 
     monkeypatch.setattr(fslab.search, "_draw_chunk", draw)
     monkeypatch.setattr(fslab.search, "_CHUNK", chunk)
