@@ -240,7 +240,7 @@ def bound_complex(params: ClassParams, mu: complex) -> float:
     equality at mu = 0. Sharpness for non-real mu is not claimed. A term
     that overflows makes the value inf, as in bound_real, never NaN.
     """
-    mu = complex(mu)
+    mu = complex(_scalar_mu(mu))
     if not (math.isfinite(mu.real) and math.isfinite(mu.imag)):
         raise DomainError(f"mu must be finite, got {mu!r}")
     try:

@@ -56,11 +56,12 @@ Intel Xeon virtual machine). member_from_pq stays the reference.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
-from numbers import Real
+from numbers import Complex, Real
 from operator import mul
 from typing import Sequence
 
@@ -283,8 +284,11 @@ def member_from_pq(
 
 
 def _scalar_mu(mu) -> float | complex:
-    """The one real-or-complex test of a scalar mu: complex (numpy's too), else float."""
-    return complex(mu) if isinstance(mu, (complex, np.complexfloating)) else float(mu)
+    """The one real-or-complex test of mu: complex (numpy's too), float, or DomainError."""
+    if isinstance(mu, Complex) and not isinstance(mu, (bool, np.bool_)):
+        with contextlib.suppress(OverflowError):  # an int or a Fraction past the float range
+            return complex(mu) if isinstance(mu, (complex, np.complexfloating)) else float(mu)
+    raise DomainError(f"mu must be a real or complex number in the float range, got {mu!r}")
 
 
 def fs_functional(member: ClassMember, mu: complex) -> complex:

@@ -71,18 +71,8 @@ silently where the exact pass's np.fmax still finds its largest value.
 _values is elementwise, so every search result is bitwise that of the
 unscreened exact pass.
 
-Workspace: each search allocates one float64 block, about 1.3 MiB at
-max_atoms = 3 (1.6 MiB at 4), and _carve cuts every chunk's arrays from it:
-the uniforms, their draw, the kept columns and every work array of _values,
-all written with out=, so a chunk allocates nothing large. One block, not
-one array per buffer: glibc maps each allocation above its 128 KiB mmap
-threshold afresh, and unmapping one raises that threshold to its size and
-the trim threshold to twice that, so from the second search on the block
-comes from the heap and stays there. Chunk temporaries freed at the top of
-the heap were trimmed and faulted back in on every chunk: 100 to 170 minor
-faults per default search, against about 0.3 with the block. The block is a
-local of maximize_fs, never cached or shared: numpy releases the GIL inside
-ufuncs, so concurrent searches must not share scratch memory.
+Memory: each chunk allocates its own arrays; the package's import-time
+allocator warm-up (:mod:`fslab`) keeps glibc from refaulting them per chunk.
 
 Determinism contract: the random phase reads one stream,
 np.random.Generator(np.random.SFC64(seed)), with a fixed layout of
@@ -134,9 +124,9 @@ ATTAINED_RTOL = 1e-6
 # Golden-section interval contraction threshold.
 REFINE_TOL = 1e-10
 
-# Random samples per kernel call. It sizes the search's workspace and nothing
-# else: the stream layout fixes every sample's draws. Chunks of 1,024 to
-# 10,000 samples were no faster.
+# Random samples per kernel call. It bounds the kernel's working memory, which
+# must stay below the allocator warm-up's thresholds (:mod:`fslab`), and
+# nothing else: the stream layout fixes every sample's draws.
 _CHUNK = 2048
 
 # Bound eps on |z~ - z| for the screen's float32 unit numbers, with a factor
@@ -187,84 +177,47 @@ class SearchResult:
         return self.margin <= ATTAINED_RTOL * self.bound
 
 
-def _used(u0: np.ndarray, max_atoms: int, out=None, scaled=None) -> np.ndarray:
-    """Slot j < the atom count, uniform in 1..max_atoms: u0 max_atoms >= j
-    (into out, with u0 max_atoms into scaled, if given)."""
-    scaled = np.multiply(u0, max_atoms, out=scaled)
-    return np.greater_equal(scaled, np.arange(float(max_atoms))[:, None], out=out)
+def _used(u0: np.ndarray, max_atoms: int) -> np.ndarray:
+    """Slot j < the atom count, uniform in 1..max_atoms: u0 max_atoms >= j."""
+    return u0 * max_atoms >= np.arange(float(max_atoms))[:, None]
 
 
-def _carve(block, *specs) -> tuple[np.ndarray, ...]:
-    """A view per (shape, dtype) in specs, end to end at 64-byte steps in the
-    float64 block (a new one if block is None), then the rest of block."""
-    sizes = [-(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 8 for shape, dtype in specs]
-    block = np.empty(sum(sizes)) if block is None else block
-    views, start = [], 0
-    for (shape, dtype), size in zip(specs, sizes):
-        views.append(np.ndarray(shape, dtype, block, 8 * start))
-        start += size
-    return (*views, block[start:])
+def _draw_chunk(rng: np.random.Generator, samples: int, max_atoms: int) -> np.ndarray:
+    """The stream's next samples' uniforms, (2, 1 + 2 max_atoms, samples): p's, then q's."""
+    return np.ascontiguousarray(rng.random((samples, 2, 1 + 2 * max_atoms)).transpose(1, 2, 0))
 
 
-def _work(max_atoms: int, samples: int, unit) -> tuple:
-    """The (shape, dtype) of each work array of _values."""
-    k, n = max_atoms, samples
-    return (((3, 2, k, n), np.float64), ((3, 2, k, n), unit), ((2, k, n), np.bool_), ((2, 2, n), np.float64),
-            ((2, 2, n), np.complex128), ((3, n), np.complex128), ((n,), np.float64))
-
-
-def _draw_chunk(rng: np.random.Generator, samples: int, max_atoms: int, block=None) -> tuple[np.ndarray, ...]:
-    """The stream's next samples' uniforms, (2, 1 + 2 max_atoms, samples): p's,
-    then q's, at the start of block, and the rest of block (_carve)."""
-    shape = (2, 1 + 2 * max_atoms, samples)
-    u, rest = _carve(block, (shape, np.float64))
-    draw, _ = _carve(None if block is None else rest, ((samples, *shape[:2]), np.float64))
-    rng.random(out=draw)
-    np.copyto(u, draw.transpose(1, 2, 0))
-    return u, rest
-
-
-def _values(fold, u: np.ndarray, max_atoms: int, unit, block=None) -> np.ndarray:
+def _values(fold, u: np.ndarray, max_atoms: int, unit) -> np.ndarray:
     """|a_3 - mu a_2**2| per sample of uniforms u, fold from _folded, the
-    angles rounded to the dtype unit (module docstring), every work array
-    and the result carved from block (_carve)."""
+    angles rounded to the dtype unit (module docstring)."""
     k = max_atoms
-    work = _carve(block, *_work(k, u.shape[-1], unit))
-    (w, wx, wxy), (t, x, y), used, (sums, scale), cq, (s1, s2, s3), out, _ = work
+    w, wx, wxy = np.empty((3, 2, k, u.shape[-1]))  # one block: fewer page faults
     np.subtract(1.0, u[:, 1 : 1 + k], out=w)
-    w *= _used(u[:, :1], k, used, sums[:, None])
-    np.multiply(TWO_PI, u[:, 1 + k :], out=t, casting="same_kind")
-    np.cos(t, out=x)
-    np.sin(t, out=y)
-    np.divide(2.0, np.add.reduce(w, axis=1, out=scale), out=scale)
+    w *= _used(u[:, :1], k)
+    t = (TWO_PI * u[:, 1 + k :]).astype(unit, copy=False)
+    x, y = np.cos(t), np.sin(t)
+    scale = 2.0 / w.sum(axis=1)
+    cq = np.empty((2, *scale.shape), np.complex128)  # (c_1, q_1), (c_2, q_2)
     np.multiply(w, x, out=wx)
     w *= y  # w y
     np.multiply(wx, y, out=wxy)
-    np.multiply(np.add.reduce(wx, axis=1, out=sums), scale, out=cq[0].real)  # (c_1, q_1)
-    np.multiply(np.add.reduce(w, axis=1, out=sums), scale, out=cq[0].imag)
-    np.multiply(2.0, np.add.reduce(wxy, axis=1, out=sums), out=sums)
-    np.multiply(sums, scale, out=cq[1].imag)  # (c_2, q_2)
+    np.multiply(wx.sum(axis=1), scale, out=cq[0].real)
+    np.multiply(w.sum(axis=1), scale, out=cq[0].imag)
+    np.multiply(2.0 * wxy.sum(axis=1), scale, out=cq[1].imag)
     wx *= x
     w *= y
     wx -= w  # w x**2 - w y**2
-    np.multiply(np.add.reduce(wx, axis=1, out=sums), scale, out=cq[1].real)
+    np.multiply(wx.sum(axis=1), scale, out=cq[1].real)
     (c1, q1), (c2, q2) = cq
     d, e, a, b, c = fold
-    # d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2, in that order; no
-    # complex product is written over its input, where numpy may run another
-    # loop that rounds differently
-    np.add(np.multiply(d, c2, out=s1), np.multiply(e, q2, out=s2), out=s1)
-    np.add(np.multiply(a, q1, out=s2), np.multiply(b, c1, out=s3), out=s2)
-    np.add(s1, np.multiply(s2, q1, out=s3), out=s1)
-    np.add(s1, np.multiply(c, np.multiply(c1, c1, out=s2), out=s3), out=s1)
-    return np.abs(s1, out=out)
+    return np.abs(d * c2 + e * q2 + (a * q1 + b * c1) * q1 + c * (c1 * c1))
 
 
-def _screened(fold, slack: float, best_v: float, u: np.ndarray, max_atoms: int, block=None) -> np.ndarray:
+def _screened(fold, slack: float, best_v: float, u: np.ndarray, max_atoms: int) -> np.ndarray:
     """The chunk's samples for the exact pass: rough >= max(m - 2 E, best_v - E),
     E = slack, or all of them if m is not finite (module docstring)."""
     with np.errstate(all="ignore"):  # the exact pass reports, not the screen
-        rough = _values(fold, u, max_atoms, np.float32, block)
+        rough = _values(fold, u, max_atoms, np.float32)
         m = float(rough.max())
     if not math.isfinite(m):
         return np.arange(rough.size)
@@ -399,19 +352,13 @@ def maximize_fs(
     fold, slack = _folded(coef, mu), 8.0 * _SCREEN_EPS * (1.0 + abs(mu))  # slack is E
     rng = np.random.Generator(np.random.SFC64(budget.seed))
     k = budget.max_atoms
-    # one block per search, for a chunk's uniforms, then their draw or their
-    # kept columns and the exact pass's work arrays (module docstring)
-    chunk = ((2, 1 + 2 * k, _CHUNK), np.float64)
-    block = _carve(None, chunk, chunk, *_work(k, _CHUNK, np.float64))[-1].base  # _carve's new block
     left = budget.n_samples
     while left:
         size = min(_CHUNK, left)
-        u, rest = _draw_chunk(rng, size, k, block)
-        kept = _screened(fold, slack, best_v, u, k, rest)
+        u = _draw_chunk(rng, size, k)
+        kept = _screened(fold, slack, best_v, u, k)
         if kept.size:  # else no sample of the chunk can beat the incumbent
-            uk, rest = _carve(rest, ((*u.shape[:2], kept.size), np.float64))
-            # mode="raise" would gather into a new array first
-            values = _values(fold, np.take(u, kept, axis=2, out=uk, mode="clip"), k, np.float64, rest)
+            values = _values(fold, u[:, :, kept], k, np.float64)
             top = np.fmax.reduce(values)
             if top > best_v:
                 i = kept[np.flatnonzero(values == top)[0]]

@@ -15,6 +15,7 @@ from fslab import (
     ClassParams,
     DomainError,
     HerglotzMeasure,
+    SearchBudget,
     bound_complex,
     bound_real,
     bound_sharp,
@@ -23,6 +24,7 @@ from fslab import (
     coeff_bounds,
     fs_functional,
     herglotz_coeffs,
+    maximize_fs,
     member_from_pq,
     membership_spotcheck,
     starlike_from_q,
@@ -115,6 +117,16 @@ def test_numpy_real_mu_is_its_float():
         assert type(bound_real(PMIX, mu).scaled_value) is float
         assert bound_sharp(PMIX, mu) == bound_sharp(PMIX, x)
         assert starlike_fs_bound(0.5, mu) == starlike_fs_bound(0.5, x)
+
+
+@pytest.mark.parametrize("mu", [True, np.True_, "0.5", "1+2j", None, np.array(0.5), 10**400])
+@pytest.mark.parametrize("route", [bound_real, bound_sharp, bound_complex,
+                                   lambda par, mu: maximize_fs(par, mu, SearchBudget(n_samples=1))])
+def test_non_number_mu_is_a_domain_error(route, mu):
+    # as ClassParams does for its parameters: no bool, string, array or int
+    # past the float range is read as a number
+    with pytest.raises(DomainError, match="real or complex number"):
+        route(PMIX, mu)
 
 
 def test_branch_continuity_random_params():

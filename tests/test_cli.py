@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import re
 import shlex
 import subprocess
 import sys
+import textwrap
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -366,6 +368,42 @@ def test_sweep_output_is_one_formatting_per_row(capsys, monkeypatch, kind, argv,
     assert run(capsys, "sweep", *argv) == (0, csv, "")
     doc = json.dumps({"format": 1, "rows": [dict(zip(fslab.cli._SWEEP_COLUMNS, r)) for r in rows]})
     assert run(capsys, "sweep", *argv, "--output", "json") == (0, doc + "\n", "")
+
+
+REFAULT_SWEEPS = textwrap.dedent("""
+    import contextlib
+    import io
+    import resource
+    from fslab.cli import main
+
+    ranges = [("-2.0", "3.0"), ("-50.0", "50.0")]
+
+    def sweep(i):
+        lo, hi = ranges[i % 2]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--steps", "2001", "--mu-min", lo, "--mu-max", hi]) == 0
+
+    for i in range(10):
+        sweep(i)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(10, 110):
+        sweep(i)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="measures glibc's heap on Linux")
+def test_sweep_does_not_refault_its_heap():
+    # the package's import-time warm-up raises glibc's mmap and trim
+    # thresholds, so a sweep's row matrix and formatting temporaries stay on
+    # the heap between ops; without it they were trimmed and faulted back
+    # in, about 240 minor faults per op (fslab/__init__.py)
+    src = str(Path(fslab.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", REFAULT_SWEEPS], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert float(out) <= 5.0
 
 
 # ----- verify -----

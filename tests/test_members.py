@@ -338,7 +338,7 @@ def test_closed_form_matches_member_from_pq():
     worst = 0.0
     for par in tuples:
         coef = _coefficients(par)
-        u, _ = _draw_chunk(rng, 100, MAX_ATOMS)
+        u = _draw_chunk(rng, 100, MAX_ATOMS)
         ps, qs = ([_measure(side[:, i], MAX_ATOMS) for i in range(100)] for side in u)
         polish = [_c12([(w, cmath.exp(1j * t)) for w, t in m.atoms]) for m in ps + qs]
         for mu in (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2))):

@@ -248,7 +248,7 @@ def _screen_draws():
     """2**17 samples' uniforms for MAX_ATOMS atoms as the search draws them:
     2**20 angles."""
     rng = np.random.Generator(np.random.Philox(key=2024))
-    return _draw_chunk(rng, 2**17, MAX_ATOMS)[0]
+    return _draw_chunk(rng, 2**17, MAX_ATOMS)
 
 
 def _f32_rounding_points():
@@ -346,7 +346,7 @@ def _screen_chunks(rng, max_atoms):
     one sample with its angle draws shifted together, whose values agree
     to the last few bits (rotation leaves |a_3 - mu a_2**2| unchanged), and
     16 samples one of which has a NaN angle, so the rough maximum is NaN."""
-    u, _ = _draw_chunk(rng, 2048, max_atoms)
+    u = _draw_chunk(rng, 2048, max_atoms)
     yield u
     yield u[:, :, np.arange(2048) % 7]
     shift = np.linspace(0.0, 1.0, 512, endpoint=False)
@@ -407,7 +407,7 @@ def test_screen_picks_the_unscreened_winner():
     assert kept_all > 0 and skipped > 0 and replaced > 0
 
 
-# ----- the workspace -----
+# ----- memory -----
 
 REFAULT_SEARCHES = textwrap.dedent("""
     import resource
@@ -431,10 +431,10 @@ REFAULT_SEARCHES = textwrap.dedent("""
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                     reason="measures glibc's heap on Linux")
 def test_search_does_not_refault_its_workspace():
-    # every chunk's arrays are carved from one block per search, which glibc
-    # serves from its heap, untrimmed, from the second search on; chunk
-    # temporaries freed at the top of the heap were trimmed and faulted back
-    # in, 100 to 170 minor faults per default search (module docstring)
+    # the package's import-time warm-up raises glibc's mmap and trim
+    # thresholds, so every chunk's arrays come from the heap and stay there;
+    # without it chunk temporaries freed at the top of the heap were trimmed
+    # and faulted back in, about 100 minor faults per search (fslab/__init__.py)
     src = str(Path(fslab.search.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", REFAULT_SEARCHES], env=env, capture_output=True, text=True,
@@ -443,9 +443,9 @@ def test_search_does_not_refault_its_workspace():
 
 
 def test_concurrent_searches_are_the_serial_ones():
-    # each search owns its workspace, and numpy releases the GIL inside
-    # ufuncs: two threads running the same searches in opposite orders get
-    # the serial results
+    # a search shares no scratch memory with another, and numpy releases
+    # the GIL inside ufuncs: two threads running the same searches in
+    # opposite orders get the serial results
     tuples = (ClassParams(0.3, 0.1, 0.2, 0.1), ClassParams(1, 1, 0.95, 0.95))
     mus = (1.25, complex(1.25, 0.25), complex(0.8, 0.3), -0.8)
     sizes = (1, 2047, 2049, 6145)
@@ -831,11 +831,11 @@ def test_exact_tie_keeps_the_earliest_sample(monkeypatch, chunk):
     assert v0 == v1 > _seeded_floor(par, mu)
     drawn = 0
 
-    def draw(rng, samples, max_atoms, block):
+    def draw(rng, samples, max_atoms):
         nonlocal drawn
         cols = slice(drawn, drawn + samples)
         drawn += samples
-        return u[:, :, cols], block
+        return u[:, :, cols]
 
     monkeypatch.setattr(fslab.search, "_draw_chunk", draw)
     monkeypatch.setattr(fslab.search, "_CHUNK", chunk)
