@@ -50,22 +50,26 @@ SHARP_TOL = 1e-8
 # (about 0.45 s end to end at 1000), and nothing needs more.
 _MAX_ORDER = 1000
 
-# Largest --steps `sweep` accepts: about 1.5 s end to end at the cap as CSV
-# and 7.3 s as JSON, and a plot needs far fewer rows.
+# Largest --steps `sweep` accepts: about 1.2 s end to end at the cap as CSV
+# and 6.9 s as JSON, and a plot needs far fewer rows.
 _MAX_STEPS = 1_000_000
 
 # Rows `sweep` formats and writes at a time, CSV or JSON, so its memory
-# stays flat in --steps.
-_SWEEP_BLOCK = 32_768
+# stays flat in --steps. A block's arrays stay below the 2 MiB mmap threshold
+# of the allocator warm-up (:mod:`fslab`), so glibc keeps them on the heap:
+# 32,768-row blocks were mapped and faulted in afresh, about 33,000 minor
+# faults per 200,000-row sweep against 2 at 2,048 rows.
+_SWEEP_BLOCK = 2048
 
 # Bytes of one float field in _csv_rows: a sign, 21 (character, point) pairs
 # and 3 separator bytes.
 _CSV_FIELD = 46
 
 # Largest --samples and --refine `verify` accepts, which is more search than
-# a check needs: about 5 s end to end at the --samples cap, and at most about
-# 0.5 s at the --refine cap (about 0.3 s where the polish stops at its fixed
-# point within a few passes, as it usually does).
+# a check needs: about 2 s end to end at the --samples cap, and about 0.3 s at
+# the --refine cap where the polish stops at its fixed point within a few
+# passes, as it usually does (100 full passes over 4 + 4 atoms would be about
+# 82,000 evaluations at about 4.5 us, 0.6 s in all; estimated, not seen).
 _MAX_SAMPLES = 10_000_000
 _MAX_REFINE = 100
 

@@ -41,16 +41,21 @@ With u = 1 - alpha and v = 1 - beta,
     a_2 = (v q_1 + u c_1) / (2 tau)
     a_3 = (v (q_2 + v q_1**2) / 2 + u v c_1 q_1 + u c_2) / (3 sigma).
 
-_a2_a3 writes this closed form in complex arithmetic from the pairs
-(c_1, c_2), which _c12 sums over Python floats; the search's seeded floor
-(_pair_value, through herglotz_coeffs) and its polish read it. _folded is the
-same form with its constants folded, read over numpy arrays by both passes of
-the search's random phase, the screen and the exact pass. Each form stays
-where it keeps the results or is faster: with _folded in _fs_value, 200 of
-the first 300 verify benchmark results (seed 1) changed, best_value in 159,
-by up to 8.4e-10 relative and 138 of them lower; the screen written over
-_a2_a3 took 330 us against 205 us per 2,048-sample chunk of 3 atoms (2-vCPU
-Intel Xeon virtual machine). member_from_pq stays the reference.
+_side_value writes this closed form in complex arithmetic from the pairs
+(c_1, c_2), which _c12 sums over Python floats, one side at a time: _held
+gives the terms a side's pair puts in (u c_1 and u c_2 for p, b_2 = v q_1 and
+b_3 = v (q_2 + b_2 q_1) / 2 for q), and _side_value combines one side's pair
+with the other side's held terms, so the search's polish computes the terms of
+the side it does not move once per coordinate search. _fs_value is
+_side_value with q's terms held; the search's seeded floor (_pair_value,
+through herglotz_coeffs) reads it. _folded is the same form with its
+constants folded, read over numpy arrays by both passes of the search's
+random phase, the screen and the exact pass. Each form stays where it keeps
+the results or is faster: with _folded in _fs_value, 200 of the first 300
+verify benchmark results (seed 1) changed, best_value in 159, by up to
+8.4e-10 relative and 138 of them lower; the float32 screen written over
+_fs_value took about 195 us against 150 us per 2,048-sample chunk of 3 atoms
+(2-vCPU Intel Xeon virtual machine). member_from_pq stays the reference.
 """
 
 from __future__ import annotations
@@ -297,7 +302,7 @@ def fs_functional(member: ClassMember, mu: complex) -> complex:
 
 
 def _coefficients(params: ClassParams) -> tuple[float, float, float, float]:
-    """(u, v, 2 tau, 3 sigma), the constants of _a2_a3, once per search."""
+    """(u, v, 2 tau, 3 sigma), the constants of the closed form, once per search."""
     return 1.0 - params.alpha, 1.0 - params.beta, 2.0 * params.tau, 3.0 * params.sigma
 
 
@@ -311,14 +316,27 @@ def _c12(atoms):
     return 2.0 * c1, 2.0 * c2
 
 
-def _a2_a3(coef, c, q):
-    """(a_2, a_3) from _coefficients and the (c_1, c_2) pairs of p and q."""
-    u, v, two_tau, three_sigma = coef
-    (c1, c2), (q1, q2) = c, q
-    b2 = v * q1  # g = z + b_2 z**2 + b_3 z**3 + ...
-    b3 = v * (q2 + b2 * q1) / 2.0
-    uc1 = u * c1
-    return (b2 + uc1) / two_tau, (b3 + b2 * uc1 + u * c2) / three_sigma
+def _held(coef, side, pair):
+    """The terms of the closed form that one side's (c_1, c_2) pair gives:
+    (u c_1, u c_2) for p (side 0), (b_2, b_3) for q (side 1)."""
+    x1, x2 = pair
+    if not side:
+        u = coef[0]
+        return u * x1, u * x2
+    v = coef[1]
+    b2 = v * x1  # g = z + b_2 z**2 + b_3 z**3 + ...
+    return b2, v * (x2 + b2 * x1) / 2.0
+
+
+def _side_value(coef, mu: complex, side, pair, other):
+    """|a_3 - mu a_2**2| from one side's (c_1, c_2) pair and _held of the
+    other side's: a_2 = (b_2 + u c_1) / (2 tau), a_3 = (b_3 + b_2 u c_1 + u c_2) / (3 sigma)."""
+    if side:
+        (uc1, uc2), (b2, b3) = other, _held(coef, 1, pair)
+    else:
+        (uc1, uc2), (b2, b3) = _held(coef, 0, pair), other
+    a2 = (b2 + uc1) / coef[2]
+    return abs((b3 + b2 * uc1 + uc2) / coef[3] - mu * (a2 * a2))
 
 
 def _folded(coef, mu: complex):
@@ -331,8 +349,7 @@ def _folded(coef, mu: complex):
 
 def _fs_value(coef, mu: complex, c, q):
     """|a_3 - mu a_2**2| from _coefficients and the (c_1, c_2) pairs of p and q."""
-    a2, a3 = _a2_a3(coef, c, q)
-    return abs(a3 - mu * (a2 * a2))
+    return _side_value(coef, mu, 0, c, _held(coef, 1, q))
 
 
 def _pair_value(coef, mu: complex, p: HerglotzMeasure, q: HerglotzMeasure) -> float:

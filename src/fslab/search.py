@@ -18,14 +18,22 @@ The search evaluates the closed form of a_2 and a_3 in :mod:`fslab.members`
 from c_k = 2 sum_i w_i z_i**k with z_i = exp(1j t_i): over numpy arrays
 (np.cos and np.sin) for the random samples, one pair at a time (cmath.exp) for
 the polish, and through herglotz_coeffs for the seeded floor. The constants u,
-v, 2 tau and 3 sigma are computed once per search. The polish caches each
-atom's z_i and the side's normalized weights, so an angle step recomputes one
-z_i and a weight step only the weights; its every value is bitwise the one the
+v, 2 tau and 3 sigma are computed once per search. The polish moves one
+coordinate of one side at a time, and each golden-section search computes once
+what its coordinate cannot move: the other side's terms of the closed form
+(members._held: b_2 and b_3 of q while p moves, u c_1 and u c_2 of p while q
+moves), each atom's z_i and the side's normalized weights, and for the angle
+of atom j also _c12's partial sums over the atoms before j and the products
+w_i z_i and w_i z_i**2 of the atoms after it. An angle evaluation is then one
+cmath.exp, at most MAX_ATOMS additions in _c12's order and
+members._side_value; a weight evaluation renormalizes the side's weights and
+sums _c12 over the cached z_i. Every sum adds the terms _c12 adds, in its
+order and starting from its float 0.0, so every value is bitwise the one the
 uncached form gives. A round searches every angle, and every weight of a side
 with more than one atom. A search whose best point does not beat the incumbent
 is undone by setting the coordinate back, which restores the atoms, the cached
-z_i and weights and the incumbent bit for bit, and (c_1, c_2) is always
-rebuilt from those caches. So once a round's worth of searches in a row has
+z_i and weights and the incumbent bit for bit, and every held term is rebuilt
+from those caches. So once a round's worth of searches in a row has
 kept no move, every later search would repeat one of them exactly: the polish
 stops there, which makes n_refine a maximum and changes no result. Only the
 incumbent and its polished copy are built in full, by member_from_pq, and
@@ -35,41 +43,64 @@ its value is not below the incumbent's: best_value with the polish is never
 below best_value without it.
 
 Random phase: _values evaluates a chunk's samples in the same closed form,
-folded by members._folded to d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2
-and read straight from the uniforms: a side's weights are 1 - u where
-u_0 max_atoms >= j (the atoms _measure decodes), its unit numbers
-z_i = x_i + i y_i = cos(t) + i sin(t), t the angle 2 pi u rounded to a given
-float dtype, and c_1 = 2 sum_i w_i z_i and c_2 = 2 sum_i w_i z_i**2 are summed
-in real float64 arithmetic (z**2 as x**2 - y**2 + 2 i x y) and divided by
-sum_i w_i after the sum. The screen runs it with float32 angles (rough, unit
-numbers z~), the exact pass with float64 ones (exact, z). Rounding the angle
-to float32 moves z by at most half a float32 ulp at 2 pi (2.4e-7), and
-float32 cos and sin add about one float32 ulp each, so |z~ - z| <= eps / 2
-with eps = 1e-6 (the largest seen is 2.9e-7). With |c_k|, |q_k| <= 2,
-u, v <= 1 and tau, sigma >= 1, a z_i error d moves c_1 and q_1 by at most
-2 d, c_2 and q_2 by 2 d (2 + d), a_2 by 2 d, a_2**2 by 8 d (1 + d/2) and a_3
-by 6 d (1 + d/2), so in exact arithmetic
+folded by members._folded to F = d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2
+and read straight from the uniforms in a given float dtype: a side's weights
+are 1 - u where u_0 max_atoms >= j (the atoms _measure decodes), its unit
+numbers z_i = x_i + i y_i = cos(t) + i sin(t) with t = 2 pi u, and
+c_1 = 2 sum_i w_i z_i and c_2 = 2 sum_i w_i z_i**2 are summed in real
+arithmetic (z**2 as x**2 - y**2 + 2 i x y) and divided by sum_i w_i after the
+sum. The weights, their mask and the angles are formed in float64 from the
+uniforms and rounded once to the dtype (1 - u, not u: a weight uniform within
+2**-25 of 1 would round to a zero weight); everything after runs in the dtype.
+The exact pass runs it in float64 on the fold (exact values); the screen runs
+it in float32 and complex64 on the fold times s = 1 / (1 + |mu|) (rough
+values). With u, v <= 1 and tau, sigma >= 1, |d| + |e| <= 1/2 and
+|A| + |B| + |C| <= 1/2 + |mu|, so the scaled coefficients are below 1 and no
+float32 intermediate overflows at any mu.
 
-    |rough - exact| <= (6 + 8 |mu|) d (1 + d/2).
+The screen's bound. With |c_k|, |q_k| <= 2 the terms of F sum to at most
+3 + 4 |mu|, so every scaled value is at most 4. Let e32 = 2**-24 and let dz
+bound |z~ - z| for the float32 unit number z~ and the float64 one z of the
+same uniform: rounding the angle to float32 moves it by at most 2**-22
+(2.4e-7) at 2 pi, and float32 cos and sin add about one float32 ulp each, so
+dz <= eps / 4 = 5e-7 with eps = _SCREEN_EPS = 2e-6 (the largest seen is
+2.9e-7). On a side of k <= 4 atoms, to first order in e32:
 
-Every intermediate of either pass is at most 10 (1 + |mu|) in modulus and
-each rounds a few dozen times by 2**-53 of that. At d = eps / 2 the bound is
-below E = 8 eps (1 + |mu|) by more than 4 eps (1 + |mu|) (1 - eps), far more
-than that rounding, so |rough - exact| <= E. With m the chunk's largest
+- rounding the weights to float32 moves each by e32 of it at most, so the
+  normalized weights by at most e32 in sum (the mean deviation of errors
+  within +-e32) and c_1 and c_2 by 2 e32;
+- the products, the k-term sums of the numerators and of the weights,
+  2 / sum and the last products move c_1 by at most (4 k + 2) e32 and c_2 by
+  (4 k + 6.2) e32 (a partial sum errs by e32 of at most sum_i w_i, and the
+  roundings in x**2 - y**2 and 2 x y move w z**2 by at most 3.1 e32 w);
+- the unit numbers move c_1 by 2 dz and c_2 by 2 dz (2 + dz).
+
+So c_1 and q_1 are off by at most r1 = 2 dz + 20 e32, c_2 and q_2 by
+r2 = 4 dz (1 + dz/2) + 24.2 e32, which moves F by at most
+r2 / 2 + 4 r1 (1 + r1/4) (1/2 + |mu|), or (8 dz + 80 e32) (1 + r1/4) in units
+of 1 + |mu|. Rounding the five coefficients to complex64 (one that underflows
+moves its term by less than 2**-148), each complex product (within sqrt(5) e32
+of its value), each sum and np.abs add at most 40 e32 in those units, and
+underflow in the sums less than 2**-90 once divided by sum_i w_i >= 2**-53. So
+
+    |rough - s exact| <= 8 dz + 120 e32 + 1e-12 <= 1.12e-5 < 8 eps = 1.6e-5.
+
+E = 8 eps (1 + |mu|) is this bound in the search's units. The 4.8e-6 to spare
+covers the float64 roundings of the exact pass and of s (a few dozen of 2**-53
+of 4) and the rounding of a threshold to float32 where numpy compares it with
+the rough values (2**-24 of at most 4, 2.4e-7). With m the chunk's largest
 rough value and best_v the incumbent's, only the samples with rough >=
-max(m - 2 E, best_v - E) go through the exact pass. A sample reaching the
-chunk's exact maximum M has rough >= M - E >= m - 2 E, and rough > best_v - E
-if M > best_v: whenever M can replace the incumbent, every sample reaching
-it is kept. When M <= best_v no kept sample can replace it either, since the
-incumbent changes only on a strictly larger value; a chunk with m < best_v - E
-keeps no sample and skips the exact pass. When m is not finite every sample
-is kept. maximize_fs never reaches that rule with an overflow, since wherever
-the rough values overflow the bound overflows first and the search raises
-DomainError; it is the NaN guard. One NaN sample makes m NaN, and rough >=
-max(nan, ...) keeps nothing, so the threshold alone would skip the chunk
-silently where the exact pass's np.fmax still finds its largest value.
-_values is elementwise, so every search result is bitwise that of the
-unscreened exact pass.
+max(m - 2 E s, s best_v - E s) go through the exact pass. A sample reaching
+the chunk's exact maximum M has rough >= s M - E s >= m - 2 E s, and
+rough > s best_v - E s if M > best_v: whenever M can replace the incumbent,
+every sample reaching it is kept. When M <= best_v no kept sample can replace
+it either, since the incumbent changes only on a strictly larger value; a
+chunk with m < s best_v - E s keeps no sample and skips the exact pass. When
+m is not finite every sample is kept, which only a NaN can cause: it makes m
+NaN, and rough >= max(nan, ...) keeps nothing, so the threshold alone would
+skip the chunk silently where the exact pass's np.fmax still finds its
+largest value. _values is elementwise, so every search result is bitwise that
+of the unscreened exact pass.
 
 Memory: each chunk allocates its own arrays; the package's import-time
 allocator warm-up (:mod:`fslab`) keeps glibc from refaulting them per chunk.
@@ -108,9 +139,10 @@ from .members import (
     _c12,
     _coefficients,
     _folded,
-    _fs_value,
+    _held,
     _pair_value,
     _scalar_mu,
+    _side_value,
     fs_functional,
     member_from_pq,
 )
@@ -129,9 +161,10 @@ REFINE_TOL = 1e-10
 # nothing else: the stream layout fixes every sample's draws.
 _CHUNK = 2048
 
-# Bound eps on |z~ - z| for the screen's float32 unit numbers, with a factor
-# of two to spare (module docstring).
-_SCREEN_EPS = 1e-6
+# eps in the screen's bound E = 8 eps (1 + |mu|) on |rough - exact|: the
+# proof in the module docstring needs 8 eps > 1.12e-5, with the float32 unit
+# numbers within eps / 4 of the float64 ones.
+_SCREEN_EPS = 2e-6
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -187,17 +220,18 @@ def _draw_chunk(rng: np.random.Generator, samples: int, max_atoms: int) -> np.nd
     return np.ascontiguousarray(rng.random((samples, 2, 1 + 2 * max_atoms)).transpose(1, 2, 0))
 
 
-def _values(fold, u: np.ndarray, max_atoms: int, unit) -> np.ndarray:
-    """|a_3 - mu a_2**2| per sample of uniforms u, fold from _folded, the
-    angles rounded to the dtype unit (module docstring)."""
+def _values(fold, u: np.ndarray, max_atoms: int, dtype) -> np.ndarray:
+    """|a_3 - mu a_2**2| per sample of uniforms u, fold from _folded, in the
+    float dtype: the weights 1 - u, their atom mask and the angles 2 pi u are
+    formed in float64 and rounded once to it (module docstring)."""
     k = max_atoms
-    w, wx, wxy = np.empty((3, 2, k, u.shape[-1]))  # one block: fewer page faults
-    np.subtract(1.0, u[:, 1 : 1 + k], out=w)
+    w, t, wx, wxy = np.empty((4, 2, k, u.shape[-1]), dtype)
+    np.subtract(1.0, u[:, 1 : 1 + k], out=w, casting="same_kind")
     w *= _used(u[:, :1], k)
-    t = (TWO_PI * u[:, 1 + k :]).astype(unit, copy=False)
+    np.multiply(TWO_PI, u[:, 1 + k :], out=t, casting="same_kind")
     x, y = np.cos(t), np.sin(t)
     scale = 2.0 / w.sum(axis=1)
-    cq = np.empty((2, *scale.shape), np.complex128)  # (c_1, q_1), (c_2, q_2)
+    cq = np.empty((2, *scale.shape), np.result_type(dtype, np.complex64))  # (c_1, q_1), (c_2, q_2)
     np.multiply(w, x, out=wx)
     w *= y  # w y
     np.multiply(wx, y, out=wxy)
@@ -209,13 +243,14 @@ def _values(fold, u: np.ndarray, max_atoms: int, unit) -> np.ndarray:
     wx -= w  # w x**2 - w y**2
     np.multiply(wx.sum(axis=1), scale, out=cq[1].real)
     (c1, q1), (c2, q2) = cq
-    d, e, a, b, c = fold
+    d, e, a, b, c = np.array(fold, cq.dtype)
     return np.abs(d * c2 + e * q2 + (a * q1 + b * c1) * q1 + c * (c1 * c1))
 
 
 def _screened(fold, slack: float, best_v: float, u: np.ndarray, max_atoms: int) -> np.ndarray:
-    """The chunk's samples for the exact pass: rough >= max(m - 2 E, best_v - E),
-    E = slack, or all of them if m is not finite (module docstring)."""
+    """The chunk's samples for the exact pass: rough >= max(m - 2 slack,
+    best_v - slack), or all of them if m is not finite; maximize_fs passes
+    fold, slack = E and best_v in the screen's units (module docstring)."""
     with np.errstate(all="ignore"):  # the exact pass reports, not the screen
         rough = _values(fold, u, max_atoms, np.float32)
         m = float(rough.max())
@@ -271,9 +306,10 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     (c_1, c_2) stays put, and keeps a move only if it beats best_v. It
     returns once a round's worth of searches in a row kept no move (module
     docstring). Every evaluation equals _fs_value over _c12 of each side's
-    _normalized atoms as (w, exp(1j t)) pairs bit for bit, but reads cached
-    parts: an angle step recomputes one atom's exp(1j t) and a weight step
-    only the side's _weights.
+    _normalized atoms as (w, exp(1j t)) pairs bit for bit, but computes only
+    what its coordinate moves, against the other side's _held terms: an
+    angle evaluation one exp(1j t) and _c12's additions from atom j on, a
+    weight evaluation the side's _weights and _c12 over its cached z_i.
     """
     evals = 0
     units = [[cmath.exp(1j * t) for _, t in side] for side in sides]
@@ -284,34 +320,50 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     per_round = sum(len(side) if len(side) == 1 else 2 * len(side) for side in sides)
     idle = 0
 
-    def move(x: float) -> None:  # coordinate k of atom j on side s, set below
-        side[j][k] = x
-        if k:
-            units[s][j] = cmath.exp(1j * x)
-        else:
-            weights[s] = _weights(side)
-
-    def objective(x: float) -> float:
+    def angle(x: float) -> float:  # of atom j on side s, set below
         nonlocal evals
         evals += 1
-        move(x)
-        cq[s] = _c12(zip(weights[s], units[s]))
-        return _fs_value(coef, mu, *cq)
+        side[j][1] = x
+        z = cmath.exp(1j * x)
+        c1 = pre1 + wj * z  # _c12's sums, in its order
+        c2 = pre2 + wj * (z * z)
+        for a, b in post:
+            c1 = c1 + a
+            c2 = c2 + b
+        return _side_value(coef, mu, s, (2.0 * c1, 2.0 * c2), other)
+
+    def weight(x: float) -> float:
+        nonlocal evals
+        evals += 1
+        side[j][0] = x
+        return _side_value(coef, mu, s, _c12(zip(_weights(side), units[s])), other)
 
     for _ in range(rounds):
         for s, side in enumerate(sides):
-            cq = [_c12(zip(w, z)) for w, z in zip(weights, units)]
+            other = _held(coef, 1 - s, _c12(zip(weights[1 - s], units[1 - s])))
             coords = [(j, 1, 0.0, TWO_PI) for j in range(len(side))]
             if len(side) > 1:
                 coords += [(j, 0, 1e-9, 1.0) for j in range(len(side))]
             for j, k, lo, hi in coords:
+                if k:  # everything but atom j's own terms, for angle()
+                    wj = weights[s][j]
+                    terms = [(w * z, w * (z * z)) for w, z in zip(weights[s], units[s])]
+                    pre1 = pre2 = 0.0
+                    for a, b in terms[:j]:
+                        pre1 = pre1 + a
+                        pre2 = pre2 + b
+                    post = terms[j + 1 :]
                 saved = side[j][k]
-                x, v = _golden_max(objective, lo, hi)
+                x, v = _golden_max(angle if k else weight, lo, hi)
                 if v > best_v:
                     best_v, idle = v, 0
                 else:
                     x, idle = saved, idle + 1
-                move(x)
+                side[j][k] = x
+                if k:
+                    units[s][j] = cmath.exp(1j * x)
+                else:
+                    weights[s] = _weights(side)
                 if idle == per_round:
                     return evals
     return evals
@@ -349,14 +401,16 @@ def maximize_fs(
     best_v = max(values)
     p, q = seeds[values.index(best_v)]
     evals = len(seeds)
-    fold, slack = _folded(coef, mu), 8.0 * _SCREEN_EPS * (1.0 + abs(mu))  # slack is E
+    fold = _folded(coef, mu)
+    scale = 1.0 / (1.0 + abs(mu))  # the screen's units: E = 8 eps, complex64 cannot overflow
+    screen = [f * scale for f in fold]
     rng = np.random.Generator(np.random.SFC64(budget.seed))
     k = budget.max_atoms
     left = budget.n_samples
     while left:
         size = min(_CHUNK, left)
         u = _draw_chunk(rng, size, k)
-        kept = _screened(fold, slack, best_v, u, k)
+        kept = _screened(screen, 8.0 * _SCREEN_EPS, best_v * scale, u, k)
         if kept.size:  # else no sample of the chunk can beat the incumbent
             values = _values(fold, u[:, :, kept], k, np.float64)
             top = np.fmax.reduce(values)

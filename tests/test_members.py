@@ -38,14 +38,15 @@ from fslab import (
 from fslab.extremal import _ATOM0, _HALF, _SIDE, extremal_member
 from fslab.members import (
     MAX_ATOMS,
-    _a2_a3,
     _c12,
     _circle,
     _coefficients,
     _folded,
+    _held,
     _jet,
     _pair_value,
     _polyval,
+    _side_value,
 )
 from fslab.search import _draw_chunk, _measure, _values
 
@@ -330,8 +331,9 @@ def test_member_order_floor():
 # ----- the closed form of a_2 and a_3 -----
 
 def test_closed_form_matches_member_from_pq():
-    # the search's exact pass on drawn uniforms, the polish's and the seeds'
-    # one-pair forms against full construction from the measures _measure
+    # the search's exact pass on drawn uniforms, the polish's one-side forms
+    # with either side moving, their held terms and the seeds' one-pair form
+    # against full construction from the measures _measure
     # decodes, 20 parameter tuples x 100 measure pairs x 2 values of mu
     rng = np.random.default_rng(211)
     tuples = EDGE_PARAMS + [random_params(rng) for _ in range(16)]
@@ -346,10 +348,15 @@ def test_closed_form_matches_member_from_pq():
             for i, (p, q) in enumerate(zip(ps, qs)):
                 m = member_from_pq(par, p, q, 3)
                 ref = abs(fs_functional(m, mu))
-                a2, a3 = _a2_a3(coef, polish[i], polish[100 + i])
+                held = _held(coef, 0, polish[i]), _held(coef, 1, polish[100 + i])
+                (uc1, uc2), (b2, b3) = held
                 for got, want in (
-                    (a2, m.a2),
-                    (a3, m.a3),
+                    (uc1, (1.0 - par.alpha) * m.c[1]),
+                    (uc2, (1.0 - par.alpha) * m.c[2]),
+                    (b2, m.b[2]),
+                    (b3, m.b[3]),
+                    (_side_value(coef, mu, 0, polish[i], held[1]), ref),
+                    (_side_value(coef, mu, 1, polish[100 + i], held[0]), ref),
                     (values[i], ref),
                     (_pair_value(coef, mu, p, q), ref),
                 ):

@@ -270,8 +270,8 @@ def _unit(t, unit):
     return np.cos(t), np.sin(t)
 
 
-def test_rough_unit_is_within_half_eps():
-    # the screen's bound rests on |z~ - z| <= eps / 2 (module docstring)
+def test_rough_unit_is_within_a_quarter_eps():
+    # the screen's bound rests on |z~ - z| <= eps / 4 (module docstring)
     edge = _f32_rounding_points()
     assert len(edge) > 100
     t = np.concatenate([(TWO_PI * _screen_draws()[:, 1 + MAX_ATOMS :]).ravel(), edge])
@@ -280,7 +280,7 @@ def test_rough_unit_is_within_half_eps():
     assert x.dtype == y.dtype == np.float32
     ex, ey = _unit(t, np.float64)
     err = np.abs(x + 1j * y.astype(np.float64) - (ex + 1j * ey))
-    assert err.max() <= _SCREEN_EPS / 2, err.max()
+    assert err.max() <= _SCREEN_EPS / 4, err.max()
     assert err[-edge.size :].max() > 0.5 * err.max()
 
 
@@ -504,6 +504,43 @@ def test_polish_cache_is_bitwise_the_uncached_form(monkeypatch):
     assert all(seen), f"{seen.count(False)} of {len(seen)} evaluations differ"
 
 
+@pytest.mark.parametrize("sizes", [(1, 4), (2, 3), (3, 2), (4, 1), (4, 4)])
+@pytest.mark.parametrize("kept", [True, False])
+def test_polish_cache_is_bitwise_at_every_atom(monkeypatch, sizes, kept):
+    # every angle and weight search, at every atom of sides of 1-4 atoms
+    # (first, middle and last), evaluates the uncached closed form bit for
+    # bit; half the atoms start at angle 0, where exp(1j t) = 1 + 0j has an
+    # exact zero part and _c12's sum starts at the float 0.0. With no move
+    # kept every search runs with the other atoms where they started.
+    rng = np.random.default_rng(sum(sizes) + 10 * kept)
+    golden = fslab.search._golden_max
+    seen, searched = [], set()
+
+    def checked_golden(f, lo, hi):
+        def g(x):
+            got = f(x)
+            seen.append(got == _uncached_value(coef, mu, sides))
+            searched.update((s, j, k) for s, side in enumerate(sides)
+                            for j, atom in enumerate(side) for k in (0, 1) if atom[k] == x)
+            return got
+
+        return golden(g, lo, hi)
+
+    monkeypatch.setattr(fslab.search, "_golden_max", checked_golden)
+    for par in (EDGE_PARAMS[0], EDGE_PARAMS[1], random_params(rng)):
+        coef = _coefficients(par)
+        for mu in (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2))):
+            sides = [[[1.0 - rng.random(), 0.0 if j % 2 else TWO_PI * rng.random()] for j in range(size)]
+                     for size in sizes]
+            start = _uncached_value(coef, mu, sides)
+            searched.clear()
+            _polish(coef, mu, sides, start if kept else math.inf, 2)
+            want = {(s, j, k) for s, size in enumerate(sizes) for j in range(size) for k in (0, 1)
+                    if k or size > 1}
+            assert searched == want, (sizes, sorted(want - searched))
+    assert seen and all(seen), f"{seen.count(False)} of {len(seen)} evaluations differ"
+
+
 def _reference_polish(coef, mu, sides, best_v, rounds, stop=False):
     """_polish as a plain loop without caches that runs every round, or with
     stop ends where _polish does, once a round's worth of searches in a row
@@ -560,8 +597,15 @@ def test_polish_fixed_point_is_where_every_round_would_end():
 
 def _reference_search(par, mu, budget):
     """maximize_fs with no screen, no skip and no polish caches: every sample
-    drawn at once and valued by _values with float64 angles, the earliest
-    that beats the seeds kept, then _reference_polish."""
+    drawn at once and valued by _values in float64, the earliest that beats
+    the seeds kept, then _reference_polish."""
+    rng = np.random.Generator(np.random.SFC64(budget.seed))
+    u = rng.random((budget.n_samples, 2, 1 + 2 * budget.max_atoms)).transpose(1, 2, 0)
+    return _reference_on(par, mu, budget, u)
+
+
+def _reference_on(par, mu, budget, u):
+    """_reference_search on the uniforms u, (2, 1 + 2 max_atoms, n_samples)."""
     mu = _scalar_mu(mu)
     if isinstance(mu, complex):
         bound, seeds = bound_complex(par, mu), [extremal_config(par, 1), extremal_config(par, 3)]
@@ -573,8 +617,6 @@ def _reference_search(par, mu, budget):
     best_v = max(values)
     p, q = seeds[values.index(best_v)]
     k = budget.max_atoms
-    rng = np.random.Generator(np.random.SFC64(budget.seed))
-    u = rng.random((budget.n_samples, 2, 1 + 2 * k)).transpose(1, 2, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         values = _values(_folded(coef, mu), u, k, np.float64)
     top = np.fmax.reduce(values)
@@ -616,6 +658,70 @@ def test_search_is_the_plain_reference_search():
                 n += 1
                 assert maximize_fs(par, mu, budget) == _reference_search(par, mu, budget), (par, mu, budget)
     assert n == 84
+
+
+def _edge_uniforms(k, n):
+    """n samples' uniforms for k atoms at the float32 screen's edges: sides
+    whose weight uniforms all lie within 2**-25 of 1 (1 - u from 2**-53 up,
+    where rounding u itself to float32 would give zero weights), and count
+    uniforms at j / k and one ulp either side."""
+    rng = np.random.Generator(np.random.Philox(key=k))
+    u = _draw_chunk(rng, n, k)
+    near_one = rng.random((2, n)) < 0.3
+    ones = 1.0 - rng.integers(1, 2**28, (2, k, n)) * 2.0**-53
+    u[:, 1 : 1 + k] = np.where(near_one[:, None], ones, u[:, 1 : 1 + k])
+    at = np.arange(k) / k
+    edge = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
+    edge = edge[(edge >= 0.0) & (edge < 1.0)]
+    u[:, 0, ::5] = rng.choice(edge, (2, len(range(0, n, 5))))
+    assert ((1.0 - u[:, 1 : 1 + k]).max(axis=1) <= 2.0**-25).mean() > 0.2  # of the sides
+    return u
+
+
+def test_float32_screen_edges(monkeypatch):
+    # at the screen's edges the scaled rough values stay within E of the
+    # exact ones, and the search equals the plain reference search bitwise:
+    # weight uniforms within 2**-25 of 1, count uniforms at j / k and next to
+    # it, 1 - alpha and 1 - beta down to 1.1e-16, and |mu| from 1e37 to
+    # 1e300, where the unscaled fold overflows complex64
+    tiny = 1.0 - 2.0**-53  # the float just below 1: 1 - alpha = 1.1e-16
+    tuples = (P0, EDGE_PARAMS[1], ClassParams(0.3, 0.1, tiny, tiny), ClassParams(1.0, 0.5, 1.0 - 1e-8, tiny))
+    mus = (0.7, complex(-0.4, 1.3), 1e37, -1e39, complex(1e38, 1e38), 1e100, complex(-6e299, 8e299), 1e300)
+    n = _CHUNK + 100
+    draws = {k: _edge_uniforms(k, n) for k in range(1, MAX_ATOMS + 1)}
+    screen = fslab.search._screened
+    for i, (par, mu) in enumerate((par, mu) for par in tuples for mu in mus):
+        coef = _coefficients(par)
+        fold, scale = _folded(coef, mu), 1.0 / (1.0 + abs(mu))
+        for k, u in draws.items():
+            rough = _values([f * scale for f in fold], u, k, np.float32)
+            err = np.abs(rough - scale * _values(fold, u, k, np.float64))
+            assert err.max() <= 8.0 * _SCREEN_EPS, (par, mu, k, err.max())
+            with np.errstate(over="ignore", invalid="ignore"):
+                unscaled = np.isfinite(_values(fold, u, k, np.float32)).all()
+            assert unscaled or abs(mu) > 1e38
+            assert not unscaled or abs(mu) < 1e100 or par.alpha > 0.99
+        k = 1 + i % MAX_ATOMS
+        drawn = 0
+
+        def draw(rng, samples, max_atoms):
+            nonlocal drawn
+            drawn += samples
+            return draws[k][:, :, drawn - samples : drawn]
+
+        def screened(fold, slack, best_v, u, max_atoms):
+            kept = screen(fold, slack, best_v, u, max_atoms)
+            kept_all.append(kept.size == u.shape[2])
+            return kept
+
+        budget, kept_all = SearchBudget(n, i % 2, k, 0), []
+        monkeypatch.setattr(fslab.search, "_draw_chunk", draw)
+        monkeypatch.setattr(fslab.search, "_screened", screened)
+        assert maximize_fs(par, mu, budget) == _reference_on(par, mu, budget, draws[k]), (par, mu, k)
+        monkeypatch.undo()
+        # the search screens in its scaled units: no chunk falls back to
+        # keeping every sample where the values spread over many E
+        assert len(kept_all) == 2 and (par.alpha > 0.99 or not any(kept_all)), (par, mu, k)
 
 
 def test_polish_starts_from_the_exact_maximum(monkeypatch):
