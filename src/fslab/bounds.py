@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .members import ClassParams, _scalar_mu
+from .members import ClassParams, _finite_real, _scalar_mu
 
 
 def _check_finite(mu) -> None:
@@ -286,7 +286,10 @@ def caratheodory_bound(nu: complex) -> float:
     Equals 2 max(1, |2 nu - 1|); attained by (1+z^2)/(1-z^2) when
     |2 nu - 1| <= 1 and by (1+z)/(1-z) otherwise.
     """
-    nu = complex(nu)
+    try:
+        nu = complex(_scalar_mu(nu))
+    except DomainError:  # its message names mu
+        raise DomainError(f"nu must be a real or complex number in the float range, got {nu!r}") from None
     if not (math.isfinite(nu.real) and math.isfinite(nu.imag)):
         raise DomainError(f"nu must be finite, got {nu!r}")
     return 2.0 * max(1.0, abs(2.0 * nu - 1.0))
@@ -294,9 +297,10 @@ def caratheodory_bound(nu: complex) -> float:
 
 def starlike_fs_bound(beta: float, mu: float) -> float:
     """Bound on |b_3 - mu b_2**2| over functions starlike of order beta."""
-    if not (0.0 <= beta < 1.0):
-        raise DomainError(f"need 0 <= beta < 1, got {beta}")
+    b = _finite_real(beta)
+    if b is None or not 0.0 <= b < 1.0:
+        raise DomainError(f"need 0 <= beta < 1, got {beta!r}")
     mu = _scalar_mu(mu)
     if isinstance(mu, complex) or not math.isfinite(mu):
         raise DomainError(f"mu must be finite real, got {mu!r}")
-    return (1.0 - beta) * max(1.0, abs(3.0 - 2.0 * beta - 4.0 * mu * (1.0 - beta)))
+    return (1.0 - b) * max(1.0, abs(3.0 - 2.0 * b - 4.0 * mu * (1.0 - b)))

@@ -41,21 +41,8 @@ With u = 1 - alpha and v = 1 - beta,
     a_2 = (v q_1 + u c_1) / (2 tau)
     a_3 = (v (q_2 + v q_1**2) / 2 + u v c_1 q_1 + u c_2) / (3 sigma).
 
-_side_value writes this closed form in complex arithmetic from the pairs
-(c_1, c_2), which _c12 sums over Python floats, one side at a time: _held
-gives the terms a side's pair puts in (u c_1 and u c_2 for p, b_2 = v q_1 and
-b_3 = v (q_2 + b_2 q_1) / 2 for q), and _side_value combines one side's pair
-with the other side's held terms, so the search's polish computes the terms of
-the side it does not move once per coordinate search. _fs_value is
-_side_value with q's terms held; the search's seeded floor (_pair_value,
-through herglotz_coeffs) reads it. _folded is the same form with its
-constants folded, read over numpy arrays by both passes of the search's
-random phase, the screen and the exact pass. Each form stays where it keeps
-the results or is faster: with _folded in _fs_value, 200 of the first 300
-verify benchmark results (seed 1) changed, best_value in 159, by up to
-8.4e-10 relative and 138 of them lower; the float32 screen written over
-_fs_value took about 195 us against 150 us per 2,048-sample chunk of 3 atoms
-(2-vCPU Intel Xeon virtual machine). member_from_pq stays the reference.
+The search (:mod:`fslab.search`) evaluates this closed form; member_from_pq
+is its reference.
 """
 
 from __future__ import annotations
@@ -96,6 +83,17 @@ SPOTCHECK_TOL = 1e-6
 DIVISOR_TOL = 1e-12
 
 
+def _finite_real(v) -> float | None:
+    """v as a float if it is a finite real number, else None: no bool, string,
+    array, or int or Fraction past the float range is read as a number."""
+    try:  # a float skips isinstance's ABC check (about 0.5 us on a 2-vCPU Xeon VM)
+        if (type(v) is float or type(v) is not bool and isinstance(v, Real)) and math.isfinite(v):
+            return float(v)
+    except OverflowError:  # an int or a Fraction past the float range
+        pass
+    return None
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Validated class parameters with derived scale factors tau and sigma."""
@@ -108,13 +106,10 @@ class ClassParams:
     def __post_init__(self) -> None:
         vals = (self.lam, self.delta, self.alpha, self.beta)
         for field, v in zip(fields(self), vals):
-            try:
-                ok = not isinstance(v, bool) and isinstance(v, Real) and math.isfinite(v)
-            except OverflowError:  # an int or a Fraction past the float range
-                ok = False
-            if not ok:
+            x = _finite_real(v)
+            if x is None:
                 raise DomainError(f"parameters must be finite reals, got {vals!r}")
-            object.__setattr__(self, field.name, float(v))
+            object.__setattr__(self, field.name, x)
         if not (0.0 <= self.delta <= self.lam <= 1.0):
             raise DomainError(
                 f"need 0 <= delta <= lam <= 1, got lam={self.lam}, delta={self.delta}"
@@ -146,11 +141,11 @@ class HerglotzMeasure:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        atoms = tuple((float(w), float(t)) for w, t in self.atoms)
+        atoms = tuple((_finite_real(w), _finite_real(t)) for w, t in self.atoms)
         if not 1 <= len(atoms) <= MAX_ATOMS:
             raise DomainError(f"need 1..{MAX_ATOMS} atoms, got {len(atoms)}")
         for w, t in atoms:
-            if not (math.isfinite(w) and math.isfinite(t)):
+            if w is None or t is None:
                 raise DomainError("non-finite atom data")
             if w <= 0.0:
                 raise DomainError(f"atom weights must be positive, got {w}")
@@ -299,62 +294,6 @@ def _scalar_mu(mu) -> float | complex:
 def fs_functional(member: ClassMember, mu: complex) -> complex:
     """The coefficient functional a_3 - mu * a_2**2 (mu real or complex)."""
     return member.a[3] - _scalar_mu(mu) * member.a[2] ** 2
-
-
-def _coefficients(params: ClassParams) -> tuple[float, float, float, float]:
-    """(u, v, 2 tau, 3 sigma), the constants of the closed form, once per search."""
-    return 1.0 - params.alpha, 1.0 - params.beta, 2.0 * params.tau, 3.0 * params.sigma
-
-
-def _c12(atoms):
-    """(c_1, c_2), c_k = 2 sum_i w_i z_i**k, from (w_i, z_i) pairs summed in
-    order; the library passes Python floats only, no arrays."""
-    c1 = c2 = 0.0
-    for w, z in atoms:
-        c1 = c1 + w * z
-        c2 = c2 + w * (z * z)
-    return 2.0 * c1, 2.0 * c2
-
-
-def _held(coef, side, pair):
-    """The terms of the closed form that one side's (c_1, c_2) pair gives:
-    (u c_1, u c_2) for p (side 0), (b_2, b_3) for q (side 1)."""
-    x1, x2 = pair
-    if not side:
-        u = coef[0]
-        return u * x1, u * x2
-    v = coef[1]
-    b2 = v * x1  # g = z + b_2 z**2 + b_3 z**3 + ...
-    return b2, v * (x2 + b2 * x1) / 2.0
-
-
-def _side_value(coef, mu: complex, side, pair, other):
-    """|a_3 - mu a_2**2| from one side's (c_1, c_2) pair and _held of the
-    other side's: a_2 = (b_2 + u c_1) / (2 tau), a_3 = (b_3 + b_2 u c_1 + u c_2) / (3 sigma)."""
-    if side:
-        (uc1, uc2), (b2, b3) = other, _held(coef, 1, pair)
-    else:
-        (uc1, uc2), (b2, b3) = _held(coef, 0, pair), other
-    a2 = (b2 + uc1) / coef[2]
-    return abs((b3 + b2 * uc1 + uc2) / coef[3] - mu * (a2 * a2))
-
-
-def _folded(coef, mu: complex):
-    """(d, e, A, B, C), a_3 - mu a_2**2 = d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2."""
-    u, v, two_tau, three_sigma = coef
-    u2, v2, six_sigma = u / two_tau, v / two_tau, 2.0 * three_sigma  # a_2 = v2 q_1 + u2 c_1
-    return (u / three_sigma, v / six_sigma, v * v / six_sigma - mu * (v2 * v2),
-            u * v / three_sigma - 2.0 * mu * (u2 * v2), -mu * (u2 * u2))
-
-
-def _fs_value(coef, mu: complex, c, q):
-    """|a_3 - mu a_2**2| from _coefficients and the (c_1, c_2) pairs of p and q."""
-    return _side_value(coef, mu, 0, c, _held(coef, 1, q))
-
-
-def _pair_value(coef, mu: complex, p: HerglotzMeasure, q: HerglotzMeasure) -> float:
-    """|a_3 - mu a_2**2| of member_from_pq(params, p, q), in closed form."""
-    return _fs_value(coef, mu, herglotz_coeffs(p, 2)[1:], herglotz_coeffs(q, 2)[1:])
 
 
 def _polyval(coeffs: tuple[complex, ...], pts: np.ndarray) -> np.ndarray:

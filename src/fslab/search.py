@@ -14,36 +14,39 @@ itself beats the piecewise value, and verify_inequality reports that
 honestly as a ViolationError. Whether max_atoms = 3 limits anything is
 unknown and irrelevant to the seeded floor.
 
-The search evaluates the closed form of a_2 and a_3 in :mod:`fslab.members`
-from c_k = 2 sum_i w_i z_i**k with z_i = exp(1j t_i): over numpy arrays
-(np.cos and np.sin) for the random samples, one pair at a time (cmath.exp) for
-the polish, and through herglotz_coeffs for the seeded floor. The constants u,
-v, 2 tau and 3 sigma are computed once per search. The polish moves one
-coordinate of one side at a time, and each golden-section search computes once
-what its coordinate cannot move: the other side's terms of the closed form
-(members._held: b_2 and b_3 of q while p moves, u c_1 and u c_2 of p while q
-moves), each atom's z_i and the side's normalized weights, and for the angle
-of atom j also _c12's partial sums over the atoms before j and the products
-w_i z_i and w_i z_i**2 of the atoms after it. An angle evaluation is then one
-cmath.exp, at most MAX_ATOMS additions in _c12's order and
-members._side_value; a weight evaluation renormalizes the side's weights and
-sums _c12 over the cached z_i. Every sum adds the terms _c12 adds, in its
-order and starting from its float 0.0, so every value is bitwise the one the
-uncached form gives. A round searches every angle, and every weight of a side
-with more than one atom. A search whose best point does not beat the incumbent
-is undone by setting the coordinate back, which restores the atoms, the cached
-z_i and weights and the incumbent bit for bit, and every held term is rebuilt
-from those caches. So once a round's worth of searches in a row has
-kept no move, every later search would repeat one of them exactly: the polish
-stops there, which makes n_refine a maximum and changes no result. Only the
-incumbent and its polished copy are built in full, by member_from_pq, and
-best_value is the returned member's |a_3 - mu a_2**2|. The closed form and a
-member can differ by a few ulps, so the polished member is returned only if
-its value is not below the incumbent's: best_value with the polish is never
-below best_value without it.
+Closed form: the functional depends on a member only through c_1, c_2
+of p and q_1, q_2 of q (a_2 and a_3 in :mod:`fslab.members`). _coefficients
+gives its constants u, v, 2 tau and 3 sigma once per search. _c12 sums
+(c_1, c_2) over (w_i, exp(1j t_i)) pairs in order; on a measure's own atoms
+that is herglotz_coeffs' pair bit for bit, and the seeded floor (_pair_value)
+and the polish both read it. _held gives the terms one side's pair puts in,
+and _side_value combines a side's pair with the other side's held terms.
+_folded is the same form with its constants folded, which the random phase
+reads over numpy arrays. Each form stays where it keeps the results or is
+faster: with _folded in the floor and the polish, 200 of the first 300 verify
+benchmark results (seed 1) changed, best_value in 159, by up to 8.4e-10
+relative and 138 of them lower; the float32 screen written over _side_value
+took about 195 us against 150 us per 2,048-sample chunk of 3 atoms (2-vCPU
+Intel Xeon virtual machine). member_from_pq stays the reference.
+
+The polish moves one coordinate of one side at a time, and each golden-section
+search computes once what its coordinate cannot move (_polish). Every sum adds
+the terms _c12 adds, in its order and starting from its float 0.0, so every
+value is bitwise the one the uncached form gives. A round searches every
+angle, and every weight of a side with more than one atom. A search whose best
+point does not beat the incumbent is undone by setting the coordinate back,
+which restores the atoms, the cached z_i and weights and the incumbent bit for
+bit, and every held term is rebuilt from those caches. So once a round's worth
+of searches in a row has kept no move, every later search would repeat one of
+them exactly: the polish stops there, which makes n_refine a maximum and
+changes no result. Only the incumbent and its polished copy are built in full,
+by member_from_pq, and best_value is the returned member's |a_3 - mu a_2**2|.
+The closed form and a member can differ by a few ulps, so the polished member
+is returned only if its value is not below the incumbent's: best_value with
+the polish is never below best_value without it.
 
 Random phase: _values evaluates a chunk's samples in the same closed form,
-folded by members._folded to F = d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2
+folded by _folded to F = d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2
 and read straight from the uniforms in a given float dtype: a side's weights
 are 1 - u where u_0 max_atoms >= j (the atoms _measure decodes), its unit
 numbers z_i = x_i + i y_i = cos(t) + i sin(t) with t = 2 pi u, and
@@ -136,13 +139,7 @@ from .members import (
     HerglotzMeasure,
     MAX_ATOMS,
     TWO_PI,
-    _c12,
-    _coefficients,
-    _folded,
-    _held,
-    _pair_value,
     _scalar_mu,
-    _side_value,
     fs_functional,
     member_from_pq,
 )
@@ -208,6 +205,59 @@ class SearchResult:
     def attained(self) -> bool:
         """best_value is within ATTAINED_RTOL of the bound (or above it)."""
         return self.margin <= ATTAINED_RTOL * self.bound
+
+
+def _coefficients(params: ClassParams) -> tuple[float, float, float, float]:
+    """(u, v, 2 tau, 3 sigma), the constants of the closed form, once per search."""
+    return 1.0 - params.alpha, 1.0 - params.beta, 2.0 * params.tau, 3.0 * params.sigma
+
+
+def _c12(atoms):
+    """(c_1, c_2), c_k = 2 sum_i w_i z_i**k, from (w_i, z_i) pairs summed in
+    order; the library passes Python floats only, no arrays."""
+    c1 = c2 = 0.0
+    for w, z in atoms:
+        c1 = c1 + w * z
+        c2 = c2 + w * (z * z)
+    return 2.0 * c1, 2.0 * c2
+
+
+def _held(coef, side, pair):
+    """The terms of the closed form that one side's (c_1, c_2) pair gives:
+    (u c_1, u c_2) for p (side 0), (b_2, b_3) for q (side 1)."""
+    x1, x2 = pair
+    if not side:
+        u = coef[0]
+        return u * x1, u * x2
+    v = coef[1]
+    b2 = v * x1  # g = z + b_2 z**2 + b_3 z**3 + ...
+    return b2, v * (x2 + b2 * x1) / 2.0
+
+
+def _side_value(coef, mu: complex, side, pair, other):
+    """|a_3 - mu a_2**2| from one side's (c_1, c_2) pair and _held of the
+    other side's: a_2 = (b_2 + u c_1) / (2 tau), a_3 = (b_3 + b_2 u c_1 + u c_2) / (3 sigma)."""
+    if side:
+        (uc1, uc2), (b2, b3) = other, _held(coef, 1, pair)
+    else:
+        (uc1, uc2), (b2, b3) = _held(coef, 0, pair), other
+    a2 = (b2 + uc1) / coef[2]
+    return abs((b3 + b2 * uc1 + uc2) / coef[3] - mu * (a2 * a2))
+
+
+def _folded(coef, mu: complex):
+    """(d, e, A, B, C), a_3 - mu a_2**2 = d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2."""
+    u, v, two_tau, three_sigma = coef
+    u2, v2, six_sigma = u / two_tau, v / two_tau, 2.0 * three_sigma  # a_2 = v2 q_1 + u2 c_1
+    return (u / three_sigma, v / six_sigma, v * v / six_sigma - mu * (v2 * v2),
+            u * v / three_sigma - 2.0 * mu * (u2 * v2), -mu * (u2 * u2))
+
+
+def _pair_value(coef, mu: complex, p: HerglotzMeasure, q: HerglotzMeasure) -> float:
+    """|a_3 - mu a_2**2| of member_from_pq(params, p, q), in closed form from
+    _c12 over each measure's (w, exp(1j t)) pairs."""
+    pc, qc = (_c12((w, cmath.exp(1j * t)) for w, t in m.atoms) for m in (p, q))
+    return _side_value(coef, mu, 0, pc, _held(coef, 1, qc))
 
 
 def _used(u0: np.ndarray, max_atoms: int) -> np.ndarray:
@@ -305,11 +355,12 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     then every weight (a lone weight is fixed) while the other side's
     (c_1, c_2) stays put, and keeps a move only if it beats best_v. It
     returns once a round's worth of searches in a row kept no move (module
-    docstring). Every evaluation equals _fs_value over _c12 of each side's
-    _normalized atoms as (w, exp(1j t)) pairs bit for bit, but computes only
-    what its coordinate moves, against the other side's _held terms: an
-    angle evaluation one exp(1j t) and _c12's additions from atom j on, a
-    weight evaluation the side's _weights and _c12 over its cached z_i.
+    docstring). Every evaluation equals _side_value of p's _c12 against
+    _held of q's, each over its side's _normalized atoms as (w, exp(1j t))
+    pairs, bit for bit, but computes only what its coordinate moves, against
+    the other side's _held terms: an angle evaluation one exp(1j t) and
+    _c12's additions from atom j on, a weight evaluation the side's _weights
+    and _c12 over its cached z_i.
     """
     evals = 0
     units = [[cmath.exp(1j * t) for _, t in side] for side in sides]

@@ -121,7 +121,8 @@ def test_numpy_real_mu_is_its_float():
 
 @pytest.mark.parametrize("mu", [True, np.True_, "0.5", "1+2j", None, np.array(0.5), 10**400])
 @pytest.mark.parametrize("route", [bound_real, bound_sharp, bound_complex,
-                                   lambda par, mu: maximize_fs(par, mu, SearchBudget(n_samples=1))])
+                                   lambda par, mu: maximize_fs(par, mu, SearchBudget(n_samples=1)),
+                                   lambda par, nu: caratheodory_bound(nu)])
 def test_non_number_mu_is_a_domain_error(route, mu):
     # as ClassParams does for its parameters: no bool, string, array or int
     # past the float range is read as a number
@@ -355,6 +356,10 @@ def test_starlike_fs_validation():
         starlike_fs_bound(1.0, 0.5)
     with pytest.raises(DomainError):
         starlike_fs_bound(0.5, 1j)
+    # beta is read as ClassParams reads its parameters: False is not 0
+    for beta in ("0.5", False, np.False_, None, np.array(0.5), 10**400, 0.5j, math.inf):
+        with pytest.raises(DomainError, match="need 0 <= beta < 1"):
+            starlike_fs_bound(beta, 0.5)
 
 
 # ----- sanity against actual members -----

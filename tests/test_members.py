@@ -27,7 +27,10 @@ from fslab import (
     NearSingular,
     bound_complex,
     bound_real,
+    bound_sharp,
+    breakpoints,
     denominators,
+    extremal_config,
     fs_functional,
     herglotz_coeffs,
     member_from_pq,
@@ -35,20 +38,19 @@ from fslab import (
     starlike_from_q,
     transform_spotcheck,
 )
-from fslab.extremal import _ATOM0, _HALF, _SIDE, extremal_member
-from fslab.members import (
-    MAX_ATOMS,
+from fslab.extremal import _ATOM0, _HALF, _SIDE, _sharp_pair, extremal_member
+from fslab.members import MAX_ATOMS, _circle, _jet, _polyval
+from fslab.search import (
     _c12,
-    _circle,
     _coefficients,
+    _draw_chunk,
     _folded,
     _held,
-    _jet,
+    _measure,
     _pair_value,
-    _polyval,
     _side_value,
+    _values,
 )
-from fslab.search import _draw_chunk, _measure, _values
 
 PI = math.pi
 
@@ -126,6 +128,15 @@ def test_measure_rejects_bad_atoms():
         HerglotzMeasure(tuple((0.2, 0.0) for _ in range(5)))
     with pytest.raises(DomainError):
         HerglotzMeasure(())
+    # as ClassParams does: no string, bool, array, None or int or Fraction
+    # past the float range is read as a weight or an angle
+    for atoms in (
+        (("0.5", 0), ("0.5", "1")), ((True, 0),), ((1.0, np.True_),), ((np.array(1.0), 0.0),),
+        ((1.0, np.array(0.5)),), ((10**400, 0),), ((1.0, Fraction(10**400)),), ((None, 0),),
+        ((1.0, None),), ((1.0, 0.5j),),
+    ):
+        with pytest.raises(DomainError, match="^non-finite atom data$"):
+            HerglotzMeasure(atoms)
 
 
 def test_measure_wraps_angles():
@@ -222,10 +233,22 @@ def test_coeffs_match_the_per_order_recurrence():
 
 
 def test_c12_pairs_are_the_herglotz_coeffs():
-    # the polish sums _c12 over (w, exp(1j t)) pairs, the seeded floor reads
-    # herglotz_coeffs: one value, signed zeros included
+    # the search's seeded floor (_pair_value) and its polish sum _c12 over
+    # (w, exp(1j t)) pairs: on random measures and on the floor's own, the
+    # search's _c12 is members' reference herglotz_coeffs, signed zeros included
     rng = np.random.default_rng(1013)
     measures = [_ATOM0, _HALF, _SIDE] + [sample_measure(rng, MAX_ATOMS) for _ in range(2000)]
+    cases, window = set(), 0
+    for _ in range(1000):  # the real-mu floor: every case, and x* on the defect window
+        par = random_params(rng)
+        measures += [*extremal_config(par, 1), *extremal_config(par, 3)]  # the complex-mu floor
+        mu1, mu2, mu3 = breakpoints(par)
+        for mu in (rng.uniform(-1.0, mu1), rng.uniform(mu1, mu2), rng.uniform(mu2, 2.0 * mu3)):
+            report, p, q = _sharp_pair(par, float(mu))
+            cases.add(report.case_id)
+            window += bound_sharp(par, float(mu)) != report.value
+            measures += [p, q]
+    assert cases == {1, 2, 3, 4} and window >= 50
     for m in measures:
         pairs = _c12([(w, cmath.exp(1j * t)) for w, t in m.atoms])
         assert repr(pairs) == repr(herglotz_coeffs(m, 2)[1:]), m

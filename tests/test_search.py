@@ -38,24 +38,21 @@ from fslab import (
     verify_inequality,
 )
 from fslab.extremal import _sharp_pair
-from fslab.members import (
-    MAX_ATOMS,
-    TWO_PI,
-    _c12,
-    _coefficients,
-    _folded,
-    _fs_value,
-    _pair_value,
-    _scalar_mu,
-)
+from fslab.members import MAX_ATOMS, TWO_PI, _scalar_mu
 from fslab.search import (
     _CHUNK,
     _SCREEN_EPS,
+    _c12,
+    _coefficients,
     _draw_chunk,
+    _folded,
     _golden_max,
+    _held,
     _measure,
+    _pair_value,
     _polish,
     _screened,
+    _side_value,
     _used,
     _values,
 )
@@ -471,7 +468,7 @@ def _uncached_value(coef, mu, sides):
     for side in sides:
         total = sum(w for w, _ in side)
         cq.append(_c12([(w / total, cmath.exp(1j * t)) for w, t in side]))
-    return _fs_value(coef, mu, *cq)
+    return _side_value(coef, mu, 0, cq[0], _held(coef, 1, cq[1]))
 
 
 def test_polish_cache_is_bitwise_the_uncached_form(monkeypatch):
