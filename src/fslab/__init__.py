@@ -23,7 +23,6 @@ from .errors import (
     CaseRangeError,
     DomainError,
     FslabError,
-    NearSingular,
     ViolationError,
 )
 from .extremal import (
@@ -71,7 +70,6 @@ __all__ = [
     "DomainError",
     "FslabError",
     "HerglotzMeasure",
-    "NearSingular",
     "SearchBudget",
     "SearchResult",
     "ViolationError",

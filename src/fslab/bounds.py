@@ -88,19 +88,16 @@ from .errors import DomainError
 from .members import ClassParams, _finite_real, _scalar_mu
 
 
-def _check_finite(mu) -> None:
-    """DomainError naming mu, or an array's first non-finite entry, if any."""
-    if isinstance(mu, np.ndarray):
-        bad = mu[~np.isfinite(mu)]
-        mu = float(bad[0]) if bad.size else 0.0
-    if not math.isfinite(mu):
-        raise DomainError(f"mu must be finite, got {mu!r}")
+def _check_finite(mu: np.ndarray) -> None:
+    """_scalar_mu's DomainError for the array's first non-finite entry, if any."""
+    bad = mu[~np.isfinite(mu)]
+    if bad.size:
+        _scalar_mu(float(bad[0]))
 
 
 def _rho(params: ClassParams, mu):
     """rho = mu sigma / tau**2: real mu after passing to the second-order
-    transform (defined for finite real mu only, a float or an array)."""
-    _check_finite(mu)
+    transform, for a float or an array."""
     return mu * params.sigma / params.tau**2
 
 
@@ -241,8 +238,6 @@ def bound_complex(params: ClassParams, mu: complex) -> float:
     that overflows makes the value inf, as in bound_real, never NaN.
     """
     mu = complex(_scalar_mu(mu))
-    if not (math.isfinite(mu.real) and math.isfinite(mu.imag)):
-        raise DomainError(f"mu must be finite, got {mu!r}")
     try:
         scaled = _triangle(params, mu, abs, max)
     except OverflowError:  # abs() of a finite complex past the float range
@@ -257,8 +252,9 @@ def _grid_bounds(params: ClassParams, mu: np.ndarray):
 
     Every entry is bitwise what the scalar routes return at that mu: the
     same expressions in the same order, each branch on its own slice of the
-    grid. A non-finite mu raises bound_real's DomainError for the first one.
-    Overflow gives inf without a warning, as float arithmetic does.
+    grid. mu must be finite: the one caller, the CLI's sweep, checks the
+    whole grid with _check_finite first. Overflow gives inf without a
+    warning, as float arithmetic does.
     """
     three_sigma = 3.0 * params.sigma
     with np.errstate(over="ignore"):
@@ -289,9 +285,7 @@ def caratheodory_bound(nu: complex) -> float:
     try:
         nu = complex(_scalar_mu(nu))
     except DomainError:  # its message names mu
-        raise DomainError(f"nu must be a real or complex number in the float range, got {nu!r}") from None
-    if not (math.isfinite(nu.real) and math.isfinite(nu.imag)):
-        raise DomainError(f"nu must be finite, got {nu!r}")
+        raise DomainError(f"nu must be a finite real or complex number, got {nu!r}") from None
     return 2.0 * max(1.0, abs(2.0 * nu - 1.0))
 
 
@@ -301,6 +295,6 @@ def starlike_fs_bound(beta: float, mu: float) -> float:
     if b is None or not 0.0 <= b < 1.0:
         raise DomainError(f"need 0 <= beta < 1, got {beta!r}")
     mu = _scalar_mu(mu)
-    if isinstance(mu, complex) or not math.isfinite(mu):
-        raise DomainError(f"mu must be finite real, got {mu!r}")
+    if isinstance(mu, complex):
+        raise DomainError(f"starlike_fs_bound takes real mu, got {mu!r}")
     return (1.0 - b) * max(1.0, abs(3.0 - 2.0 * b - 4.0 * mu * (1.0 - b)))

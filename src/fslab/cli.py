@@ -373,7 +373,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         step = (args.mu_max - args.mu_min) / (args.steps - 1)
         with np.errstate(invalid="ignore"):  # an overflowed step: 0 * inf is nan
             grid = args.mu_min + np.arange(args.steps) * step
-    _check_finite(grid)  # the error _grid_bounds would raise, before any output
+    _check_finite(grid)  # once, before any output: _grid_bounds takes finite mu only
     starts = range(0, grid.size, _SWEEP_BLOCK)
     if args.output == "json":
         # the bytes of json.dumps({"format": ..., "rows": [...]}), in pieces

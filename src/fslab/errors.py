@@ -6,11 +6,9 @@ class FslabError(Exception):
 
 
 class DomainError(FslabError):
-    """Invalid class parameters, measures, or functional arguments."""
-
-
-class NearSingular(FslabError):
-    """A spot check's long division by g / z rejected: |b_1| <= DIVISOR_TOL."""
+    """Invalid class parameters, measures, or functional arguments, a mu that
+    is not a finite real or complex number, or a spot-checked member whose g
+    is not normalized (b_1 != 1)."""
 
 
 class CaseRangeError(FslabError):

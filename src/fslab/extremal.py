@@ -94,8 +94,8 @@ def _boundary_measure(x: float, zeta: float) -> HerglotzMeasure:
 def _case2_p_measure(params: ClassParams, mu: float) -> HerglotzMeasure:
     mu1, mu2, _ = breakpoints(params)
     mu = _scalar_mu(mu)
-    if isinstance(mu, complex) or not math.isfinite(mu):
-        raise CaseRangeError(f"case 2 needs finite real mu, got {mu!r}")
+    if isinstance(mu, complex):
+        raise CaseRangeError(f"case 2 needs real mu, got {mu!r}")
     if not (mu1 - _EDGE_TOL <= mu <= mu2 + _EDGE_TOL) or mu <= 0.0:
         raise CaseRangeError(
             f"case 2 admits mu in [{mu1}, {mu2}] only, got {mu} (c_1 would leave [0, 2])"

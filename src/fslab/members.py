@@ -53,13 +53,13 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
-from numbers import Complex, Real
+from numbers import Complex, Integral, Real
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NearSingular
+from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,10 +77,6 @@ WEIGHT_SUM_TOL = 1e-9
 # Slack for the grid membership check; covers truncation of the series tail
 # at the allowed radii (tail < 6e-5 at radius 0.5, order 8).
 SPOTCHECK_TOL = 1e-6
-
-# A divisor jet whose constant term is smaller than this in modulus is treated
-# as singular: the quotient would amplify input noise past any useful tolerance.
-DIVISOR_TOL = 1e-12
 
 
 def _finite_real(v) -> float | None:
@@ -284,15 +280,19 @@ def member_from_pq(
 
 
 def _scalar_mu(mu) -> float | complex:
-    """The one real-or-complex test of mu: complex (numpy's too), float, or DomainError."""
+    """The one check of a scalar mu: a finite complex (numpy's too) or float,
+    else DomainError."""
     if isinstance(mu, Complex) and not isinstance(mu, (bool, np.bool_)):
         with contextlib.suppress(OverflowError):  # an int or a Fraction past the float range
-            return complex(mu) if isinstance(mu, (complex, np.complexfloating)) else float(mu)
+            x = complex(mu) if isinstance(mu, (complex, np.complexfloating)) else float(mu)
+            if cmath.isfinite(x):
+                return x
+            raise DomainError(f"mu must be finite, got {x!r}")
     raise DomainError(f"mu must be a real or complex number in the float range, got {mu!r}")
 
 
 def fs_functional(member: ClassMember, mu: complex) -> complex:
-    """The coefficient functional a_3 - mu * a_2**2 (mu real or complex)."""
+    """The coefficient functional a_3 - mu * a_2**2 (mu finite, real or complex)."""
     return member.a[3] - _scalar_mu(mu) * member.a[2] ** 2
 
 
@@ -320,22 +320,27 @@ def _grid_spotcheck(
     """Re(num / g) > alpha - SPOTCHECK_TOL at grid points on |z| = radius.
 
     num and g both vanish at 0 with unit z-coefficient; the common z is
-    cancelled before dividing. Shared by the two spot checks, which build
-    num independently.
+    cancelled before dividing. A g with b_1 != 1, which only a hand-built
+    member can carry, is a DomainError. Shared by the two spot checks, which
+    build num independently.
     """
-    if not 0.0 < radius <= 0.5:
-        raise ValueError("radius must lie in (0, 0.5]")
+    x = _finite_real(radius)
+    if x is None or not 0.0 < x <= 0.5:
+        raise ValueError(f"radius must be a real number in (0, 0.5], got {radius!r}")
+    # an int skips isinstance's ABC check (about 0.5 us), as in _finite_real
+    if type(grid) is not int and (isinstance(grid, bool) or not isinstance(grid, Integral)):
+        raise ValueError(f"grid must be an integer, got {grid!r}")
     if grid < 8:
         raise ValueError("grid too coarse to mean anything")
     top, g = _jet(num[1:]), _jet(member.b[1:])
-    if abs(g[0]) <= DIVISOR_TOL:
-        raise NearSingular(f"leading divisor coefficient {g[0]!r} below tolerance {DIVISOR_TOL}")
+    if g[0] != 1.0:
+        raise DomainError(f"g must be normalized with b_1 = 1, got {g[0]!r}")
     ratio: list[complex] = []  # long division top / g, truncated to the shorter jet
     for k in range(min(len(top), len(g))):
         acc = _csum([ratio[j] * g[k - j] for j in range(k)]) if k else 0.0
         ratio.append((top[k] - acc) / g[0])
     # _jet rejects a quotient that overflowed
-    vals = _polyval(_jet(ratio), _circle(radius, grid))
+    vals = _polyval(_jet(ratio), _circle(x, grid))
     return bool(vals.real.min() > member.params.alpha - SPOTCHECK_TOL)
 
 

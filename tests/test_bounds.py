@@ -22,11 +22,14 @@ from fslab import (
     breakpoints,
     caratheodory_bound,
     coeff_bounds,
+    extremal_config,
     fs_functional,
     herglotz_coeffs,
     maximize_fs,
     member_from_pq,
     membership_spotcheck,
+    sharp_witness,
+    sharpness_residual,
     starlike_from_q,
     starlike_fs_bound,
 )
@@ -127,6 +130,20 @@ def test_non_number_mu_is_a_domain_error(route, mu):
     # as ClassParams does for its parameters: no bool, string, array or int
     # past the float range is read as a number
     with pytest.raises(DomainError, match="real or complex number"):
+        route(PMIX, mu)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, complex(0, math.inf), complex(math.nan, 0)])
+@pytest.mark.parametrize("route", [bound_real, bound_sharp, bound_complex,
+                                   lambda par, mu: maximize_fs(par, mu, SearchBudget(n_samples=1)),
+                                   lambda par, nu: caratheodory_bound(nu),
+                                   lambda par, mu: starlike_fs_bound(0.5, mu),
+                                   lambda par, mu: fs_functional(member_from_pq(par, atom_measure(), atom_measure()), mu),
+                                   lambda par, mu: extremal_config(par, 2, mu),
+                                   sharp_witness, sharpness_residual])
+def test_non_finite_mu_is_a_domain_error(route, mu):
+    # one check, members._scalar_mu, on every scalar route
+    with pytest.raises(DomainError, match="finite"):
         route(PMIX, mu)
 
 

@@ -24,7 +24,6 @@ from fslab import (
     ClassParams,
     DomainError,
     HerglotzMeasure,
-    NearSingular,
     bound_complex,
     bound_real,
     bound_sharp,
@@ -503,6 +502,12 @@ def test_spotcheck_radius_validation():
         membership_spotcheck(m, radius=0.0)
     with pytest.raises(ValueError):
         membership_spotcheck(m, grid=4)
+    # no string radius, and only an integer grid: np.arange(8.5) / 8.5 is
+    # not evenly spaced
+    for bad in ({"radius": "0.3"}, {"radius": None}, {"radius": math.nan},
+                {"grid": 8.5}, {"grid": 64.0}, {"grid": True}, {"grid": "64"}):
+        with pytest.raises(ValueError):
+            membership_spotcheck(m, **bad)
 
 
 # hand-built members: coefficient data that did not come from member_from_pq
@@ -511,8 +516,8 @@ _MEMBER = member_from_pq(ClassParams(0.3, 0.1, 0.2, 0.4), atom_measure(), atom_m
 
 def test_spotcheck_rejects_non_finite_coefficients():
     bad = replace(_MEMBER, a=_MEMBER.a[:3] + (complex("nan"),) + _MEMBER.a[4:])
-    # finite data whose quotient by g overflows
-    huge = replace(_MEMBER, a=(0j, 1e300 + 0j) + _MEMBER.a[2:], b=(0.0, 1e-11) + _MEMBER.b[2:])
+    # finite data whose quotient by a normalized g overflows
+    huge = replace(_MEMBER, a=(0j, 1.5e308 + 0j) + _MEMBER.a[2:])
     for check in (membership_spotcheck, transform_spotcheck):
         for member in (bad, huge):
             with pytest.raises(ValueError):
@@ -520,7 +525,9 @@ def test_spotcheck_rejects_non_finite_coefficients():
 
 
 def test_spotcheck_rejects_near_singular_g():
-    flat = replace(_MEMBER, b=(0.0, 1e-13) + _MEMBER.b[2:])
-    for check in (membership_spotcheck, transform_spotcheck):
-        with pytest.raises(NearSingular):
-            check(flat)
+    # the class normalizes g to b_1 = 1 exactly; nothing else is divided by
+    for b1 in (1e-13, 1.0 + 2**-52):
+        flat = replace(_MEMBER, b=(0.0, b1) + _MEMBER.b[2:])
+        for check in (membership_spotcheck, transform_spotcheck):
+            with pytest.raises(DomainError, match="b_1 = 1"):
+                check(flat)
