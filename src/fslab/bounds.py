@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .members import ClassParams, _finite_real, _scalar_mu
+from .members import ClassParams, _scalar_mu, _starlike_beta
 
 
 def _check_finite(mu: np.ndarray) -> None:
@@ -291,9 +291,7 @@ def caratheodory_bound(nu: complex) -> float:
 
 def starlike_fs_bound(beta: float, mu: float) -> float:
     """Bound on |b_3 - mu b_2**2| over functions starlike of order beta."""
-    b = _finite_real(beta)
-    if b is None or not 0.0 <= b < 1.0:
-        raise DomainError(f"need 0 <= beta < 1, got {beta!r}")
+    b = _starlike_beta(beta)
     mu = _scalar_mu(mu)
     if isinstance(mu, complex):
         raise DomainError(f"starlike_fs_bound takes real mu, got {mu!r}")

@@ -2,8 +2,8 @@
 
 Subcommands:
 
-    bound   one bound evaluation (real mu by default, --complex for the
-            triangle-inequality route)
+    bound   one bound evaluation: the four-branch value for a real mu, the
+            triangle-inequality route for an a+bi one
     sweep   CSV table of both bounds over a mu grid (plot-ready; rendering
             is out of scope by design)
     verify  randomized search vs the bound, JSON report
@@ -175,13 +175,7 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser("bound", help="evaluate the bound at one mu")
     _add_param_flags(sub)
-    sub.add_argument("--mu", required=True, help="real number, or a+bi with --complex")
-    sub.add_argument(
-        "--complex",
-        dest="use_complex",
-        action="store_true",
-        help="parse --mu as a+bi and use the triangle-inequality bound",
-    )
+    sub.add_argument("--mu", required=True, help="real number, or a+bi for the triangle-inequality bound")
 
     sub = subs.add_parser("sweep", help="CSV of bounds over a mu grid")
     _add_param_flags(sub)
@@ -194,8 +188,7 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser("verify", help="randomized search vs the bound")
     _add_param_flags(sub)
-    sub.add_argument("--mu", default="0.5", help="real number, or a+bi with --complex (default 0.5)")
-    sub.add_argument("--complex", dest="use_complex", action="store_true")
+    sub.add_argument("--mu", default="0.5", help="real number, or a+bi (default 0.5)")
     sub.add_argument(
         "--samples", type=int, default=10_000, help=f"random samples, 1..{_MAX_SAMPLES} (default 10000)"
     )
@@ -221,21 +214,19 @@ def _build_parser() -> _Parser:
 
 
 def _parse_mu(args: argparse.Namespace) -> complex | float:
-    raw = str(args.mu)
-    if args.use_complex:
-        return parse_complex_literal(raw)
+    """--mu as a float, or as a complex for an a+bi literal."""
+    if not _is_number(args.mu):
+        raise _UsageError(f"--mu must be a real number or an a+bi literal, got {args.mu!r}")
     try:
-        return float(raw)
+        return float(args.mu)
     except ValueError:
-        raise _UsageError(
-            f"--mu must be a real number (use --complex for a+bi), got {raw!r}"
-        ) from None
+        return parse_complex_literal(args.mu)
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     params = _params(args)
     mu = _parse_mu(args)
-    if args.use_complex:
+    if isinstance(mu, complex):
         _emit_json({"format": SCHEMA_VERSION, "value": bound_complex(params, mu)})
         return 0
     report = bound_real(params, mu)

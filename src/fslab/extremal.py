@@ -42,6 +42,7 @@ from .members import (
     HerglotzMeasure,
     _grid_spotcheck,
     _scalar_mu,
+    _whole,
     fs_functional,
     member_from_pq,
 )
@@ -109,15 +110,16 @@ def extremal_config(
     params: ClassParams, case_id: int, mu: float | None = None
 ) -> tuple[HerglotzMeasure, HerglotzMeasure]:
     """(p, q) measure pair for one case; mu is consulted only by case 2."""
-    if case_id == 1:
+    case = _whole(case_id)
+    if case == 1:
         return _ATOM0, _ATOM0
-    if case_id == 2:
+    if case == 2:
         if mu is None:
             raise CaseRangeError("case 2 needs mu to place its measure")
         return _case2_p_measure(params, mu), HerglotzMeasure(((1.0, 0.0),))
-    if case_id == 3:
+    if case == 3:
         return _HALF, _HALF
-    if case_id == 4:
+    if case == 4:
         return _SIDE, _SIDE
     raise DomainError(f"case_id must be 1..4, got {case_id}")
 
@@ -146,7 +148,8 @@ def sharpness_residual(params: ClassParams, mu: float, order: int = DEFAULT_ORDE
     same numbers; _witness_check holds the witness and the overflow rule.
     order is only validated (bench/workloads.py passes it): a_2, a_3 ignore it.
     """
-    if order < 3:
+    order = _whole(order)
+    if order is None or order < 3:
         raise ValueError("order must be at least 3")
     report, attained = _witness_check(params, mu)
     return report.value - attained

@@ -90,6 +90,23 @@ def _finite_real(v) -> float | None:
     return None
 
 
+def _whole(v) -> int | None:
+    """v as an int if it is an integer (numpy's too), else None: no bool
+    (numpy's bool is no Integral), float or string is read as a count."""
+    # an int skips isinstance's ABC check (about 0.5 us), as in _finite_real
+    if type(v) is int or not isinstance(v, bool) and isinstance(v, Integral):
+        return int(v)
+    return None
+
+
+def _starlike_beta(beta) -> float:
+    """beta as a float if 0 <= beta < 1 (the order of starlikeness), else DomainError."""
+    b = _finite_real(beta)
+    if b is None or not 0.0 <= b < 1.0:
+        raise DomainError(f"need 0 <= beta < 1, got {beta!r}")
+    return b
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Validated class parameters with derived scale factors tau and sigma."""
@@ -196,7 +213,8 @@ def herglotz_coeffs(measure: HerglotzMeasure, n: int) -> tuple[complex, ...]:
 
     c_k = 2 sum_i w_i e^{i k t_i}; modulus never exceeds 2.
     """
-    if n < 1:
+    n = _whole(n)
+    if n is None or n < 1:
         raise ValueError("need n >= 1")
     units = [cmath.exp(1j * t) for _, t in measure.atoms]
     rows = zip(*(accumulate(repeat(u, n), mul, initial=1.0 + 0.0j) for u in units))
@@ -211,28 +229,32 @@ def starlike_from_q(q_coeffs: Sequence[complex], beta: float, n: int) -> tuple[c
     Solves (k-1) b_k = (1-beta) sum_{j=1..k-1} q_j b_{k-j} upward from b_1=1,
     where q_coeffs[j] holds q_j (q_coeffs[0] = 1 is ignored).
     """
-    if n < 1:
+    v = 1.0 - _starlike_beta(beta)
+    n = _whole(n)
+    if n is None or n < 1:
         raise ValueError("need n >= 1")
     if len(q_coeffs) < n + 1:
         raise ValueError(f"need q coefficients through index {n}")
     b: list[complex] = [0.0, 1.0]
     for k in range(2, n + 1):
         acc = sum(q_coeffs[j] * b[k - j] for j in range(1, k))
-        b.append((1.0 - beta) * acc / (k - 1))
+        b.append(v * acc / (k - 1))
     return tuple(b)
 
 
 def denominators(params: ClassParams, n: int) -> tuple[float, ...]:
     """(0, D_1, ..., D_n) with D_k = k[(1-lam+delta) + k(lam-delta) + k(k-1) lam delta].
 
-    Strictly positive for k >= 1 over the whole parameter domain,
-    and D_2 = 2 tau, D_3 = 3 sigma.
+    Strictly positive for k >= 1 over the whole parameter domain, with
+    D_1 = 1 exactly (the sum rounds below 1 at some lam, delta), D_2 = 2 tau
+    and D_3 = 3 sigma.
     """
+    n = _whole(n)
+    if n is None or n < 1:
+        raise ValueError("need n >= 1")
     lam, delta = params.lam, params.delta
     base, slope, curve = 1.0 - lam + delta, lam - delta, lam * delta
-    return tuple(
-        k * (base + k * slope + k * (k - 1) * curve) if k else 0.0 for k in range(n + 1)
-    )
+    return (0.0, 1.0, *(k * (base + k * slope + k * (k - 1) * curve) for k in range(2, n + 1)))
 
 
 def _jet(coeffs: Sequence[complex]) -> tuple[complex, ...]:
@@ -262,7 +284,8 @@ def member_from_pq(
     Cauchy product g * (alpha + (1-alpha) p) divided by D_k. g is always
     derived from a measure here, never supplied raw.
     """
-    if order < 3:
+    order = _whole(order)
+    if order is None or order < 3:
         raise ValueError("order must be at least 3")
     c = herglotz_coeffs(p, order)
     qk = herglotz_coeffs(q, order)
@@ -327,10 +350,10 @@ def _grid_spotcheck(
     x = _finite_real(radius)
     if x is None or not 0.0 < x <= 0.5:
         raise ValueError(f"radius must be a real number in (0, 0.5], got {radius!r}")
-    # an int skips isinstance's ABC check (about 0.5 us), as in _finite_real
-    if type(grid) is not int and (isinstance(grid, bool) or not isinstance(grid, Integral)):
+    n = _whole(grid)
+    if n is None:
         raise ValueError(f"grid must be an integer, got {grid!r}")
-    if grid < 8:
+    if n < 8:
         raise ValueError("grid too coarse to mean anything")
     top, g = _jet(num[1:]), _jet(member.b[1:])
     if g[0] != 1.0:
@@ -340,7 +363,7 @@ def _grid_spotcheck(
         acc = _csum([ratio[j] * g[k - j] for j in range(k)]) if k else 0.0
         ratio.append((top[k] - acc) / g[0])
     # _jet rejects a quotient that overflowed
-    vals = _polyval(_jet(ratio), _circle(x, grid))
+    vals = _polyval(_jet(ratio), _circle(x, n))
     return bool(vals.real.min() > member.params.alpha - SPOTCHECK_TOL)
 
 

@@ -126,7 +126,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
@@ -140,6 +139,7 @@ from .members import (
     MAX_ATOMS,
     TWO_PI,
     _scalar_mu,
+    _whole,
     fs_functional,
     member_from_pq,
 )
@@ -179,10 +179,11 @@ class SearchBudget:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise DomainError(f"{field.name} must be an integer, got {value!r}")
-            object.__setattr__(self, field.name, int(value))
+            raw = getattr(self, field.name)
+            value = _whole(raw)
+            if value is None:
+                raise DomainError(f"{field.name} must be an integer, got {raw!r}")
+            object.__setattr__(self, field.name, value)
         if self.n_samples < 1:
             raise DomainError("n_samples must be positive")
         if self.n_refine < 0:

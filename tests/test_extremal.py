@@ -79,8 +79,11 @@ def test_config_pairs_equal_fresh_measures():
 
 
 def test_config_case_validation():
-    with pytest.raises(DomainError):
-        extremal_config(P0, 5)
+    # a bool or float equal to a case id is no case id
+    for case_id in (5, 0, True, 1.0, 3.0, "1", None):
+        with pytest.raises(DomainError, match="^case_id must be 1..4, got "):
+            extremal_config(P0, case_id)
+    assert extremal_config(P0, np.int64(3)) == extremal_config(P0, 3)
     with pytest.raises(CaseRangeError):
         extremal_config(P0, 2)  # needs mu
 
@@ -197,8 +200,9 @@ def test_residual_is_the_order_n_witness_residual():
                     witness = extremal_member(par, mu, report.case_id, n)
                     want = report.value - abs(fs_functional(witness, mu))
                     assert sharpness_residual(par, mu, n).hex() == want.hex()
-    with pytest.raises(ValueError, match="order must be at least 3"):
-        sharpness_residual(P0, 0.5, 2)
+    for order in (2, 3.5, 8.0, True, "8"):
+        with pytest.raises(ValueError, match="order must be at least 3"):
+            sharpness_residual(P0, 0.5, order)
 
 
 def test_residual_classical_spot_values():

@@ -32,8 +32,10 @@ from fslab import (
     extremal_config,
     fs_functional,
     herglotz_coeffs,
+    libera_transform,
     member_from_pq,
     membership_spotcheck,
+    sharp_witness,
     starlike_from_q,
     transform_spotcheck,
 )
@@ -182,7 +184,11 @@ def test_two_atom_example():
     assert abs(c[1] - 2 / 3) < 1e-15 and abs(c[2] - 2) < 1e-15
 
 
-@pytest.mark.parametrize("n", [0, -1])
+# counts are whole numbers: no float, bool or string, even one equal to a count
+_NOT_COUNTS = [2.0, 3.5, True, np.bool_(True), "8", None]
+
+
+@pytest.mark.parametrize("n", [0, -1, *_NOT_COUNTS])
 def test_coeffs_need_a_positive_order(n):
     with pytest.raises(ValueError, match="^need n >= 1$"):
         herglotz_coeffs(atom_measure(0.0), n)
@@ -290,10 +296,17 @@ def test_starlike_needs_enough_q_coefficients():
         starlike_from_q((1.0, 2.0), 0.0, 3)
 
 
-@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("n", [0, -1, *_NOT_COUNTS])
 def test_starlike_needs_a_positive_order(n):
     with pytest.raises(ValueError, match="^need n >= 1$"):
         starlike_from_q(herglotz_coeffs(atom_measure(0.0), 3), 0.0, n)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -0.5, 1.0, "x", None, True, 0.5j])
+def test_starlike_needs_beta_in_the_class(beta):
+    # starlike_fs_bound's check: 0 <= beta < 1 as a finite real
+    with pytest.raises(DomainError, match="^need 0 <= beta < 1, got "):
+        starlike_from_q((1, 2, 2, 2), beta, 3)
 
 
 # ----- denominators -----
@@ -305,6 +318,17 @@ def test_denominators_examples():
     d = denominators(p, 3)
     assert d[1] == 1.0 and d[2] == 3.0 and d[3] == 6.75
     assert d[2] == 2 * p.tau and d[3] == 3 * p.sigma
+    # D_1 = 1 exactly, where 1 - lam + delta + (lam - delta) rounds to 1 - 2**-53
+    for lam, delta in ((0.3, 0.1), (0.3, 0.2)):
+        p = ClassParams(lam, delta, 0, 0)
+        assert denominators(p, 1) == (0.0, 1.0)
+        assert libera_transform(member_from_pq(p, atom_measure(), atom_measure()))[1] == 1
+
+
+@pytest.mark.parametrize("n", [0, -1, *_NOT_COUNTS])
+def test_denominators_need_a_positive_order(n):
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        denominators(ClassParams(0, 0, 0, 0), n)
 
 
 def test_denominators_positive_everywhere():
@@ -346,8 +370,15 @@ def test_member_recurrence_identities():
 
 
 def test_member_order_floor():
-    with pytest.raises(ValueError):
-        member_from_pq(ClassParams(0, 0, 0, 0), atom_measure(), atom_measure(), 2)
+    par = ClassParams(0, 0, 0, 0)
+    for order in (2, *_NOT_COUNTS):
+        for build in (lambda: member_from_pq(par, atom_measure(), atom_measure(), order),
+                      lambda: extremal_member(par, 0.5, 1, order),
+                      lambda: sharp_witness(par, 0.5, order)):
+            with pytest.raises(ValueError, match="^order must be at least 3$"):
+                build()
+    # numpy's integers are counts
+    assert member_from_pq(par, atom_measure(), atom_measure(), np.int64(3)).order == 3
 
 
 # ----- the closed form of a_2 and a_3 -----
@@ -505,7 +536,7 @@ def test_spotcheck_radius_validation():
     # no string radius, and only an integer grid: np.arange(8.5) / 8.5 is
     # not evenly spaced
     for bad in ({"radius": "0.3"}, {"radius": None}, {"radius": math.nan},
-                {"grid": 8.5}, {"grid": 64.0}, {"grid": True}, {"grid": "64"}):
+                {"grid": 8.5}, {"grid": 64.0}, {"grid": True}, {"grid": np.bool_(True)}, {"grid": "64"}):
         with pytest.raises(ValueError):
             membership_spotcheck(m, **bad)
 
