@@ -54,7 +54,8 @@ from .search import (
 
 # Allocator warm-up, once per process: unmapping this 2 MiB array sets glibc's
 # mmap and trim thresholds to 2 and 4 MiB. No array of a search or a 2,001-row
-# sweep is that large and their heap peaks stay under 1.4 MiB (2.4 as JSON), so
+# sweep is that large and their heap peaks stay under 2.1 MiB (2.4 as JSON, 4.0
+# for a search whose screen keeps every sample, :mod:`fslab.search`), so
 # their arrays are not trimmed off the heap and faulted back in (about 100 and
 # 250 minor faults per op). Under any other allocator it does nothing.
 np.empty(1 << 18)

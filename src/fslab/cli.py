@@ -81,8 +81,8 @@ _NUMBER_FLAGS = ("--lambda", "--delta", "--alpha", "--beta", "--mu", "--mu-min",
 _SWEEP_COLUMNS = ("mu", "case", "value", "scaled_value", "complex_bound")
 
 _COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"(?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i$"
+    r"(?P<re>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i"
 )
 
 
@@ -96,16 +96,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def parse_complex_literal(text: str) -> complex:
-    """Parse 'a+bi' / 'a-bi' with both parts required and no spaces allowed."""
-    if any(ch.isspace() for ch in text):
-        raise _UsageError(f"complex literal may not contain spaces: {text!r}")
-    m = _COMPLEX_RE.match(text)
-    if m is None:
-        raise _UsageError(
-            f"expected a complex literal of the form a+bi, got {text!r}"
-        )
-    return complex(float(m.group("re")), float(m.group("im")))
+def parse_complex_literal(text: str) -> complex | None:
+    """'a+bi' / 'a-bi', both parts required and nothing else in the text (no
+    space or trailing newline), as a complex; None for any other text."""
+    m = _COMPLEX_RE.fullmatch(text)
+    return None if m is None else complex(float(m.group("re")), float(m.group("im")))
 
 
 def _is_number(text: str) -> bool:
@@ -113,7 +108,7 @@ def _is_number(text: str) -> bool:
     try:
         float(text)
     except ValueError:
-        return _COMPLEX_RE.match(text) is not None
+        return parse_complex_literal(text) is not None
     return True
 
 
@@ -215,12 +210,13 @@ def _build_parser() -> _Parser:
 
 def _parse_mu(args: argparse.Namespace) -> complex | float:
     """--mu as a float, or as a complex for an a+bi literal."""
-    if not _is_number(args.mu):
-        raise _UsageError(f"--mu must be a real number or an a+bi literal, got {args.mu!r}")
     try:
         return float(args.mu)
     except ValueError:
-        return parse_complex_literal(args.mu)
+        mu = parse_complex_literal(args.mu)
+    if mu is None:
+        raise _UsageError(f"--mu must be a real number or an a+bi literal, got {args.mu!r}")
+    return mu
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -362,8 +358,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = np.array([args.mu_min])
     else:
         step = (args.mu_max - args.mu_min) / (args.steps - 1)
-        with np.errstate(invalid="ignore"):  # an overflowed step: 0 * inf is nan
+        if math.isfinite(step):
             grid = args.mu_min + np.arange(args.steps) * step
+        else:
+            # the width overflows: the same grid in quarters, which cannot
+            # overflow, kept within [mu_min, mu_max] where rounding overshoots
+            quarter = (args.mu_max / 4 - args.mu_min / 4) / (args.steps - 1)
+            ends = sorted((args.mu_min / 4, args.mu_max / 4))
+            grid = 4 * np.clip(args.mu_min / 4 + np.arange(args.steps) * quarter, *ends)
     _check_finite(grid)  # once, before any output: _grid_bounds takes finite mu only
     starts = range(0, grid.size, _SWEEP_BLOCK)
     if args.output == "json":

@@ -45,12 +45,10 @@ def test_complex_literal_accepts(text, want):
     assert parse_complex_literal(text) == want
 
 
-@pytest.mark.parametrize("text", ["1 + 2i", "1+2j", "2i", "i", "1", "1+i", "++1i", ""])
+@pytest.mark.parametrize("text", ["1 + 2i", "1+2j", "2i", "i", "1", "1+i", "++1i", "", "1+2i\n"])
 def test_complex_literal_rejects(text):
-    from fslab.cli import _UsageError
-
-    with pytest.raises(_UsageError):
-        parse_complex_literal(text)
+    # not an a+bi literal, a trailing newline included: None, no error of its own
+    assert parse_complex_literal(text) is None
 
 
 def test_parse_atoms():
@@ -89,8 +87,9 @@ def test_bound_complex_payload(capsys):
 
 
 def test_bound_usage_errors(capsys):
-    code, _, err = run(capsys, "bound", "--mu", "abc")
-    assert (code, err) == (1, "usage error: --mu must be a real number or an a+bi literal, got 'abc'\n")
+    for mu in ("abc", "1 + 2i", "1+2i\n"):
+        code, _, err = run(capsys, "bound", "--mu", mu)
+        assert (code, err) == (1, f"usage error: --mu must be a real number or an a+bi literal, got {mu!r}\n")
     # the literal picks the route; there is no flag for it
     code, _, err = run(capsys, "bound", "--complex", "--mu", "1+2i")
     assert code == 1 and err.startswith("usage error: unrecognized arguments: --complex")
@@ -181,16 +180,37 @@ def test_sweep_csv_values_roundtrip(capsys):
         ),
         (
             ["--mu-min=-1e308", "--mu-max", "1e308", "--steps", "5"],
-            2,
+            0,
+            "mu,case,value,scaled_value,complex_bound\n"
+            "-1e+308,1,inf,inf,inf\n"
+            "-5.0000000000000001e+307,1,inf,inf,inf\n"
+            "0,1,3,9,3\n"
+            "5.0000000000000001e+307,4,inf,inf,inf\n"
+            "1e+308,4,inf,inf,inf\n",
             "",
-            "domain error: mu must be finite, got nan\n",
         ),
     ],
 )
 def test_sweep_overflow(capsys, argv, code, want_out, want_err):
-    # values overflow to inf silently; an overflowed step makes the first mu
-    # nan (0 * inf), which is named like bound_real names it
+    # values overflow to inf silently; a step that overflows (the width of
+    # the range is past the float range) still gives the finite grid
     assert run(capsys, "sweep", *argv) == (code, want_out, want_err)
+
+
+@pytest.mark.parametrize("steps", [2, 4, 7, 8, 24, 1001])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sweep_over_the_whole_float_range(capsys, steps, sign):
+    # from -DBL_MAX to DBL_MAX (or back) the step overflows, and at 4, 7 and
+    # 8 steps the grid's last point rounds past mu_max unless it is kept
+    # within the range: every mu is finite, the first is mu_min and none
+    # leaves the range
+    lo, hi = -sign * sys.float_info.max, sign * sys.float_info.max
+    code, out, err = run(capsys, "sweep", f"--mu-min={lo!r}", f"--mu-max={hi!r}", "--steps", str(steps))
+    assert (code, err) == (0, "")
+    mus = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert len(mus) == steps and all(map(math.isfinite, mus))
+    assert mus[0] == lo
+    assert min(lo, hi) <= min(mus) and max(mus) <= max(lo, hi)
 
 
 @pytest.mark.parametrize("steps", ["1000001", "1000000000"])

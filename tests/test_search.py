@@ -11,6 +11,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -439,13 +440,28 @@ def test_search_does_not_refault_its_workspace():
     assert float(out) <= 5.0
 
 
+@pytest.mark.parametrize("max_atoms", range(1, MAX_ATOMS + 1))
+@pytest.mark.parametrize("mu", [1.25, complex(1.25, 0.25)])
+def test_search_heap_peak_stays_under_the_trim_threshold(max_atoms, mu):
+    # a default search's heap peak stays a quarter below the 4 MiB trim
+    # threshold of the allocator warm-up (fslab/__init__.py), so a bigger
+    # chunk or bigger kernel temporaries fail here before they refault
+    tracemalloc.start()
+    try:
+        maximize_fs(ClassParams(0.3, 0.1, 0.2, 0.1), mu, SearchBudget(max_atoms=max_atoms))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+
+
 def test_concurrent_searches_are_the_serial_ones():
     # a search shares no scratch memory with another, and numpy releases
     # the GIL inside ufuncs: two threads running the same searches in
     # opposite orders get the serial results
     tuples = (ClassParams(0.3, 0.1, 0.2, 0.1), ClassParams(1, 1, 0.95, 0.95))
     mus = (1.25, complex(1.25, 0.25), complex(0.8, 0.3), -0.8)
-    sizes = (1, 2047, 2049, 6145)
+    sizes = (1, 4999, 5001, 12001)
     jobs = [(tuples[i // 4 % 2], mus[i % 4], SearchBudget(sizes[i // 6], i % 4, 1 + i % 4, i)) for i in range(24)]
     serial = [maximize_fs(*job) for job in jobs]
     interval = sys.getswitchinterval()
@@ -642,11 +658,11 @@ def test_search_is_the_plain_reference_search():
     # plain reference, bitwise: real and complex mu (|mu| = 1e300 among
     # them), the edge tuples, 1-4 atoms, 0-3 polish rounds and sample counts
     # on either side of the chunk edges
-    assert _CHUNK == 2048
+    assert _CHUNK == 5000
     rng = np.random.default_rng(83)
     tuples = EDGE_PARAMS + [ClassParams(0.3, 0.1, 0.2, 0.1), ClassParams(0.0, 0.0, 0.6, 0.0)]
     mus = (0.5, 1.25, -0.8, complex(1.25, 0.25), complex(-0.4, 1.3), 1e300, complex(-6e299, 8e299))
-    sizes = (1, 2047, 2048, 2049, 6145)
+    sizes = (1, 4999, 5000, 5001, 12001)
     n = 0
     for par in tuples:
         for mu in mus:
