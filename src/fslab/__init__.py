@@ -52,13 +52,15 @@ from .search import (
     verify_inequality,
 )
 
-# Allocator warm-up, once per process: unmapping this 2 MiB array sets glibc's
-# mmap and trim thresholds to 2 and 4 MiB. No array of a search or a 2,001-row
+# Allocator warm-up, once per process: unmapping this 4 MiB array sets glibc's
+# mmap and trim thresholds to 4 and 8 MiB. No array of a search or a 2,001-row
 # sweep is that large and their heap peaks stay under 2.1 MiB (2.4 as JSON, 4.0
 # for a search whose screen keeps every sample, :mod:`fslab.search`), so
 # their arrays are not trimmed off the heap and faulted back in (about 100 and
-# 250 minor faults per op). Under any other allocator it does nothing.
-np.empty(1 << 18)
+# 250 minor faults per op, and about 480 per search that keeps every sample
+# under a 4 MiB trim threshold, where the heap's layout lets the freed top
+# pass 4 MiB). Under any other allocator it does nothing.
+np.empty(1 << 19)
 
 __version__ = "0.1.0"
 

@@ -47,7 +47,7 @@ SCHEMA_VERSION = 1
 SHARP_TOL = 1e-8
 
 # Largest --order `member` accepts: construction is quadratic in the order
-# (about 0.45 s end to end at 1000), and nothing needs more.
+# (about 0.4 s end to end at 1000), and nothing needs more.
 _MAX_ORDER = 1000
 
 # Largest --steps `sweep` accepts: about 1.2 s end to end at the cap as CSV
@@ -55,7 +55,7 @@ _MAX_ORDER = 1000
 _MAX_STEPS = 1_000_000
 
 # Rows `sweep` formats and writes at a time, CSV or JSON, so its memory
-# stays flat in --steps. A block's arrays stay below the 2 MiB mmap threshold
+# stays flat in --steps. A block's arrays stay below the 4 MiB mmap threshold
 # of the allocator warm-up (:mod:`fslab`), so glibc keeps them on the heap:
 # 32,768-row blocks were mapped and faulted in afresh, about 33,000 minor
 # faults per 200,000-row sweep against 2 at 2,048 rows.

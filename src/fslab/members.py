@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
 from numbers import Complex, Integral, Real
-from operator import mul
+from operator import attrgetter, mul
 from typing import Sequence
 
 import numpy as np
@@ -129,8 +129,7 @@ class ClassParams:
             )
         if not (0.0 <= self.alpha < 1.0):
             raise DomainError(f"need 0 <= alpha < 1, got {self.alpha}")
-        if not (0.0 <= self.beta < 1.0):
-            raise DomainError(f"need 0 <= beta < 1, got {self.beta}")
+        _starlike_beta(self.beta)
 
     @property
     def tau(self) -> float:
@@ -235,10 +234,15 @@ def starlike_from_q(q_coeffs: Sequence[complex], beta: float, n: int) -> tuple[c
         raise ValueError("need n >= 1")
     if len(q_coeffs) < n + 1:
         raise ValueError(f"need q coefficients through index {n}")
+    return _starlike(q_coeffs, v, n)
+
+
+def _starlike(q_coeffs: Sequence[complex], v: float, n: int) -> tuple[complex, ...]:
+    """starlike_from_q's recurrence for checked inputs, with v = 1 - beta."""
     b: list[complex] = [0.0, 1.0]
     for k in range(2, n + 1):
-        acc = sum(q_coeffs[j] * b[k - j] for j in range(1, k))
-        b.append(v * acc / (k - 1))
+        # a plain sum from the int 0, not _csum: its rounding and signed zeros are b's
+        b.append(v * sum(map(mul, q_coeffs[1:k], b[k - 1 : 0 : -1])) / (k - 1))
     return tuple(b)
 
 
@@ -267,9 +271,14 @@ def _jet(coeffs: Sequence[complex]) -> tuple[complex, ...]:
     return out
 
 
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
+
+
 def _csum(terms: Sequence[complex]) -> complex:
-    # exactly rounded component-wise sum; order of terms cannot matter
-    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    # exactly rounded component-wise sum, so the order of the terms cannot
+    # matter; fsum reads the parts straight from a C iterator (map), with no
+    # per-term Python frame or list
+    return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
 
 
 def member_from_pq(
@@ -289,15 +298,14 @@ def member_from_pq(
         raise ValueError("order must be at least 3")
     c = herglotz_coeffs(p, order)
     qk = herglotz_coeffs(q, order)
-    b = starlike_from_q(qk, params.beta, order)
+    b = _starlike(qk, 1.0 - params.beta, order)  # params checked beta
     d = denominators(params, order)
 
     u = 1.0 - params.alpha
     mix = [params.alpha * complex(k == 0) + u * ck for k, ck in enumerate(c)]
     g = _jet(b)
     a = (0.0 + 0.0j, 1.0 + 0.0j) + tuple(
-        _csum([g[j] * mix[k - j] for j in range(k + 1)]) / d[k]
-        for k in range(2, order + 1)
+        _csum([*map(mul, g[: k + 1], mix[k::-1])]) / d[k] for k in range(2, order + 1)
     )
     return ClassMember(params, p, q, c, qk, b, a, d)
 
@@ -325,7 +333,8 @@ def _polyval(coeffs: tuple[complex, ...], pts: np.ndarray) -> np.ndarray:
     its argument handling."""
     vals = coeffs[-1] + pts * 0
     for c in reversed(coeffs[:-1]):
-        vals = c + vals * pts
+        vals *= pts
+        vals += c
     return vals
 
 
@@ -360,7 +369,7 @@ def _grid_spotcheck(
         raise DomainError(f"g must be normalized with b_1 = 1, got {g[0]!r}")
     ratio: list[complex] = []  # long division top / g, truncated to the shorter jet
     for k in range(min(len(top), len(g))):
-        acc = _csum([ratio[j] * g[k - j] for j in range(k)]) if k else 0.0
+        acc = _csum([*map(mul, ratio, g[k:0:-1])]) if k else 0.0
         ratio.append((top[k] - acc) / g[0])
     # _jet rejects a quotient that overflowed
     vals = _polyval(_jet(ratio), _circle(x, n))

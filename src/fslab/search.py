@@ -110,8 +110,8 @@ search's heap peak (tracemalloc) is about 1.6 MiB at 3 atoms and 2.1 MiB at 4
 where the screen keeps few samples, and up to 4.0 MiB where it keeps them all
 (alpha and beta within 1e-8 of 1, where every sample has nearly the same
 value); no one array is above 1.3 MiB. The package's import-time allocator
-warm-up (:mod:`fslab`) raises glibc's mmap and trim thresholds to 2 and
-4 MiB, which keeps glibc from refaulting them per chunk.
+warm-up (:mod:`fslab`) raises glibc's mmap and trim thresholds to 4 and
+8 MiB, which keeps glibc from refaulting them per chunk.
 
 Determinism contract: the random phase reads one stream,
 np.random.Generator(np.random.SFC64(seed)), with a fixed layout of
@@ -165,9 +165,9 @@ REFINE_TOL = 1e-10
 # 16 % more verify benchmark ops per second than five chunks of 2,048 (2-vCPU
 # Intel Xeon virtual machine). A default search's heap peak is then about
 # 2.1 MiB at 4 atoms and its largest array, the 4-atom draw, 0.69 MiB, below
-# the 4 MiB trim and 2 MiB mmap thresholds of the allocator warm-up
-# (:mod:`fslab`); one chunk of 10,000 peaked at 3.9 MiB, at the trim threshold
-# (module docstring, Memory, for searches whose screen keeps every sample).
+# the 8 MiB trim and 4 MiB mmap thresholds of the allocator warm-up
+# (:mod:`fslab`); one chunk of 10,000 peaked at 3.9 MiB (module docstring,
+# Memory, for searches whose screen keeps every sample).
 _CHUNK = 5000
 
 # eps in the screen's bound E = 8 eps (1 + |mu|) on |rough - exact|: the

@@ -455,7 +455,7 @@ REFAULT_LONG_SWEEPS = textwrap.dedent("""
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                     reason="measures glibc's heap on Linux")
 def test_long_sweep_does_not_refault_its_blocks():
-    # each block's arrays stay below the warm-up's 2 MiB mmap threshold, so
+    # each block's arrays stay below the warm-up's 4 MiB mmap threshold, so
     # a 100,000-row sweep keeps them on the heap from block to block; with
     # 32,768-row blocks glibc mapped and faulted in every block afresh, about
     # 17,000 minor faults per sweep as CSV and as JSON

@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fslab.extremal
+import fslab.members
 from conftest import (
     EDGE_PARAMS,
     atom_measure,
@@ -309,6 +311,30 @@ def test_starlike_needs_beta_in_the_class(beta):
         starlike_from_q((1, 2, 2, 2), beta, 3)
 
 
+def test_member_build_reads_the_checked_params_beta(monkeypatch):
+    # ClassParams checks beta once; a member build does not check it again,
+    # while starlike_from_q, which takes a raw beta, still does
+    params = ClassParams(0.3, 0.1, 0.2, 0.4)
+    want = member_from_pq(params, atom_measure(1.0), atom_measure(2.0))
+
+    def refuse(beta):
+        raise DomainError(f"need 0 <= beta < 1, got {beta!r}")
+
+    monkeypatch.setattr(fslab.members, "_starlike_beta", refuse)
+    assert member_from_pq(params, atom_measure(1.0), atom_measure(2.0)) == want
+    with pytest.raises(DomainError, match="^need 0 <= beta < 1, got 0.4$"):
+        starlike_from_q(want.qk, 0.4, 8)
+    with pytest.raises(DomainError, match="^need 0 <= beta < 1, got "):
+        ClassParams(0.3, 0.1, 0.2, 0.4)
+
+
+@pytest.mark.parametrize("beta", [1.0, -0.5, 1.5])
+def test_params_and_starlike_share_the_beta_message(beta):
+    for build in (lambda: ClassParams(0, 0, 0, beta), lambda: starlike_from_q((1, 2, 2, 2), beta, 3)):
+        with pytest.raises(DomainError, match=f"^need 0 <= beta < 1, got {beta}$"):
+            build()
+
+
 # ----- denominators -----
 
 def test_denominators_examples():
@@ -496,6 +522,87 @@ def test_spotcheck_polyval_is_bitwise_numpys():
             want = np.polynomial.polynomial.polyval(pts, np.asarray(coeffs))
             assert got.tobytes() == want.tobytes()
             assert not pts.flags.writeable
+
+
+def _ref_csum(terms):
+    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+
+
+def _ref_member(params, p, q, order):
+    # member_from_pq term by term: one generator or list per sum
+    c, qk = _per_order_coeffs(p, order), _per_order_coeffs(q, order)
+    v = 1.0 - params.beta
+    b = [0.0, 1.0]
+    for k in range(2, order + 1):
+        acc = sum(qk[j] * b[k - j] for j in range(1, k))
+        b.append(v * acc / (k - 1))
+    d = denominators(params, order)
+    u = 1.0 - params.alpha
+    mix = [params.alpha * complex(k == 0) + u * ck for k, ck in enumerate(c)]
+    g = tuple(map(complex, b))
+    a = (0.0 + 0.0j, 1.0 + 0.0j) + tuple(
+        _ref_csum([g[j] * mix[k - j] for j in range(k + 1)]) / d[k] for k in range(2, order + 1)
+    )
+    return c, qk, tuple(b), a
+
+
+def _ref_quotient(num, b):
+    # _grid_spotcheck's long division term by term
+    top, g = tuple(map(complex, num[1:])), tuple(map(complex, b[1:]))
+    ratio = []
+    for k in range(min(len(top), len(g))):
+        acc = _ref_csum([ratio[j] * g[k - j] for j in range(k)]) if k else 0.0
+        ratio.append((top[k] - acc) / g[0])
+    return ratio
+
+
+def test_member_and_spotcheck_kernels_are_the_per_term_sums(monkeypatch):
+    # the exact sums may take their terms in any form, but every product,
+    # and every signed zero, is the per-term reference's
+    rng = np.random.default_rng(29)
+    quarter = [HerglotzMeasure(((1.0, t),)) for t in (0.0, PI / 2, PI, 3 * PI / 2)]
+    measures = [
+        *quarter,
+        HerglotzMeasure(((0.5, 0.0), (0.5, PI))),
+        HerglotzMeasure(((0.25, PI / 2), (0.75, 3 * PI / 2))),
+        HerglotzMeasure(tuple((0.25, t) for t in (0.0, PI / 2, PI, 3 * PI / 2))),
+        *(sample_measure(rng, n) for n in range(1, MAX_ATOMS + 1) for _ in range(2)),
+    ]
+    params = [ClassParams(0, 0, 0, 0), ClassParams(0.3, 0.1, 0, 0.4), ClassParams(0.3, 0.1, 0.2, 0),
+              *EDGE_PARAMS, random_params(rng)]
+    nums, calls = [], []
+
+    def grid_spotcheck(member, num, radius, grid):
+        nums.append(num)
+        return spotcheck(member, num, radius, grid)
+
+    def polyval(coeffs, pts):
+        vals = _polyval(coeffs, pts)
+        calls.append((coeffs, pts, vals))
+        return vals
+
+    spotcheck = fslab.members._grid_spotcheck
+    for module in (fslab.members, fslab.extremal):
+        monkeypatch.setattr(module, "_grid_spotcheck", grid_spotcheck)
+    monkeypatch.setattr(fslab.members, "_polyval", polyval)
+    for order in (3, 8, 60):
+        for i, par in enumerate(params):
+            for j, p in enumerate(measures):
+                q = measures[(i + 3 * j) % len(measures)]
+                m = member_from_pq(par, p, q, order)
+                c, qk, b, a = _ref_member(par, p, q, order)
+                for got, want in ((m.a, a), (m.b, b), (m.c, c), (m.qk, qk)):
+                    assert _bits(got) == _bits(want), (order, par, p, q)
+                    assert list(map(type, got)) == list(map(type, want))
+                nums.clear()
+                calls.clear()
+                membership_spotcheck(m)
+                transform_spotcheck(m)
+                assert len(nums) == len(calls) == 2
+                for num, (coeffs, pts, vals) in zip(nums, calls):
+                    assert _bits(coeffs) == _bits(_ref_quotient(num, m.b)), (order, par, p, q)
+                    want = np.polynomial.polynomial.polyval(pts, np.asarray(coeffs))
+                    assert _bits(vals.tolist()) == _bits(want.tolist())
 
 
 def _fake_member_with_constant_c(value: float, order: int) -> ClassMember:

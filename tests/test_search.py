@@ -440,10 +440,45 @@ def test_search_does_not_refault_its_workspace():
     assert float(out) <= 5.0
 
 
+# alpha and beta within 1e-8 of 1 leave every sample's value nearly the same,
+# so the screen keeps all 10,000 samples for the exact pass: the heap peaks
+# at 3.2-3.97 MiB. Under a 4 MiB trim threshold these searches took about 480
+# minor faults each in most environments (the heap's layout decides), 0.15 in
+# the rest; the warm-up's 8 MiB keeps them on the heap
+REFAULT_KEPT_ALL = textwrap.dedent("""
+    import itertools, resource
+    from fslab import ClassParams, SearchBudget, maximize_fs
+
+    tuples = [ClassParams(0.3, 0.1, 1 - 2**-53, 1 - 2**-53), ClassParams(1.0, 0.5, 1 - 1e-8, 1 - 2**-53)]
+    jobs = list(itertools.product(tuples, [0.7, complex(-0.4, 1.3), 1e300], [3, 4]))
+
+    def search(i):
+        par, mu, max_atoms = jobs[i % len(jobs)]
+        maximize_fs(par, mu, SearchBudget(max_atoms=max_atoms, seed=i))
+
+    for i in range(10):
+        search(i)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(10, 110):
+        search(i)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="measures glibc's heap on Linux")
+def test_searches_that_keep_every_sample_do_not_refault():
+    src = str(Path(fslab.search.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", REFAULT_KEPT_ALL], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert float(out) <= 5.0
+
+
 @pytest.mark.parametrize("max_atoms", range(1, MAX_ATOMS + 1))
 @pytest.mark.parametrize("mu", [1.25, complex(1.25, 0.25)])
 def test_search_heap_peak_stays_under_the_trim_threshold(max_atoms, mu):
-    # a default search's heap peak stays a quarter below the 4 MiB trim
+    # a default search's heap peak stays well below the 8 MiB trim
     # threshold of the allocator warm-up (fslab/__init__.py), so a bigger
     # chunk or bigger kernel temporaries fail here before they refault
     tracemalloc.start()
