@@ -88,13 +88,6 @@ from .errors import DomainError
 from .members import ClassParams, _scalar_mu, _starlike_beta
 
 
-def _check_finite(mu: np.ndarray) -> None:
-    """_scalar_mu's DomainError for the array's first non-finite entry, if any."""
-    bad = mu[~np.isfinite(mu)]
-    if bad.size:
-        _scalar_mu(float(bad[0]))
-
-
 def _rho(params: ClassParams, mu):
     """rho = mu sigma / tau**2: real mu after passing to the second-order
     transform, for a float or an array."""
@@ -252,9 +245,9 @@ def _grid_bounds(params: ClassParams, mu: np.ndarray):
 
     Every entry is bitwise what the scalar routes return at that mu: the
     same expressions in the same order, each branch on its own slice of the
-    grid. mu must be finite: the one caller, the CLI's sweep, checks the
-    whole grid with _check_finite first. Overflow gives inf without a
-    warning, as float arithmetic does.
+    grid. mu must be finite: the one caller, the CLI's sweep, builds its
+    grid finite from finite ends. Overflow gives inf without a warning, as
+    float arithmetic does.
     """
     three_sigma = 3.0 * params.sigma
     with np.errstate(over="ignore"):

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _check_finite, _grid_bounds, bound_complex, bound_real
+from .bounds import _grid_bounds, bound_complex, bound_real
 from .errors import DomainError, FslabError, ViolationError
 from .extremal import _witness_check
 from .members import ClassParams, HerglotzMeasure, member_from_pq
@@ -358,15 +358,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = np.array([args.mu_min])
     else:
         step = (args.mu_max - args.mu_min) / (args.steps - 1)
-        if math.isfinite(step):
+        if math.isfinite(args.mu_min + (args.steps - 1) * step):
+            # the points run monotonically from mu_min to this last one, so
+            # every one of them is finite
             grid = args.mu_min + np.arange(args.steps) * step
         else:
-            # the width overflows: the same grid in quarters, which cannot
-            # overflow, kept within [mu_min, mu_max] where rounding overshoots
+            # the width or the last point overflows: the same grid in
+            # quarters, which cannot overflow, kept within [mu_min, mu_max]
+            # where rounding overshoots
             quarter = (args.mu_max / 4 - args.mu_min / 4) / (args.steps - 1)
             ends = sorted((args.mu_min / 4, args.mu_max / 4))
             grid = 4 * np.clip(args.mu_min / 4 + np.arange(args.steps) * quarter, *ends)
-    _check_finite(grid)  # once, before any output: _grid_bounds takes finite mu only
     starts = range(0, grid.size, _SWEEP_BLOCK)
     if args.output == "json":
         # the bytes of json.dumps({"format": ..., "rows": [...]}), in pieces
@@ -482,8 +484,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except ViolationError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
-        if exc.p_measure is not None:
-            sys.stderr.write(f"the member, reproduced by:\n{_member_command(exc)}\n")
+        sys.stderr.write(f"the member, reproduced by:\n{_member_command(exc)}\n")
         return 3
     except FslabError as exc:
         sys.stderr.write(f"domain error: {exc}\n")

@@ -19,11 +19,10 @@ class ViolationError(FslabError):
     """A searched member exceeded the closed-form bound beyond tolerance.
 
     params, p_measure and q_measure determine the offending member (through
-    member_from_pq) and mu is where its functional was evaluated; each is
-    None when the raiser has no member to report.
+    member_from_pq) and mu is where its functional was evaluated.
     """
 
-    def __init__(self, message: str, *, params=None, p_measure=None, q_measure=None, mu=None):
+    def __init__(self, message: str, *, params, p_measure, q_measure, mu):
         super().__init__(message)
         self.params = params
         self.p_measure = p_measure

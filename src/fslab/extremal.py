@@ -63,17 +63,16 @@ def libera_transform(member: ClassMember) -> tuple[complex, ...]:
     return (0.0 + 0.0j, *((d[k] / k) * a[k] for k in range(1, len(a))))
 
 
-def transform_spotcheck(
-    member: ClassMember, radius: float = 0.3, grid: int = 64
-) -> bool:
-    """Check Re(z F'/g) > alpha - tol on a grid: F lands in the lam=delta=0 class.
+def transform_spotcheck(member: ClassMember) -> bool:
+    """Check Re(z F'/g) > alpha - tol at membership_spotcheck's 64 points on
+    |z| = 0.3: F lands in the lam=delta=0 class.
 
     z F' has coefficient k A_k = D_k a_k, which is exactly the numerator of
     the defining inequality, so this doubles as an independent route to it.
     """
     big_a = libera_transform(member)
     num = tuple(k * big_a[k] for k in range(len(big_a)))
-    return _grid_spotcheck(member, num, radius, grid)
+    return _grid_spotcheck(member, num)
 
 
 def _boundary_measure(x: float, zeta: float) -> HerglotzMeasure:
@@ -165,6 +164,7 @@ def _sharp_pair(params: ClassParams, mu: float) -> tuple[BoundReport, HerglotzMe
     return report, _boundary_measure(x_star, -1.0), _ATOM0
 
 
-def sharp_witness(params: ClassParams, mu: float, order: int = DEFAULT_ORDER) -> ClassMember:
-    """A member whose |a_3 - mu a_2**2| equals bound_sharp(params, mu)."""
-    return member_from_pq(params, *_sharp_pair(params, mu)[1:], order)
+def sharp_witness(params: ClassParams, mu: float) -> ClassMember:
+    """A member, at DEFAULT_ORDER, whose |a_3 - mu a_2**2| equals
+    bound_sharp(params, mu)."""
+    return member_from_pq(params, *_sharp_pair(params, mu)[1:])

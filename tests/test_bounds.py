@@ -425,7 +425,7 @@ def test_two_atom_member_exceeds_piecewise_value_in_window():
     assert abs(rep.value - 0.65) < 1e-12
     assert val > rep.value + 0.02
     # the member is genuinely in the class, and the triangle route still holds
-    assert membership_spotcheck(member, radius=0.5, grid=128)
+    assert membership_spotcheck(member)
     assert bound_complex(par, mu) >= val
     # the excess dies out where case 4 merges with the triangle route; here
     # rho = mu and the merge point is max(4/3, 4/(3(1-alpha))) = 10/3

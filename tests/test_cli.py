@@ -232,11 +232,16 @@ def test_sweep_blocks_are_invisible(capsys, monkeypatch, steps):
     assert whole[0] == 0 and len(whole[1].splitlines()) == 1 + int(steps)
 
 
-def test_sweep_late_overflow_is_reported_before_any_output(capsys):
-    # only the last of 65,665 rows overflows, past the first CSV block
-    with np.errstate(over="ignore"):
-        got = run(capsys, "sweep", "--mu-min", "0", "--mu-max", "1.7976931348623157e308", "--steps", "65665")
-    assert got == (2, "", "domain error: mu must be finite, got inf\n")
+def test_sweep_whose_last_point_overflows_stays_finite(capsys):
+    # the step is finite but the last of 65,665 points, past the first CSV
+    # block, rounds past mu_max to inf: the grid is built in quarters and
+    # stays finite and within the range
+    mu_max = sys.float_info.max
+    code, out, err = run(capsys, "sweep", "--mu-min", "0", "--mu-max", repr(mu_max), "--steps", "65665")
+    assert (code, err) == (0, "")
+    mus = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert len(mus) == 65665 and all(map(math.isfinite, mus))
+    assert mus[0] == 0.0 and max(mus) <= mu_max
 
 
 def test_sweep_json(capsys):

@@ -37,12 +37,11 @@ from fslab import (
     libera_transform,
     member_from_pq,
     membership_spotcheck,
-    sharp_witness,
     starlike_from_q,
     transform_spotcheck,
 )
 from fslab.extremal import _ATOM0, _HALF, _SIDE, _sharp_pair, extremal_member
-from fslab.members import MAX_ATOMS, _circle, _jet, _polyval
+from fslab.members import MAX_ATOMS, _CIRCLE, _jet, _polyval
 from fslab.search import (
     _c12,
     _coefficients,
@@ -399,8 +398,7 @@ def test_member_order_floor():
     par = ClassParams(0, 0, 0, 0)
     for order in (2, *_NOT_COUNTS):
         for build in (lambda: member_from_pq(par, atom_measure(), atom_measure(), order),
-                      lambda: extremal_member(par, 0.5, 1, order),
-                      lambda: sharp_witness(par, 0.5, order)):
+                      lambda: extremal_member(par, 0.5, 1, order)):
             with pytest.raises(ValueError, match="^order must be at least 3$"):
                 build()
     # numpy's integers are counts
@@ -506,22 +504,30 @@ def test_spotcheck_accepts_constructed_members():
     rng = np.random.default_rng(21)
     for _ in range(40):
         m = random_member(rng)
-        assert membership_spotcheck(m, radius=0.3, grid=32)
-        assert membership_spotcheck(m, radius=0.5, grid=32)
+        assert membership_spotcheck(m)
+
+
+def test_spotcheck_circle_is_fixed():
+    # 64 points on |z| = 0.3, shared by every spot check and never written
+    want = 0.3 * np.exp(2j * np.pi * np.arange(64) / 64)
+    assert _CIRCLE.tobytes() == want.tobytes()
+    assert not _CIRCLE.flags.writeable
+    with pytest.raises(ValueError):
+        _CIRCLE[0] = 0.0
 
 
 def test_spotcheck_polyval_is_bitwise_numpys():
     # the spot check's own Horner loop against np.polynomial.polynomial.polyval,
-    # which it replaces, over the cached grids it reads
+    # which it replaces, over the spot checks' circle and over other circles
     rng = np.random.default_rng(23)
     for n in range(1, 21):
         coeffs = tuple(complex(*rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)) for _ in range(n))
-        for radius, grid in ((0.3, 64), (0.5, 32), (float(rng.uniform(0.01, 0.5)), 8 + n)):
-            pts = _circle(radius, grid)
+        radius, grid = float(rng.uniform(0.01, 0.5)), 8 + n
+        for pts in (_CIRCLE, 0.5 * np.exp(2j * np.pi * np.arange(32) / 32),
+                    radius * np.exp(2j * np.pi * np.arange(grid) / grid)):
             got = _polyval(coeffs, pts)
             want = np.polynomial.polynomial.polyval(pts, np.asarray(coeffs))
             assert got.tobytes() == want.tobytes()
-            assert not pts.flags.writeable
 
 
 def _ref_csum(terms):
@@ -572,9 +578,9 @@ def test_member_and_spotcheck_kernels_are_the_per_term_sums(monkeypatch):
               *EDGE_PARAMS, random_params(rng)]
     nums, calls = [], []
 
-    def grid_spotcheck(member, num, radius, grid):
+    def grid_spotcheck(member, num):
         nums.append(num)
-        return spotcheck(member, num, radius, grid)
+        return spotcheck(member, num)
 
     def polyval(coeffs, pts):
         vals = _polyval(coeffs, pts)
@@ -622,30 +628,13 @@ def _fake_member_with_constant_c(value: float, order: int) -> ClassMember:
 
 
 def test_spotcheck_rejects_non_measure_data():
-    # c_k = 3 for every k puts the ratio below alpha on the negative real
-    # axis. The dip is only visible when the reconstructed ratio has odd
-    # truncation order (even orders leave the alternating tail marginally
-    # positive); the divide-by-g step eats one order, so build at 10 to
-    # evaluate the order-9 truncation at radius 0.5.
-    fake = _fake_member_with_constant_c(3.0, order=10)
-    assert membership_spotcheck(fake, radius=0.5, grid=64) is False
-    assert membership_spotcheck(_fake_member_with_constant_c(3.0, 9), 0.5, 64)
-
-
-def test_spotcheck_radius_validation():
-    m = member_from_pq(ClassParams(0, 0, 0, 0), atom_measure(), atom_measure())
-    with pytest.raises(ValueError):
-        membership_spotcheck(m, radius=0.6)
-    with pytest.raises(ValueError):
-        membership_spotcheck(m, radius=0.0)
-    with pytest.raises(ValueError):
-        membership_spotcheck(m, grid=4)
-    # no string radius, and only an integer grid: np.arange(8.5) / 8.5 is
-    # not evenly spaced
-    for bad in ({"radius": "0.3"}, {"radius": None}, {"radius": math.nan},
-                {"grid": 8.5}, {"grid": 64.0}, {"grid": True}, {"grid": np.bool_(True)}, {"grid": "64"}):
-        with pytest.raises(ValueError):
-            membership_spotcheck(m, **bad)
+    # c_k = 5 for every k is no measure's data (|c_k| <= 2 for those): at
+    # z = -0.3 on the spot checks' circle, Re p = 1 - 5 (0.3 / 1.3) < 0 puts
+    # the ratio below alpha = 0. c_k = 3 keeps Re p = 1 - 3 (0.3 / 1.3) > 0,
+    # so the check reads the data, not the size of the coefficients
+    for order in (8, 9, 10):
+        assert membership_spotcheck(_fake_member_with_constant_c(5.0, order)) is False
+        assert membership_spotcheck(_fake_member_with_constant_c(3.0, order)) is True
 
 
 # hand-built members: coefficient data that did not come from member_from_pq

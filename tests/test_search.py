@@ -171,7 +171,7 @@ def test_overflowing_bound_is_a_domain_error(par, mu):
 
 def test_best_member_is_a_member():
     r = maximize_fs(P0, 0.5, SMALL)
-    assert membership_spotcheck(r.best_member, radius=0.3, grid=32)
+    assert membership_spotcheck(r.best_member)
     assert r.best_member.order >= 3
 
 
