@@ -37,7 +37,7 @@ import numpy as np
 from .bounds import _grid_bounds, bound_complex, bound_real
 from .errors import DomainError, FslabError, ViolationError
 from .extremal import _witness_check
-from .members import ClassParams, HerglotzMeasure, member_from_pq
+from .members import DEFAULT_ORDER, ClassParams, HerglotzMeasure, member_from_pq
 from .search import SearchBudget, verify_inequality
 
 SCHEMA_VERSION = 1
@@ -184,14 +184,17 @@ def _build_parser() -> _Parser:
     sub = subs.add_parser("verify", help="randomized search vs the bound")
     _add_param_flags(sub)
     sub.add_argument("--mu", default="0.5", help="real number, or a+bi (default 0.5)")
+    budget = SearchBudget()  # the one owner of the defaults
     sub.add_argument(
-        "--samples", type=int, default=10_000, help=f"random samples, 1..{_MAX_SAMPLES} (default 10000)"
+        "--samples", type=int, default=budget.n_samples,
+        help=f"random samples, 1..{_MAX_SAMPLES} (default {budget.n_samples})",
     )
     sub.add_argument(
-        "--refine", type=int, default=3, help=f"at most N polish passes, 0..{_MAX_REFINE} (default 3)"
+        "--refine", type=int, default=budget.n_refine,
+        help=f"at most N polish passes, 0..{_MAX_REFINE} (default {budget.n_refine})",
     )
-    sub.add_argument("--max-atoms", type=int, default=3)
-    sub.add_argument("--seed", type=int, default=42)
+    sub.add_argument("--max-atoms", type=int, default=budget.max_atoms)
+    sub.add_argument("--seed", type=int, default=budget.seed)
 
     sub = subs.add_parser("sharp", help="attainment at one real mu")
     _add_param_flags(sub)
@@ -202,7 +205,7 @@ def _build_parser() -> _Parser:
     sub.add_argument("--p-atoms", required=True, help="w:theta[,w:theta...]")
     sub.add_argument("--q-atoms", required=True, help="w:theta[,w:theta...]")
     sub.add_argument(
-        "--order", type=int, default=8, help=f"jet order, 3..{_MAX_ORDER} (default 8)"
+        "--order", type=int, default=DEFAULT_ORDER, help=f"jet order, 3..{_MAX_ORDER} (default {DEFAULT_ORDER})"
     )
 
     return parser
@@ -357,18 +360,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps == 1:
         grid = np.array([args.mu_min])
     else:
-        step = (args.mu_max - args.mu_min) / (args.steps - 1)
-        if math.isfinite(args.mu_min + (args.steps - 1) * step):
-            # the points run monotonically from mu_min to this last one, so
-            # every one of them is finite
-            grid = args.mu_min + np.arange(args.steps) * step
-        else:
-            # the width or the last point overflows: the same grid in
-            # quarters, which cannot overflow, kept within [mu_min, mu_max]
-            # where rounding overshoots
-            quarter = (args.mu_max / 4 - args.mu_min / 4) / (args.steps - 1)
-            ends = sorted((args.mu_min / 4, args.mu_max / 4))
-            grid = 4 * np.clip(args.mu_min / 4 + np.arange(args.steps) * quarter, *ends)
+        # mu_min + i * step, every point finite, within [mu_min, mu_max] and
+        # the first mu_min: in quarters where the width or the last point
+        # overflows (a power of two moves no bit outside the subnormal range),
+        # clipped to the scaled ends, so no quarter overflows, and then to the
+        # ends themselves, which the quarter of a subnormal end may miss; the
+        # first point is set for the same reason.
+        lo, hi, n = args.mu_min, args.mu_max, args.steps - 1
+        s = 1.0 if math.isfinite(lo + n * ((hi - lo) / n)) else 0.25
+        step = (hi * s - lo * s) / n
+        a, b = sorted((lo, hi))
+        grid = np.clip(np.clip(lo * s + np.arange(args.steps) * step, a * s, b * s) / s, a, b)
+        grid[0] = lo + 0 * step
     starts = range(0, grid.size, _SWEEP_BLOCK)
     if args.output == "json":
         # the bytes of json.dumps({"format": ..., "rows": [...]}), in pieces
@@ -394,12 +397,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _UsageError(f"--refine must be at most {_MAX_REFINE}")
     params = _params(args)
     mu = _parse_mu(args)
-    budget = SearchBudget(
-        n_samples=args.samples,
-        n_refine=args.refine,
-        max_atoms=args.max_atoms,
-        seed=args.seed,
-    )
+    budget = SearchBudget(args.samples, args.refine, args.max_atoms, args.seed)
     report = verify_inequality(params, mu, budget)
     _emit_json(
         {

@@ -244,6 +244,71 @@ def test_sweep_whose_last_point_overflows_stays_finite(capsys):
     assert mus[0] == 0.0 and max(mus) <= mu_max
 
 
+_DBL_MAX = sys.float_info.max
+
+# (mu_min, mu_max, steps): the grids a sweep once printed past an end or
+# without its first point, and the float range's edges
+_FIXED_GRIDS = [
+    (-3.0, -1.3, 51),  # the last point once printed as -1.2999999999999998
+    (-1e-3, 2e18, 28),  # and this one as 2.0000000000000003e18
+    (5e-324, -_DBL_MAX, 13),  # the first point once printed as 0
+    (_DBL_MAX, 5e-324, 13),  # and this last one as 0
+    (_DBL_MAX, -5e-324, 25),  # its last point, -0.0, stays as it was (tests/test_bits.py)
+    *((lo, -lo, steps) for lo in (-_DBL_MAX, _DBL_MAX) for steps in (2, 7, 1001)),
+    (-0.0, 5.0, 11), (-0.0, -5.0, 11), (-0.0, -_DBL_MAX, 7),
+    (2.5, 2.5, 9), (-0.0, 0.0, 3), (1e308, 1e308, 4),
+    (-2.0, 3.0, 2), (3.0, -2.0, 2), (0.5, 7.0, 1),
+]
+
+
+def _random_grids(n):
+    """n seeded (mu_min, mu_max, steps): decimal ends, the float range's
+    edges and subnormals, ends of any magnitude, zero widths and descending
+    ranges, at 2 to 300 steps."""
+    rng = np.random.default_rng(31)
+    specials = (_DBL_MAX, -_DBL_MAX, 5e-324, -5e-324, 0.0, -0.0, 3e-310, -2.2250738585072014e-308, 1e308)
+
+    def end(kind):
+        if kind == 0:
+            return round(float(rng.uniform(-100, 100)), int(rng.integers(0, 4)))
+        if kind == 1:
+            return specials[rng.integers(len(specials))]
+        return float(rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-323, 308.25))
+
+    for _ in range(n):
+        lo = end(rng.integers(3))
+        hi = lo if rng.random() < 0.05 else end(rng.integers(3))
+        yield lo, hi, int(np.exp(rng.uniform(np.log(2), np.log(300))))
+
+
+def _check_grid(capsys, lo, hi, steps):
+    """The printed mu of the sweep: finite, within [mu_min, mu_max], the
+    first mu_min, and each equal to mu_min + i * step to the bit wherever
+    that lies within the range."""
+    code, out, err = run(capsys, "sweep", f"--mu-min={lo!r}", f"--mu-max={hi!r}", "--steps", str(steps))
+    assert (code, err) == (0, ""), (lo, hi, steps)
+    mus = [float(line.split(",", 1)[0]) for line in out.splitlines()[1:]]
+    assert len(mus) == steps and mus[0] == lo + 0.0, (lo, hi, steps)
+    step = (hi - lo) / (steps - 1) if steps > 1 else 0.0
+    for i, mu in enumerate(mus):
+        assert math.isfinite(mu) and min(lo, hi) <= mu <= max(lo, hi), (lo, hi, steps, i, mu)
+        want = lo + i * step
+        if min(lo, hi) <= want <= max(lo, hi):
+            assert mu.hex() == want.hex(), (lo, hi, steps, i, mu, want)
+
+
+@pytest.mark.parametrize("lo,hi,steps", _FIXED_GRIDS)
+def test_sweep_grid_is_within_its_range(capsys, lo, hi, steps):
+    _check_grid(capsys, lo, hi, steps)
+
+
+def test_sweep_grid_is_within_its_range_on_random_grids(capsys, monkeypatch):
+    # only the mu column is read, so the bounds are stubbed out
+    monkeypatch.setattr(fslab.cli, "_grid_bounds", lambda params, mu: (np.ones(mu.size, np.int64),) * 4)
+    for lo, hi, steps in _random_grids(2000):
+        _check_grid(capsys, lo, hi, steps)
+
+
 def test_sweep_json(capsys):
     code, out, _ = run(capsys, "sweep", "--steps", "3", "--output", "json")
     assert code == 0
@@ -382,7 +447,8 @@ def test_sweep_output_is_one_formatting_per_row(capsys, monkeypatch, kind, argv,
     par = ClassParams(*(float(opts[f]) for f in ("--lambda", "--delta", "--alpha", "--beta")))
     lo, hi, steps = float(opts["--mu-min"]), float(opts["--mu-max"]), int(opts["--steps"])
     rows = []
-    for mu in (lo + np.arange(steps) * ((hi - lo) / (steps - 1))).tolist():
+    # kept within the range: rounding carries two of these grids past mu_max
+    for mu in np.clip(lo + np.arange(steps) * ((hi - lo) / (steps - 1)), *sorted((lo, hi))).tolist():
         rep = bound_real(par, mu)
         rows.append((mu, rep.case_id, rep.value, rep.scaled_value, bound_complex(par, mu)))
     fast = {all(1e-4 <= abs(v) < 1e17 for v in (r[0], *r[2:])) for r in rows}
@@ -536,6 +602,25 @@ def test_verify_help_gives_the_ranges(capsys):
         main(["verify", "--help"])
     out = " ".join(capsys.readouterr().out.split())
     assert "1..10000000" in out and "0..100" in out
+
+
+def test_cli_defaults_are_the_library_defaults(capsys):
+    # verify's budget flags and member's --order default to, and their help
+    # quotes, SearchBudget's field defaults and DEFAULT_ORDER
+    from fslab import DEFAULT_ORDER, SearchBudget
+
+    parser = fslab.cli._build_parser()
+    args = parser.parse_args(["verify"])
+    budget = SearchBudget()
+    assert (args.samples, args.refine, args.max_atoms, args.seed) == (
+        budget.n_samples, budget.n_refine, budget.max_atoms, budget.seed)
+    assert parser.parse_args(["member", "--p-atoms", "1:0", "--q-atoms", "1:0"]).order == DEFAULT_ORDER
+    for argv, quoted in ((["verify", "--help"], (budget.n_samples, budget.n_refine)),
+                         (["member", "--help"], (DEFAULT_ORDER,))):
+        with pytest.raises(SystemExit):
+            main(argv)
+        out = " ".join(capsys.readouterr().out.split())
+        assert [f"(default {v})" in out for v in quoted] == [True] * len(quoted)
 
 
 def test_verify_reports_violation_on_known_window(capsys):
