@@ -44,12 +44,20 @@ With u = 1 - alpha and v = 1 - beta,
 
 The search (:mod:`fslab.search`) evaluates this closed form; member_from_pq
 is its reference.
+
+The extremal witnesses are built from a few constant measures, and a
+caller's members mostly share one parameter tuple, so member builds keep
+recomputing the same c and D_k jets. herglotz_coeffs and denominators keep
+the jets of their last 16 keys each (lru_cache): the key is every input the
+jet reads, equal keys are equal bits, and the jets are immutable tuples that
+members may share, so every result stays bit for bit what it was uncached.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
@@ -213,14 +221,36 @@ def herglotz_coeffs(measure: HerglotzMeasure, n: int) -> tuple[complex, ...]:
     """Taylor coefficients (c_0=1, c_1, ..., c_n) of the measure's function.
 
     c_k = 2 sum_i w_i e^{i k t_i}; modulus never exceeds 2.
+
+    A HerglotzMeasure's jet is kept in a small bounded cache keyed on
+    (atoms, n), and a repeated key returns the same tuple. Stored atoms hold
+    no -0.0 angle and no NaN, so equal keys are equal bits and a cached jet
+    is bit for bit the one computed afresh. Any other measure-like object is
+    computed afresh.
     """
     n = _whole(n)
     if n is None or n < 1:
         raise ValueError("need n >= 1")
-    units = [cmath.exp(1j * t) for _, t in measure.atoms]
+    if type(measure) is HerglotzMeasure:
+        return _herglotz(measure.atoms, n)
+    return _herglotz.__wrapped__(measure.atoms, n)
+
+
+# Entries per jet cache. The extremal witnesses' constant measures and one
+# parameter tuple's denominators recur across a caller's member builds. On
+# 2,000 benchmark witness ops, 16 herglotz entries hit 58 % of calls, as 64
+# do, and 16 denominator entries 37 % (47 % at 64, from tuples that recur
+# across ops).
+_JET_CACHE = 16
+
+
+@functools.lru_cache(maxsize=_JET_CACHE)
+def _herglotz(atoms: tuple[tuple[float, float], ...], n: int) -> tuple[complex, ...]:
+    """herglotz_coeffs for checked atoms and order."""
+    units = [cmath.exp(1j * t) for _, t in atoms]
     rows = zip(*(accumulate(repeat(u, n), mul, initial=1.0 + 0.0j) for u in units))
     next(rows)  # row k holds every atom's u**k; c_0 = 1 is not a sum
-    weights = [w for w, _ in measure.atoms]
+    weights = [w for w, _ in atoms]
     return (1.0 + 0.0j, *(2.0 * sum(map(mul, weights, row)) for row in rows))
 
 
@@ -254,11 +284,21 @@ def denominators(params: ClassParams, n: int) -> tuple[float, ...]:
     Strictly positive for k >= 1 over the whole parameter domain, with
     D_1 = 1 exactly (the sum rounds below 1 at some lam, delta), D_2 = 2 tau
     and D_3 = 3 sigma.
+
+    The tuple is kept in a small bounded cache keyed on (lam, delta, n), and
+    a repeated key returns the same tuple. The keys are floats, for which
+    0.0 == -0.0, but a signed zero in lam or delta cannot reach a D_k, so a
+    cached tuple is bit for bit the one computed afresh.
     """
     n = _whole(n)
     if n is None or n < 1:
         raise ValueError("need n >= 1")
-    lam, delta = params.lam, params.delta
+    return _denominators(params.lam, params.delta, n)
+
+
+@functools.lru_cache(maxsize=_JET_CACHE)
+def _denominators(lam: float, delta: float, n: int) -> tuple[float, ...]:
+    """denominators for checked lam, delta and order."""
     base, slope, curve = 1.0 - lam + delta, lam - delta, lam * delta
     return (0.0, 1.0, *(k * (base + k * slope + k * (k - 1) * curve) for k in range(2, n + 1)))
 

@@ -1,5 +1,6 @@
-"""The package namespace: what __all__ promises is there, once; no unused imports
-and no private helper that the library itself never reads."""
+"""The package namespace: what __all__ promises is there, once; no unused imports,
+no private helper that the library itself never reads, and no unbounded memo
+cache keyed on arguments."""
 
 from __future__ import annotations
 
@@ -73,3 +74,36 @@ def test_private_names_have_a_library_reader():
             read.add(node.attr)
     assert defined  # the scan found the library
     assert [f"{where} {name}" for name, where in defined if name not in read] == []
+
+
+def _unbounded_memo(decorator: ast.expr) -> bool:
+    """functools.cache, or lru_cache with maxsize None, as written in a decorator."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or call is None:
+        return False
+    size = call.args[0] if call.args else next((k.value for k in call.keywords if k.arg == "maxsize"), None)
+    return isinstance(size, ast.Constant) and size.value is None
+
+
+def test_memo_caches_with_parameters_are_bounded():
+    # an unbounded cache keyed on arguments grows with every distinct call;
+    # one on a nullary function holds one value
+    files = sorted((Path(__file__).resolve().parents[1] / "src" / "fslab").glob("*.py"))
+    unbounded, nullary = [], set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not any(map(_unbounded_memo, node.decorator_list)):
+                continue
+            a = node.args
+            if a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
+                unbounded.append(f"{path.name}:{node.lineno} {node.name}")
+            else:
+                nullary.add(node.name)
+    assert nullary == {"_csv_tables", "_build_parser"}  # the scan sees the decorators
+    assert unbounded == []

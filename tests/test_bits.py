@@ -3,7 +3,9 @@ commits by sha256 digests over fixed inputs built here.
 
 The README promises bitwise determinism for a given seed and budget. A
 change that moves a digest changes results: if it does so on purpose, it
-updates the digest and says so in CHANGES.md.
+updates the digest and says so in CHANGES.md. The search and witness digests
+are taken twice in one process, from cleared member jet caches and then from
+the jets the first pass cached, so a cache cannot move a bit either.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from fslab import (
     sharpness_residual,
     transform_spotcheck,
 )
+from fslab import members
 from fslab.bounds import breakpoints
 from fslab.cli import main
 
@@ -64,13 +67,26 @@ def _searches():
         yield par, -0.4 + 1.3j, None
 
 
-def test_search_bits():
+def _cold_then_warm(lines) -> tuple[str, str]:
+    """The digest of lines() with both member jet caches cleared, then again
+    on the jets the first pass left cached."""
+    members._herglotz.cache_clear()
+    members._denominators.cache_clear()
+    return _digest(lines()), _digest(lines())
+
+
+def _search_lines():
     lines = []
     for par, mu, budget in _searches():
         res = maximize_fs(par, mu, budget)
         member = res.best_member
         lines.append((res.best_value, res.bound, member.p_measure, member.q_measure, member.a))
-    assert _digest(lines) == "7c55997f912628ec7f498616b70018399fba1098353f93a74c1c5856c0243116"
+    return lines
+
+
+def test_search_bits():
+    digest = "7c55997f912628ec7f498616b70018399fba1098353f93a74c1c5856c0243116"
+    assert _cold_then_warm(_search_lines) == (digest, digest)
 
 
 def test_search_evaluations():
@@ -80,7 +96,7 @@ def test_search_evaluations():
     assert evals == [10109, 10421, 10579, 5264, 11100, 12164, 10317, 10110, 10421, 10110, 10733, 10164, 10417, 10164]
 
 
-def test_witness_bits():
+def _witness_lines():
     lines = []
     for par in (_PAR, _DEFECT, *EDGE_PARAMS):
         mu1, mu2, mu3 = breakpoints(par)
@@ -94,7 +110,12 @@ def test_witness_bits():
     q = HerglotzMeasure(((0.2, 0.5), (0.3, 3.0), (0.5, -2.0)))
     member = member_from_pq(_PAR, p, q, 8)
     lines.append((member.a, member.b, member.c, member.qk, member.d))
-    assert _digest(lines) == "6674c093bbfcbb5efaec36fd0a7302777140abab0f094f5b53b65427f70c0917"
+    return lines
+
+
+def test_witness_bits():
+    digest = "6674c093bbfcbb5efaec36fd0a7302777140abab0f094f5b53b65427f70c0917"
+    assert _cold_then_warm(_witness_lines) == (digest, digest)
 
 
 _SWEEP_FLAGS = ("--lambda", "0.3", "--delta", "0.1", "--alpha", "0.2", "--beta", "0.1")

@@ -363,6 +363,101 @@ def test_denominators_positive_everywhere():
         assert all(v > 0 for v in d[1:])
 
 
+# ----- the jet caches -----
+
+_HERGLOTZ, _DENOMINATORS = fslab.members._herglotz, fslab.members._denominators
+
+
+def _hexes(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+def _clear_jet_caches():
+    _HERGLOTZ.cache_clear()
+    _DENOMINATORS.cache_clear()
+
+
+def test_cached_jets_are_the_uncached_bits():
+    # cold and warm: every cached jet is bitwise the one computed afresh,
+    # for the extremal constants and random measures, at every low order and
+    # at order 1000
+    rng = np.random.default_rng(1019)
+    measures = [_ATOM0, _HALF, _SIDE] + [sample_measure(rng, MAX_ATOMS) for _ in range(20)]
+    tuples = EDGE_PARAMS + [random_params(rng) for _ in range(20)]
+    orders = [*range(1, 13), 1000]
+    _clear_jet_caches()
+    for _ in range(2):
+        for n in orders:
+            for m in measures:
+                assert _bits(herglotz_coeffs(m, n)) == _bits(_HERGLOTZ.__wrapped__(m.atoms, n))
+            for par in tuples:
+                want = _DENOMINATORS.__wrapped__(par.lam, par.delta, n)
+                assert _hexes(denominators(par, n)) == _hexes(want)
+    # 0.0 == -0.0, so a signed zero finds the other zero's entry, and no D_k
+    # can tell them apart
+    for lam in (0.0, 0.5, 1.0):
+        signed = (-0.0 if lam == 0.0 else lam, -0.0)
+        for n in (3, 8):
+            _clear_jet_caches()
+            cached = denominators(ClassParams(lam, 0.0, 0, 0), n)
+            assert denominators(ClassParams(*signed, 0, 0), n) is cached
+            assert _hexes(cached) == _hexes(_DENOMINATORS.__wrapped__(*signed, n))
+
+
+def test_repeated_jets_are_one_tuple():
+    # an equal measure or parameter tuple built anew finds the same entry
+    par = ClassParams(0.3, 0.1, 0.2, 0.1)
+    for m in (_ATOM0, _HALF, sample_measure(np.random.default_rng(5), 3)):
+        c = herglotz_coeffs(m, 8)
+        assert herglotz_coeffs(m, 8) is c
+        assert herglotz_coeffs(HerglotzMeasure(m.atoms), 8) is c
+    d = denominators(par, 8)
+    assert denominators(par, 8) is d
+    assert denominators(ClassParams(*astuple(par)), 8) is d
+    # members share the cached jets
+    member = member_from_pq(par, _ATOM0, _SIDE)
+    assert member.c is herglotz_coeffs(_ATOM0, 8) and member.qk is herglotz_coeffs(_SIDE, 8)
+    assert member.d is d
+
+
+def test_cached_orders_still_check_their_type():
+    # True == 1 and 2.0 == 2 hash as their ints, and "8" is no count: each
+    # still fails _whole's check after the int key is cached
+    par = ClassParams(0.3, 0.1, 0.2, 0.1)
+    for n in (1, 2, 8):
+        herglotz_coeffs(_ATOM0, n)
+        denominators(par, n)
+    for bad in (True, 2.0, "8"):
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            herglotz_coeffs(_ATOM0, bad)
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            denominators(par, bad)
+    # numpy's integers are counts, and find the int entry
+    assert herglotz_coeffs(_ATOM0, np.int64(8)) is herglotz_coeffs(_ATOM0, 8)
+    assert denominators(par, np.int64(8)) is denominators(par, 8)
+
+
+def test_other_measures_bypass_the_cache():
+    # only a HerglotzMeasure's atoms are known to be free of -0.0 and NaN
+    class Atoms:
+        atoms = ((0.5, 0.0), (0.5, math.pi))
+
+    _clear_jet_caches()
+    got = herglotz_coeffs(Atoms(), 8)
+    assert _HERGLOTZ.cache_info().currsize == 0
+    assert _bits(got) == _bits(herglotz_coeffs(_HALF, 8))
+
+
+def test_jet_caches_stay_bounded():
+    rng = np.random.default_rng(1021)
+    for _ in range(1000):
+        herglotz_coeffs(sample_measure(rng, MAX_ATOMS), 8)
+        denominators(random_params(rng), 8)
+    for cache in (_HERGLOTZ, _DENOMINATORS):
+        info = cache.cache_info()
+        assert info.maxsize == 16 and info.currsize <= info.maxsize
+
+
 # ----- member construction -----
 
 def test_koebe_member():
