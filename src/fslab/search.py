@@ -24,44 +24,48 @@ of p and q_1, q_2 of q (a_2 and a_3 in :mod:`fslab.members`). _coefficients
 gives its constants u, v, 2 tau and 3 sigma once per search. _c12 sums
 (c_1, c_2) over (w_i, exp(1j t_i)) pairs in order; on a measure's own atoms
 that is herglotz_coeffs' pair bit for bit, and the seeded floor (_pair_value)
-and the polish both read it. _held gives the terms one side's pair puts in,
-and _side_value combines a side's pair with the other side's held terms.
-_folded is the same form with its constants folded, which the random phase
-reads over numpy arrays. Each form stays where it keeps the results or is
-faster: with _folded in the floor and the polish, 200 of the first 300 verify
-benchmark results (seed 1) changed, best_value in 159, by up to 8.4e-10
-relative and 138 of them lower; the float32 screen written over _side_value
-took about 195 us against 150 us per 2,048-sample chunk of 3 atoms (2-vCPU
-Intel Xeon virtual machine). member_from_pq stays the reference.
+and the polish both read it. _held gives the terms one side's pair puts in.
+_evaluator writes the scalar form once: built for one moving side against the
+other side's held terms, it returns value(c_1, c_2), which the seeded floor
+and both polish closures call. _folded is the same form with its constants
+folded, which the random phase reads over numpy arrays. Each form stays where
+it keeps the results or is faster: with _folded in the floor and the polish,
+200 of the first 300 verify benchmark results (seed 1) changed, best_value in
+159, by up to 8.4e-10 relative and 138 of them lower; the float32 screen
+written over the scalar form took about 195 us against 150 us per 2,048-sample
+chunk of 3 atoms (2-vCPU Intel Xeon virtual machine). member_from_pq stays the
+reference.
 
-The polish moves one coordinate of one side at a time. Each golden-section
+The polish moves one coordinate of one side at a time. Each round builds one
+value per side, against the other side's _held terms, and each golden-section
 search calls one closure built for its coordinate (_polish), which computes
-once what the coordinate cannot move: the other side's _held terms, and for an
-angle _c12's terms of the other atoms. It writes out _side_value and _held for
-the moving side with their operations in their order, and reads each atom's
-z_i and z_i**2 from a cache. Every sum adds the terms _c12 adds, in its order
-and starting from its float 0.0, so every value is bitwise the one the
-uncached form gives. A round searches every angle, and every weight of a side
-with more than one atom. A search whose best point does not beat the incumbent
-is undone by setting the coordinate back, which restores the atoms, the cached
-z_i, z_i**2 and weights and the incumbent bit for bit, and every held term is
-rebuilt from those caches. So once a round's worth of searches in a row has
-kept no move, every later search would repeat one of them exactly. After a
-kept move at a coordinate, a round's worth less one of searches that keep
-nothing already leads back to that coordinate, with nothing its objective
-reads changed: its search would return the kept (x, v) bit for bit, which
-cannot beat the incumbent. The polish stops before that search, or after a
-round's worth where it has kept no move at all, which makes n_refine a maximum
-and changes no result. On 600 polishes captured from verify benchmark ops
-(seeds 1-3, ops 0-199) the stop one search sooner cut the evaluations from 282
-to 249 a polish, and the median time of a polish went from 0.65 ms, with calls
-to _side_value, _held, _weights and _c12 per evaluation, to 0.53 ms with the
-closures and 0.49 ms with both (2-vCPU Intel Xeon virtual machine). Only the
-incumbent and its polished copy are built in full, by member_from_pq, and
-best_value is the returned member's |a_3 - mu a_2**2|. The closed form and a
-member can differ by a few ulps, so the polished member is returned only if
-its value is not below the incumbent's: best_value with the polish is never
-below best_value without it.
+once what the coordinate cannot move: for an angle _c12's terms of the other
+atoms. It ends in that value, and reads each atom's z_i and z_i**2 from a
+cache. Every sum adds the terms _c12 adds, in its order and starting from its
+float 0.0, and a weight search divides the raw weights by their _total as
+_weights does, so every value is bitwise the one the uncached form gives. A
+round searches every angle, and every weight of a side with more than one
+atom. A search whose best point does not beat the incumbent is undone by
+setting the coordinate back, which restores the atoms, the cached z_i, z_i**2
+and weights and the incumbent bit for bit, and every held term is rebuilt from
+those caches. So once a round's worth of searches in a row has kept no move,
+every later search would repeat one of them exactly. After a kept move at a
+coordinate, a round's worth less one of searches that keep nothing already
+leads back to that coordinate, with nothing its objective reads changed: its
+search would return the kept (x, v) bit for bit, which cannot beat the
+incumbent. The polish stops before that search, or after a round's worth where
+it has kept no move at all, which makes n_refine a maximum and changes no
+result. On 600 polishes captured from verify benchmark ops (seeds 1-3, ops
+0-199) the stop one search sooner cut the evaluations from 282 to 249 a
+polish, and the median time of a polish went from 0.65 ms, with the uncached
+form's calls per evaluation, to 0.53 ms with the closures and 0.49 ms with
+both; the closures' one call to value per evaluation, in place of the form
+written out in each, costs about 0.04 ms of 0.57 (2-vCPU Intel Xeon virtual
+machine). Only the incumbent and its polished copy are built in full, by
+member_from_pq, and best_value is the returned member's |a_3 - mu a_2**2|. The
+closed form and a member can differ by a few ulps, so the polished member is
+returned only if its value is not below the incumbent's: best_value with the
+polish is never below best_value without it.
 
 Random phase: _values evaluates a chunk's samples in the same closed form,
 folded by _folded to F = d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2
@@ -142,6 +146,11 @@ chunk in stream order replaces it only with a strictly larger value, and
 then with its earliest sample reaching that value. So the result is the
 earliest candidate, seeds first, that reaches the maximum: bitwise identical
 for the same inputs and budget, ties included, independent of the chunk size.
+Weight totals are added left to right on every Python (_total): builtin sum
+adds floats with Neumaier's compensation from Python 3.12 on, and with that
+sum emulated it moved 3 of 600 verify benchmark results (seeds 1-3, ops 0-199)
+while the search totalled weights with it; tests/test_bits.py checks the
+digests under the emulated sum.
 """
 
 from __future__ import annotations
@@ -149,6 +158,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -268,15 +279,25 @@ def _held(coef, side, pair):
     return b2, v * (x2 + b2 * x1) / 2.0
 
 
-def _side_value(coef, mu: complex, side, pair, other):
-    """|a_3 - mu a_2**2| from one side's (c_1, c_2) pair and _held of the
-    other side's: a_2 = (b_2 + u c_1) / (2 tau), a_3 = (b_3 + b_2 u c_1 + u c_2) / (3 sigma)."""
-    if side:
-        (uc1, uc2), (b2, b3) = other, _held(coef, 1, pair)
+def _evaluator(coef, mu: complex, side, other):
+    """value(c_1, c_2): |a_3 - mu a_2**2| from the moving side's (c_1, c_2)
+    pair and the other side's _held terms, with the side fixed here:
+    a_2 = (b_2 + u c_1) / (2 tau), a_3 = (b_3 + b_2 u c_1 + u c_2) / (3 sigma)."""
+    u, v, two_tau, three_sigma = coef
+
+    def form(uc1, uc2, b2, b3):
+        a2 = (b2 + uc1) / two_tau
+        return abs((b3 + b2 * uc1 + uc2) / three_sigma - mu * (a2 * a2))
+
+    h1, h2 = other
+    if side:  # q moves: its (b_2, b_3) as _held gives them
+        def value(x1, x2):
+            b2 = v * x1
+            return form(h1, h2, b2, v * (x2 + b2 * x1) / 2.0)
     else:
-        (uc1, uc2), (b2, b3) = _held(coef, 0, pair), other
-    a2 = (b2 + uc1) / coef[2]
-    return abs((b3 + b2 * uc1 + uc2) / coef[3] - mu * (a2 * a2))
+        def value(x1, x2):
+            return form(u * x1, u * x2, h1, h2)
+    return value
 
 
 def _folded(coef, mu: complex):
@@ -291,7 +312,7 @@ def _pair_value(coef, mu: complex, p: HerglotzMeasure, q: HerglotzMeasure) -> fl
     """|a_3 - mu a_2**2| of member_from_pq(params, p, q), in closed form from
     _c12 over each measure's (w, exp(1j t)) pairs."""
     pc, qc = (_c12((w, cmath.exp(1j * t)) for w, t in m.atoms) for m in (p, q))
-    return _side_value(coef, mu, 0, pc, _held(coef, 1, qc))
+    return _evaluator(coef, mu, 0, _held(coef, 1, qc))(*pc)
 
 
 def _used(u0: np.ndarray, max_atoms: int) -> np.ndarray:
@@ -345,11 +366,11 @@ def _screened(fold, slack: float, best_v: float, u: np.ndarray, max_atoms: int) 
 
 def _measure(u: np.ndarray, max_atoms: int) -> HerglotzMeasure:
     """One sample's measure from one side's uniforms u, (1 + 2 max_atoms,):
-    the atoms _values uses, weights w / sum(w) and angles 2 pi u."""
+    the atoms _values uses, with angles 2 pi u and weights 1 - u through
+    _normalized, summed in slot order as _values sums them."""
     used = _used(u[:1], max_atoms)[:, 0]
-    w = 1.0 - u[1 : 1 + max_atoms][used]
-    total = np.add.accumulate(w)[-1]  # in slot order, as _values sums
-    return HerglotzMeasure(tuple(zip((w / total).tolist(), (TWO_PI * u[1 + max_atoms :][used]).tolist())))
+    w, t = 1.0 - u[1 : 1 + max_atoms][used], TWO_PI * u[1 + max_atoms :][used]
+    return HerglotzMeasure(_normalized([*zip(w.tolist(), t.tolist())]))
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -371,9 +392,15 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
+def _total(weights) -> float:
+    """The weights added left to right, on every Python: builtin sum adds
+    floats with compensation from Python 3.12 on, which moves bits."""
+    return reduce(add, weights)
+
+
 def _weights(atoms) -> list[float]:
-    """The atoms' weights divided by their sum."""
-    total = sum(w for w, _ in atoms)
+    """The atoms' weights divided by their _total."""
+    total = _total([w for w, _ in atoms])
     return [w / total for w, _ in atoms]
 
 
@@ -390,17 +417,16 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     (c_1, c_2) stays put, and keeps a move only if it beats best_v. It
     returns once a round's worth of searches in a row kept no move, and
     after a kept move one search sooner, before the search that would
-    repeat the kept one (module docstring). Each search calls one closure
-    built for its coordinate: the closed form of _side_value and _held
-    written out for the moving side against the other side's _held terms,
-    computing only what the coordinate moves. An angle evaluation makes one
-    exp(1j t) and _c12's additions from atom j on, a weight evaluation sums
-    the side's raw weights and makes _c12's additions over the cached z_i
-    and z_i**2. Every evaluation is, bit for bit, _side_value of p's _c12
-    against _held of q's, each over its side's _normalized atoms as
-    (w, exp(1j t)) pairs.
+    repeat the kept one (module docstring). Each round builds one
+    _evaluator value per side against the other side's _held terms, and
+    each search calls one closure built for its coordinate, which computes
+    only what the coordinate moves and ends in that value. An angle
+    evaluation makes one exp(1j t) and _c12's additions from atom j on, a
+    weight evaluation takes the _total of the side's raw weights and makes
+    _c12's additions over the cached z_i and z_i**2. Every evaluation is,
+    bit for bit, the closed form of p's _c12 and q's, each over its side's
+    _normalized atoms as (w, exp(1j t)) pairs.
     """
-    u, v, two_tau, three_sigma = coef
     evals = 0
     units = [[cmath.exp(1j * t) for _, t in side] for side in sides]
     squares = [[z * z for z in zs] for zs in units]
@@ -416,7 +442,7 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     idle, stop = 0, per_round
     for _ in range(rounds):
         for s, side in enumerate(sides):
-            h1, h2 = _held(coef, 1 - s, _c12(zip(weights[1 - s], units[1 - s])))
+            value = _evaluator(coef, mu, s, _held(coef, 1 - s, _c12(zip(weights[1 - s], units[1 - s]))))
             zs, zzs = units[s], squares[s]  # z_i and z_i**2, kept with side
             for j, k, lo, hi in coords[s]:
                 if k:  # everything but atom j's own terms, in _c12's order
@@ -438,39 +464,21 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
                         for a, b in post:
                             c1 = c1 + a
                             c2 = c2 + b
-                        if s:  # _held of q's (2 c_1, 2 c_2), then _side_value
-                            x1 = 2.0 * c1
-                            b2 = v * x1
-                            b3 = v * (2.0 * c2 + b2 * x1) / 2.0
-                            uc1, uc2 = h1, h2
-                        else:
-                            uc1, uc2 = u * (2.0 * c1), u * (2.0 * c2)
-                            b2, b3 = h1, h2
-                        a2 = (b2 + uc1) / two_tau
-                        return abs((b3 + b2 * uc1 + uc2) / three_sigma - mu * (a2 * a2))
+                        return value(2.0 * c1, 2.0 * c2)
                 else:
-                    raw = [w for w, _ in side]  # _weights' sum and divisions, in place
+                    raw = [w for w, _ in side]  # _weights' total and divisions, in place
 
                     def f(x):
                         nonlocal evals
                         evals += 1
                         side[j][0] = raw[j] = x
-                        total = sum(raw)
+                        total = _total(raw)
                         c1 = c2 = 0.0
                         for r, z, zz in zip(raw, zs, zzs):
                             w = r / total
                             c1 = c1 + w * z
                             c2 = c2 + w * zz
-                        if s:
-                            x1 = 2.0 * c1
-                            b2 = v * x1
-                            b3 = v * (2.0 * c2 + b2 * x1) / 2.0
-                            uc1, uc2 = h1, h2
-                        else:
-                            uc1, uc2 = u * (2.0 * c1), u * (2.0 * c2)
-                            b2, b3 = h1, h2
-                        a2 = (b2 + uc1) / two_tau
-                        return abs((b3 + b2 * uc1 + uc2) / three_sigma - mu * (a2 * a2))
+                        return value(2.0 * c1, 2.0 * c2)
 
                 saved = side[j][k]
                 x, val = _golden_max(f, lo, hi)

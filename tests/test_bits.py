@@ -11,6 +11,8 @@ the jets the first pass cached, so a cache cannot move a bit either.
 from __future__ import annotations
 
 import hashlib
+import math
+import sys
 
 from fslab import (
     ClassParams,
@@ -24,7 +26,7 @@ from fslab import (
     sharpness_residual,
     transform_spotcheck,
 )
-from fslab import members
+from fslab import members, search
 from fslab.bounds import breakpoints
 from fslab.cli import main
 
@@ -84,9 +86,13 @@ def _search_lines():
     return lines
 
 
+_SEARCH_DIGEST = "7c55997f912628ec7f498616b70018399fba1098353f93a74c1c5856c0243116"
+_WITNESS_DIGEST = "6674c093bbfcbb5efaec36fd0a7302777140abab0f094f5b53b65427f70c0917"
+_SWEEP_DIGEST = "b703bc19a3dd235ea75f60e8620ce4675c7471e97344a6aa35268bba934706a8"
+
+
 def test_search_bits():
-    digest = "7c55997f912628ec7f498616b70018399fba1098353f93a74c1c5856c0243116"
-    assert _cold_then_warm(_search_lines) == (digest, digest)
+    assert _cold_then_warm(_search_lines) == (_SEARCH_DIGEST, _SEARCH_DIGEST)
 
 
 def test_search_evaluations():
@@ -114,8 +120,7 @@ def _witness_lines():
 
 
 def test_witness_bits():
-    digest = "6674c093bbfcbb5efaec36fd0a7302777140abab0f094f5b53b65427f70c0917"
-    assert _cold_then_warm(_witness_lines) == (digest, digest)
+    assert _cold_then_warm(_witness_lines) == (_WITNESS_DIGEST, _WITNESS_DIGEST)
 
 
 _SWEEP_FLAGS = ("--lambda", "0.3", "--delta", "0.1", "--alpha", "0.2", "--beta", "0.1")
@@ -134,11 +139,75 @@ _SWEEP_GRIDS = (
 )
 
 
-def test_sweep_bits(capsys):
+def _sweep_digest(capsys) -> str:
     lines = []
     for lo, hi, steps in _SWEEP_GRIDS:
         for output in ("csv", "json"):
             argv = ["sweep", *_SWEEP_FLAGS, f"--mu-min={lo}", "--mu-max", hi, "--steps", steps, "--output", output]
             assert main(argv) == 0
             lines.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert _digest(lines) == "b703bc19a3dd235ea75f60e8620ce4675c7471e97344a6aa35268bba934706a8"
+    return _digest(lines)
+
+
+def test_sweep_bits(capsys):
+    assert _sweep_digest(capsys) == _SWEEP_DIGEST
+
+
+def _compensated_sum(iterable, /, start=0):
+    """Builtin sum as CPython 3.12 and 3.13 compute it: from an int start,
+    ints are added exactly while they fit a C long; from a float on,
+    floats are added with Neumaier's compensation and machine-size ints
+    plainly, in double precision, and the correction joins the total when
+    that run ends; anything else (a complex number, say) is added plainly."""
+    long = range(-(2**63), 2**63)  # a C long
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            if type(item) not in (int, bool) or item not in long or total + item not in long:
+                total = total + item
+                break
+            total += item
+    if type(total) is float:
+        f, c = total, 0.0
+        for item in items:
+            if type(item) is float:
+                t = f + item
+                c += (f - t) + item if abs(f) >= abs(item) else (item - t) + f
+                f = t
+            elif isinstance(item, int) and item in long:
+                f += float(item)
+            else:
+                total = (f + c if c and math.isfinite(c) else f) + item
+                break
+        else:
+            return f + c if c and math.isfinite(c) else f
+    for item in items:
+        total = total + item
+    return total
+
+
+_SUM_CASES = (
+    [0.1] * 10, [1e100, 1.0, -1e100], [0.6, 0.3, 0.1], [0.7, 0.2, 0.1, 1e-17], [-0.0], [-0.0, -0.0],
+    [2, 0.5, 1, 1e-17], [1e308, 1e308, -1e308], [float("inf"), 1.0], [0.5 + 1j, 0.25, 1e-17],
+)
+
+
+def test_compensated_sum_is_the_one_of_python_3_12():
+    # the emulation adds differently from a plain loop, and on Python 3.12
+    # and 3.13 it is builtin sum, bit for bit
+    assert _compensated_sum([1e100, 1.0, -1e100]) == 1.0 != (1e100 + 1.0) - 1e100
+    if (3, 12) <= sys.version_info < (3, 14):
+        for case in _SUM_CASES:
+            assert repr(_compensated_sum(case)) == repr(sum(case)), case
+
+
+def test_no_library_bit_moves_with_a_compensated_sum(monkeypatch, capsys):
+    # builtin sum compensates float additions from Python 3.12 on; with that
+    # sum in both modules that call it, every digest keeps its bits (while
+    # the search totalled weights with builtin sum, its digest moved)
+    for module in (search, members):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert _cold_then_warm(_search_lines) == (_SEARCH_DIGEST, _SEARCH_DIGEST)
+    assert _cold_then_warm(_witness_lines) == (_WITNESS_DIGEST, _WITNESS_DIGEST)
+    assert _sweep_digest(capsys) == _SWEEP_DIGEST

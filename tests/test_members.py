@@ -46,11 +46,11 @@ from fslab.search import (
     _c12,
     _coefficients,
     _draw_chunk,
+    _evaluator,
     _folded,
     _held,
     _measure,
     _pair_value,
-    _side_value,
     _values,
 )
 
@@ -503,8 +503,8 @@ def test_member_order_floor():
 # ----- the closed form of a_2 and a_3 -----
 
 def test_closed_form_matches_member_from_pq():
-    # the search's exact pass on drawn uniforms, the polish's one-side forms
-    # with either side moving, their held terms and the seeds' one-pair form
+    # the search's exact pass on drawn uniforms, its one closed form
+    # (_evaluator) with either side moving, the held terms and the seeds' floor
     # against full construction from the measures _measure
     # decodes, 20 parameter tuples x 100 measure pairs x 2 values of mu
     rng = np.random.default_rng(211)
@@ -527,8 +527,8 @@ def test_closed_form_matches_member_from_pq():
                     (uc2, (1.0 - par.alpha) * m.c[2]),
                     (b2, m.b[2]),
                     (b3, m.b[3]),
-                    (_side_value(coef, mu, 0, polish[i], held[1]), ref),
-                    (_side_value(coef, mu, 1, polish[100 + i], held[0]), ref),
+                    (_evaluator(coef, mu, 0, held[1])(*polish[i]), ref),
+                    (_evaluator(coef, mu, 1, held[0])(*polish[100 + i]), ref),
                     (values[i], ref),
                     (_pair_value(coef, mu, p, q), ref),
                 ):

@@ -53,7 +53,6 @@ from fslab.search import (
     _pair_value,
     _polish,
     _screened,
-    _side_value,
     _used,
     _values,
 )
@@ -297,14 +296,20 @@ def test_rough_value_error_is_within_e(mu):
     assert worst <= 1.0, worst
 
 
+def _left_total(weights):
+    """The weights added in order, as a loop, whatever builtin sum does."""
+    total = weights[0]
+    for w in weights[1:]:
+        total += w
+    return total
+
+
 def _plain_measure(u, k):
     """The measure of one side's uniforms u: the first min(1 + floor(u_0 k), k)
     slots' weights 1 - u, divided by their sum in slot order, and angles 2 pi u."""
     count = min(1 + math.floor(u[0] * k), k)
     w = [1.0 - x for x in u[1 : 1 + count].tolist()]
-    total = w[0]
-    for x in w[1:]:
-        total += x
+    total = _left_total(w)
     return HerglotzMeasure([(x / total, TWO_PI * t) for x, t in zip(w, u[1 + k : 1 + k + count].tolist())])
 
 
@@ -514,12 +519,16 @@ def test_concurrent_searches_are_the_serial_ones():
 # ----- the polish -----
 
 def _uncached_value(coef, mu, sides):
-    """The objective as the closed form gives it without caches."""
-    cq = []
-    for side in sides:
-        total = sum(w for w, _ in side)
-        cq.append(_c12([(w / total, cmath.exp(1j * t)) for w, t in side]))
-    return _side_value(coef, mu, 0, cq[0], _held(coef, 1, cq[1]))
+    """The objective as the closed form gives it without caches and without
+    search._evaluator: each side's _held terms of _c12 over its atoms, their
+    weights divided by their total in order, combined into a_2 and a_3."""
+    held = []
+    for s, side in enumerate(sides):
+        total = _left_total([w for w, _ in side])
+        held.append(_held(coef, s, _c12([(w / total, cmath.exp(1j * t)) for w, t in side])))
+    (uc1, uc2), (b2, b3) = held
+    a2 = (b2 + uc1) / coef[2]
+    return abs((b3 + b2 * uc1 + uc2) / coef[3] - mu * (a2 * a2))
 
 
 def test_polish_cache_is_bitwise_the_uncached_form(monkeypatch):
@@ -735,7 +744,7 @@ def _reference_on(par, mu, budget, u):
         evals += _reference_polish(coef, mu, sides, best_v, budget.n_refine, stop=True)[1]
         measures = []
         for side in sides:
-            total = sum(w for w, _ in side)
+            total = _left_total([w for w, _ in side])
             measures.append(HerglotzMeasure([(w / total, t) for w, t in side]))
         polished = member_from_pq(par, *measures)
         if abs(fs_functional(polished, mu)) >= value:
