@@ -31,7 +31,10 @@ the class by construction; membership_spotcheck re-derives the defining ratio
 from the stored a_k alone: z f', z^2 f'' and z^3 f''' have coefficients k a_k,
 (k-1)(k a_k) and (k-2)((k-1)(k a_k)), and their combination is divided by g/z
 by long division. It then checks the ratio's real part at 64 points on
-|z| = 0.3, one fixed circle well inside the disk. Univalence of members is
+|z| = 0.3, one fixed circle well inside the disk, and reads all 64 from one
+matrix-vector product: the quotient's n coefficients as 2n floats, real and
+imaginary parts interleaved, times a cached read-only (2n, 64) table of
+Re z**k and -Im z**k at those points (_powers). Univalence of members is
 not verified. Jets are plain tuples of complex numbers, index k holding the
 coefficient of z**k, and their sums are exactly rounded. Entries 0..k of a
 jet do not depend on the order, so a_2 and a_3 need only order 3.
@@ -58,11 +61,13 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
+from functools import reduce
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
 from numbers import Complex, Integral, Real
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 from typing import Sequence
 
 import numpy as np
@@ -86,6 +91,10 @@ WEIGHT_SUM_TOL = 1e-9
 # moves Re(ratio) by at most 2 (1 - alpha) 0.3**8 / 0.7 < 1.9e-4 (1.87e-4 at
 # worst on 2,000 random members), well inside the margin (1 - alpha) 0.7 / 1.3
 # that Re p >= (1 - r) / (1 + r) leaves a member, so the slack absorbs roundoff.
+# The product that reads the real parts rounds within a few n 2**-53
+# sum_k |r_k| 0.3**k of their exact values for a quotient r of n terms, about
+# 1e-15 at order 8: its minimum was at most 2.2e-16 from Horner's on the
+# 1,500 quotients of 500 benchmark witness ops, against 1e-6 of slack.
 SPOTCHECK_TOL = 1e-6
 
 
@@ -217,6 +226,15 @@ class ClassMember:
         return self.a[3]
 
 
+def _total(terms, start=0.0):
+    """The terms added left to right from start, on every Python. Builtin sum
+    adds floats with compensation from Python 3.12 on and complex numbers
+    from 3.14 on, and 3.14 adds its int start to a complex number as a real
+    one, keeping a -0.0 imaginary part: each moves bits. From 0j, a complex
+    total is builtin sum's on Python 3.10 to 3.13, where 0 + c is 0j + c."""
+    return reduce(add, terms, start)
+
+
 def herglotz_coeffs(measure: HerglotzMeasure, n: int) -> tuple[complex, ...]:
     """Taylor coefficients (c_0=1, c_1, ..., c_n) of the measure's function.
 
@@ -251,7 +269,7 @@ def _herglotz(atoms: tuple[tuple[float, float], ...], n: int) -> tuple[complex, 
     rows = zip(*(accumulate(repeat(u, n), mul, initial=1.0 + 0.0j) for u in units))
     next(rows)  # row k holds every atom's u**k; c_0 = 1 is not a sum
     weights = [w for w, _ in atoms]
-    return (1.0 + 0.0j, *(2.0 * sum(map(mul, weights, row)) for row in rows))
+    return (1.0 + 0.0j, *(2.0 * _total(map(mul, weights, row), 0j) for row in rows))
 
 
 def starlike_from_q(q_coeffs: Sequence[complex], beta: float, n: int) -> tuple[complex, ...]:
@@ -273,8 +291,8 @@ def _starlike(q_coeffs: Sequence[complex], v: float, n: int) -> tuple[complex, .
     """starlike_from_q's recurrence for checked inputs, with v = 1 - beta."""
     b: list[complex] = [0.0, 1.0]
     for k in range(2, n + 1):
-        # a plain sum from the int 0, not _csum: its rounding and signed zeros are b's
-        b.append(v * sum(map(mul, q_coeffs[1:k], b[k - 1 : 0 : -1])) / (k - 1))
+        # a plain sum from 0j, not _csum: its rounding and signed zeros are b's
+        b.append(v * _total(map(mul, q_coeffs[1:k], b[k - 1 : 0 : -1]), 0j) / (k - 1))
     return tuple(b)
 
 
@@ -369,20 +387,44 @@ def fs_functional(member: ClassMember, mu: complex) -> complex:
     return member.a[3] - _scalar_mu(mu) * member.a[2] ** 2
 
 
-def _polyval(coeffs: tuple[complex, ...], pts: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] pts**k by the Horner recurrence that
-    np.polynomial.polynomial.polyval runs, so bitwise its values, without
-    its argument handling."""
-    vals = coeffs[-1] + pts * 0
-    for c in reversed(coeffs[:-1]):
-        vals *= pts
-        vals += c
-    return vals
-
-
 # the spot checks' grid: 64 points on |z| = 0.3, well inside the disk
 _CIRCLE = 0.3 * np.exp(2j * np.pi * np.arange(64) / 64)
 _CIRCLE.flags.writeable = False
+
+# Below this, no partial sum of a product with _powers can overflow: each
+# entry of the table is at most 1 in size, so every partial sum for the float
+# view x of a jet is at most sum |x_i| in size, up to a factor of
+# 1 + 2 n 2**-53 from rounding.
+_NO_OVERFLOW = sys.float_info.max / 2
+
+
+@functools.lru_cache(maxsize=8)
+def _powers(n: int) -> np.ndarray:
+    """The read-only (2n, 64) table whose rows 2k and 2k + 1 hold Re z**k and
+    -Im z**k at the points of _CIRCLE, so that the float view of a jet
+    (r_0, ..., r_{n-1}), real and imaginary parts interleaved, times the table
+    is Re sum_k r_k z**k at each point. A table holds 1 KiB per order, and
+    a caller's spot checks mostly share one order."""
+    zk = np.vander(_CIRCLE, n, increasing=True).T
+    table = np.empty((2 * n, _CIRCLE.size))
+    table[0::2], table[1::2] = zk.real, -zk.imag
+    table.flags.writeable = False
+    return table
+
+
+def _real_parts(ratio: list[complex]) -> np.ndarray:
+    """Re sum_k ratio[k] z**k at the points of _CIRCLE, from one product with
+    _powers; ValueError if a coefficient or a value is not finite."""
+    x = np.array(ratio).view(np.float64)
+    # a NaN or an infinity in x fails this test too
+    if sum(map(abs, x.tolist())) < _NO_OVERFLOW:
+        return x @ _powers(len(ratio))
+    _jet(ratio)  # rejects a quotient that overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = x @ _powers(len(ratio))
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite spot-check value")
+    return vals
 
 
 def _grid_spotcheck(member: ClassMember, num: tuple[complex, ...]) -> bool:
@@ -390,8 +432,9 @@ def _grid_spotcheck(member: ClassMember, num: tuple[complex, ...]) -> bool:
 
     num and g both vanish at 0 with unit z-coefficient; the common z is
     cancelled before dividing. A g with b_1 != 1, which only a hand-built
-    member can carry, is a DomainError. Shared by the two spot checks, which
-    build num independently.
+    member can carry, is a DomainError, and a quotient or a value that is
+    not finite a ValueError. Shared by the two spot checks, which build num
+    independently.
     """
     top, g = _jet(num[1:]), _jet(member.b[1:])
     if g[0] != 1.0:
@@ -400,9 +443,8 @@ def _grid_spotcheck(member: ClassMember, num: tuple[complex, ...]) -> bool:
     for k in range(min(len(top), len(g))):
         acc = _csum([*map(mul, ratio, g[k:0:-1])]) if k else 0.0
         ratio.append((top[k] - acc) / g[0])
-    # _jet rejects a quotient that overflowed
-    vals = _polyval(_jet(ratio), _CIRCLE)
-    return bool(vals.real.min() > member.params.alpha - SPOTCHECK_TOL)
+    vals = _real_parts(ratio)
+    return bool(vals.min() > member.params.alpha - SPOTCHECK_TOL)
 
 
 def membership_spotcheck(member: ClassMember) -> bool:

@@ -146,11 +146,12 @@ chunk in stream order replaces it only with a strictly larger value, and
 then with its earliest sample reaching that value. So the result is the
 earliest candidate, seeds first, that reaches the maximum: bitwise identical
 for the same inputs and budget, ties included, independent of the chunk size.
-Weight totals are added left to right on every Python (_total): builtin sum
-adds floats with Neumaier's compensation from Python 3.12 on, and with that
-sum emulated it moved 3 of 600 verify benchmark results (seeds 1-3, ops 0-199)
-while the search totalled weights with it; tests/test_bits.py checks the
-digests under the emulated sum.
+Weight totals are added left to right from 0.0 on every Python (the
+members module's _total, which also adds the member builds' complex sums):
+builtin sum adds floats with Neumaier's compensation from Python 3.12 on, and
+with that sum emulated it moved 3 of 600 verify benchmark results (seeds 1-3,
+ops 0-199) while the search totalled weights with it; tests/test_bits.py
+checks the digests under the emulated sum.
 """
 
 from __future__ import annotations
@@ -158,8 +159,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -173,6 +172,7 @@ from .members import (
     MAX_ATOMS,
     TWO_PI,
     _scalar_mu,
+    _total,
     _whole,
     fs_functional,
     member_from_pq,
@@ -390,12 +390,6 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
             x2 = a + invphi * (b - a)
             f2 = f(x2)
     return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def _total(weights) -> float:
-    """The weights added left to right, on every Python: builtin sum adds
-    floats with compensation from Python 3.12 on, which moves bits."""
-    return reduce(add, weights)
 
 
 def _weights(atoms) -> list[float]:

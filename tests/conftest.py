@@ -8,8 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
+import fslab.members
 from fslab import ClassParams, HerglotzMeasure, member_from_pq
-from fslab.members import TWO_PI
+from fslab.members import _CIRCLE, SPOTCHECK_TOL, TWO_PI
 
 # (lam, delta, alpha, beta) on the edges of the domain
 EDGE_PARAMS = [
@@ -54,12 +55,35 @@ def random_params(rng: np.random.Generator) -> ClassParams:
     return ClassParams(lam, delta, alpha, beta)
 
 
-def random_member(rng: np.random.Generator, params: ClassParams | None = None, order: int = 8):
+def random_member(rng: np.random.Generator, params: ClassParams | None = None, order: int = 8,
+                  max_atoms: int = 3):
     if params is None:
         params = random_params(rng)
-    p = sample_measure(rng, 3)
-    q = sample_measure(rng, 3)
+    p = sample_measure(rng, max_atoms)
+    q = sample_measure(rng, max_atoms)
     return member_from_pq(params, p, q, order)
+
+
+def spotcheck_verdicts(monkeypatch, check, members) -> list[tuple[bool, bool]]:
+    """For each member, check's boolean and the one that the real parts of
+    numpy's polyval give at the same threshold, on the quotient the check
+    evaluated at the spot checks' circle."""
+    quotients = []
+    real_parts = fslab.members._real_parts
+
+    def capture(ratio):
+        quotients.append(ratio)
+        return real_parts(ratio)
+
+    monkeypatch.setattr(fslab.members, "_real_parts", capture)
+    verdicts = []
+    for m in members:
+        quotients.clear()
+        got = check(m)
+        (ratio,) = quotients
+        vals = np.polynomial.polynomial.polyval(_CIRCLE, np.asarray(ratio)).real
+        verdicts.append((got, bool(vals.min() > m.params.alpha - SPOTCHECK_TOL)))
+    return verdicts
 
 
 def atom_measure(angle: float = 0.0) -> HerglotzMeasure:

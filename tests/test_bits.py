@@ -153,37 +153,73 @@ def test_sweep_bits(capsys):
     assert _sweep_digest(capsys) == _SWEEP_DIGEST
 
 
-def _compensated_sum(iterable, /, start=0):
+def _compensated_sum(iterable, /, start=0, *, complexes=False):
     """Builtin sum as CPython 3.12 and 3.13 compute it: from an int start,
     ints are added exactly while they fit a C long; from a float on,
     floats are added with Neumaier's compensation and machine-size ints
     plainly, in double precision, and the correction joins the total when
-    that run ends; anything else (a complex number, say) is added plainly."""
+    that run ends; anything else (a complex number, say) is added plainly.
+
+    With complexes, as CPython 3.14 computes it: a complex total goes on
+    with the same compensation in each part, for complex terms in both
+    parts and for floats in the real part (machine-size ints are added to
+    it plainly), and 3.14 adds a real number and a complex one as C99 does,
+    so the complex number keeps its imaginary part, -0.0 included. No 3.14
+    interpreter has checked this emulation: it follows CPython's source."""
     long = range(-(2**63), 2**63)  # a C long
+
+    def plus(total, item):
+        if complexes and isinstance(total, complex) != isinstance(item, complex):
+            real, z = (total, item) if isinstance(item, complex) else (item, total)
+            if isinstance(real, (int, float)):
+                return complex(z.real + real, z.imag)
+        return total + item
+
+    def step(acc, x):  # acc = [sum, correction]
+        t = acc[0] + x
+        acc[1] += (acc[0] - t) + x if abs(acc[0]) >= abs(x) else (x - t) + acc[0]
+        acc[0] = t
+
+    def result(acc):
+        return acc[0] + acc[1] if acc[1] and math.isfinite(acc[1]) else acc[0]
+
     items = iter(iterable)
     total = start
     if type(total) is int:
         for item in items:
             if type(item) not in (int, bool) or item not in long or total + item not in long:
-                total = total + item
+                total = plus(total, item)
                 break
             total += item
     if type(total) is float:
-        f, c = total, 0.0
+        acc = [total, 0.0]
         for item in items:
             if type(item) is float:
-                t = f + item
-                c += (f - t) + item if abs(f) >= abs(item) else (item - t) + f
-                f = t
+                step(acc, item)
             elif isinstance(item, int) and item in long:
-                f += float(item)
+                acc[0] += float(item)
             else:
-                total = (f + c if c and math.isfinite(c) else f) + item
+                total = plus(result(acc), item)
                 break
         else:
-            return f + c if c and math.isfinite(c) else f
+            return result(acc)
+    if complexes and type(total) is complex:
+        re, im = [total.real, 0.0], [total.imag, 0.0]
+        for item in items:
+            if type(item) is complex:
+                step(re, item.real)
+                step(im, item.imag)
+            elif type(item) is float:
+                step(re, item)
+            elif isinstance(item, int) and item in long:
+                re[0] += float(item)
+            else:
+                total = plus(complex(result(re), result(im)), item)
+                break
+        else:
+            return complex(result(re), result(im))
     for item in items:
-        total = total + item
+        total = plus(total, item)
     return total
 
 
@@ -202,12 +238,33 @@ def test_compensated_sum_is_the_one_of_python_3_12():
             assert repr(_compensated_sum(case)) == repr(sum(case)), case
 
 
+def test_compensated_sum_adds_complex_numbers_as_python_3_14():
+    # complex terms are compensated part by part, and a real start keeps a
+    # complex term's -0.0 imaginary part; on Python 3.14 and later the
+    # emulation must be builtin sum, bit for bit
+    terms = [1e100 + 1e100j, 1.0 + 1.0j, -1e100 - 1e100j]
+    assert _compensated_sum(terms, complexes=True) == 1.0 + 1.0j != _compensated_sum(terms) == 0j
+    assert repr(_compensated_sum([complex(1.0, -0.0)], complexes=True)) == "(1-0j)"
+    assert repr(_compensated_sum([1e100 + 0j, 1.0, -1e100], complexes=True)) == "(1+0j)"
+    assert _compensated_sum([0.25, 1e-17, 0.5j], complexes=True) == 0.25 + 0.5j
+    if sys.version_info >= (3, 14):
+        for case in _SUM_CASES:
+            assert repr(_compensated_sum(case, complexes=True)) == repr(sum(case)), case
+
+
 def test_no_library_bit_moves_with_a_compensated_sum(monkeypatch, capsys):
-    # builtin sum compensates float additions from Python 3.12 on; with that
-    # sum in both modules that call it, every digest keeps its bits (while
-    # the search totalled weights with builtin sum, its digest moved)
-    for module in (search, members):
-        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
-    assert _cold_then_warm(_search_lines) == (_SEARCH_DIGEST, _SEARCH_DIGEST)
-    assert _cold_then_warm(_witness_lines) == (_WITNESS_DIGEST, _WITNESS_DIGEST)
-    assert _sweep_digest(capsys) == _SWEEP_DIGEST
+    # builtin sum compensates float additions from Python 3.12 on and complex
+    # ones from 3.14 on; with either sum in both modules that once called it
+    # on their results' terms, every digest keeps its bits (while the search
+    # totalled weights with builtin sum, its digest moved, and so did the
+    # search and witness digests under the 3.14 sum while member builds
+    # added complex terms with it)
+    for complexes in (False, True):
+        def compensated(iterable, /, start=0):
+            return _compensated_sum(iterable, start, complexes=complexes)
+
+        for module in (search, members):
+            monkeypatch.setattr(module, "sum", compensated, raising=False)
+        assert _cold_then_warm(_search_lines) == (_SEARCH_DIGEST, _SEARCH_DIGEST)
+        assert _cold_then_warm(_witness_lines) == (_WITNESS_DIGEST, _WITNESS_DIGEST)
+        assert _sweep_digest(capsys) == _SWEEP_DIGEST

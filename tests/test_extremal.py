@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import EDGE_PARAMS, atom_measure, random_member, random_params
+from conftest import EDGE_PARAMS, atom_measure, random_member, random_params, spotcheck_verdicts
 from fslab.extremal import _boundary_measure
 from fslab import (
     CaseRangeError,
@@ -358,11 +358,14 @@ def test_transform_identity_when_untransformed():
     )
 
 
-def test_transform_spotcheck_random_members():
+def test_transform_spotcheck_random_members(monkeypatch):
+    # order 8, and orders 3, 60, 400 and 1000 with up to four atoms a
+    # measure, each boolean the one numpy's polyval gives
     rng = np.random.default_rng(73)
-    for _ in range(30):
-        m = random_member(rng)
-        assert transform_spotcheck(m)
+    members = [random_member(rng) for _ in range(30)]
+    members += [random_member(rng, order=n, max_atoms=4) for n in (3, 60, 400) for _ in range(6)]
+    members.append(random_member(rng, order=1000, max_atoms=4))
+    assert spotcheck_verdicts(monkeypatch, transform_spotcheck, members) == [(True, True)] * len(members)
 
 
 def test_transform_of_koebe_member():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import astuple, replace
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from conftest import (
     rotate,
     sample_measure,
     shift_measure,
+    spotcheck_verdicts,
 )
 from fslab import (
     ClassMember,
@@ -41,7 +43,7 @@ from fslab import (
     transform_spotcheck,
 )
 from fslab.extremal import _ATOM0, _HALF, _SIDE, _sharp_pair, extremal_member
-from fslab.members import MAX_ATOMS, _CIRCLE, _jet, _polyval
+from fslab.members import MAX_ATOMS, SPOTCHECK_TOL, _CIRCLE, _jet
 from fslab.search import (
     _c12,
     _coefficients,
@@ -204,6 +206,15 @@ def test_coefficient_modulus_capped_at_two():
         assert max(abs(v) for v in c[1:]) <= 2.0 + 1e-12
 
 
+def _ref_total(terms):
+    """The terms added one by one from 0j, as builtin sum adds complex
+    numbers on Python 3.10 to 3.13 (3.14 compensates them)."""
+    total = 0j
+    for t in terms:
+        total = total + t
+    return total
+
+
 def _per_order_coeffs(measure: HerglotzMeasure, n: int) -> tuple[complex, ...]:
     """The reference recurrence: every atom's power rebuilt in one list per
     order, with the same products and sums as herglotz_coeffs' power chains."""
@@ -212,7 +223,7 @@ def _per_order_coeffs(measure: HerglotzMeasure, n: int) -> tuple[complex, ...]:
     out = [1.0 + 0.0j]
     for _ in range(n):
         powers = [pw * u for pw, u in zip(powers, units)]
-        out.append(2.0 * sum([w * pw for (w, _), pw in zip(measure.atoms, powers)]))
+        out.append(2.0 * _ref_total([w * pw for (w, _), pw in zip(measure.atoms, powers)]))
     return tuple(out)
 
 
@@ -595,11 +606,15 @@ def test_shift_measure_wraps():
 
 # ----- membership spot check -----
 
-def test_spotcheck_accepts_constructed_members():
+def test_spotcheck_accepts_constructed_members(monkeypatch):
+    # order 8 as the benchmark builds them, and the power tables of orders
+    # 3, 60, 400 and 1000 (whose last powers underflow to 0), each boolean
+    # the one numpy's polyval gives
     rng = np.random.default_rng(21)
-    for _ in range(40):
-        m = random_member(rng)
-        assert membership_spotcheck(m)
+    members = [random_member(rng) for _ in range(40)]
+    members += [random_member(rng, order=n, max_atoms=MAX_ATOMS) for n in (3, 60, 400) for _ in range(6)]
+    members.append(random_member(rng, order=1000, max_atoms=MAX_ATOMS))
+    assert spotcheck_verdicts(monkeypatch, membership_spotcheck, members) == [(True, True)] * len(members)
 
 
 def test_spotcheck_circle_is_fixed():
@@ -609,20 +624,6 @@ def test_spotcheck_circle_is_fixed():
     assert not _CIRCLE.flags.writeable
     with pytest.raises(ValueError):
         _CIRCLE[0] = 0.0
-
-
-def test_spotcheck_polyval_is_bitwise_numpys():
-    # the spot check's own Horner loop against np.polynomial.polynomial.polyval,
-    # which it replaces, over the spot checks' circle and over other circles
-    rng = np.random.default_rng(23)
-    for n in range(1, 21):
-        coeffs = tuple(complex(*rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)) for _ in range(n))
-        radius, grid = float(rng.uniform(0.01, 0.5)), 8 + n
-        for pts in (_CIRCLE, 0.5 * np.exp(2j * np.pi * np.arange(32) / 32),
-                    radius * np.exp(2j * np.pi * np.arange(grid) / grid)):
-            got = _polyval(coeffs, pts)
-            want = np.polynomial.polynomial.polyval(pts, np.asarray(coeffs))
-            assert got.tobytes() == want.tobytes()
 
 
 def _ref_csum(terms):
@@ -635,7 +636,7 @@ def _ref_member(params, p, q, order):
     v = 1.0 - params.beta
     b = [0.0, 1.0]
     for k in range(2, order + 1):
-        acc = sum(qk[j] * b[k - j] for j in range(1, k))
+        acc = _ref_total([qk[j] * b[k - j] for j in range(1, k)])
         b.append(v * acc / (k - 1))
     d = denominators(params, order)
     u = 1.0 - params.alpha
@@ -677,15 +678,15 @@ def test_member_and_spotcheck_kernels_are_the_per_term_sums(monkeypatch):
         nums.append(num)
         return spotcheck(member, num)
 
-    def polyval(coeffs, pts):
-        vals = _polyval(coeffs, pts)
-        calls.append((coeffs, pts, vals))
+    def real_parts(ratio):
+        vals = product(ratio)
+        calls.append((ratio, vals))
         return vals
 
-    spotcheck = fslab.members._grid_spotcheck
+    spotcheck, product = fslab.members._grid_spotcheck, fslab.members._real_parts
     for module in (fslab.members, fslab.extremal):
         monkeypatch.setattr(module, "_grid_spotcheck", grid_spotcheck)
-    monkeypatch.setattr(fslab.members, "_polyval", polyval)
+    monkeypatch.setattr(fslab.members, "_real_parts", real_parts)
     for order in (3, 8, 60):
         for i, par in enumerate(params):
             for j, p in enumerate(measures):
@@ -700,10 +701,15 @@ def test_member_and_spotcheck_kernels_are_the_per_term_sums(monkeypatch):
                 membership_spotcheck(m)
                 transform_spotcheck(m)
                 assert len(nums) == len(calls) == 2
-                for num, (coeffs, pts, vals) in zip(nums, calls):
-                    assert _bits(coeffs) == _bits(_ref_quotient(num, m.b)), (order, par, p, q)
-                    want = np.polynomial.polynomial.polyval(pts, np.asarray(coeffs))
-                    assert _bits(vals.tolist()) == _bits(want.tolist())
+                for num, (ratio, vals) in zip(nums, calls):
+                    assert _bits(ratio) == _bits(_ref_quotient(num, m.b)), (order, par, p, q)
+                    # the product rounds otherwise than Horner's recurrence,
+                    # within a few ulps of the terms' sizes on the circle
+                    want = np.polynomial.polynomial.polyval(_CIRCLE, np.asarray(ratio)).real
+                    bound = 4 * len(ratio) * 2**-52 * sum(abs(r) * 0.3**k for k, r in enumerate(ratio))
+                    assert np.abs(vals - want).max() <= bound, (order, par, p, q)
+                    threshold = par.alpha - SPOTCHECK_TOL
+                    assert (vals.min() > threshold) == (want.min() > threshold)
 
 
 def _fake_member_with_constant_c(value: float, order: int) -> ClassMember:
@@ -740,10 +746,20 @@ def test_spotcheck_rejects_non_finite_coefficients():
     bad = replace(_MEMBER, a=_MEMBER.a[:3] + (complex("nan"),) + _MEMBER.a[4:])
     # finite data whose quotient by a normalized g overflows
     huge = replace(_MEMBER, a=(0j, 1.5e308 + 0j) + _MEMBER.a[2:])
+    # a finite quotient, 1.7e308 + 1e308 z at lam = delta = 0 over g = z,
+    # whose value at z = 0.3 is past DBL_MAX: no warning, a ValueError
+    plain = member_from_pq(ClassParams(0, 0, 0, 0), atom_measure(), atom_measure())
+    tail = (0j,) * (plain.order - 2)
+    past = replace(plain, b=(0j, 1 + 0j, *tail, 0j), a=(0j, 1.7e308 + 0j, 0.5e308 + 0j, *tail))
+    # as large a quotient, 1e308 + 1e308 z, whose values are finite
+    near = replace(past, a=(0j, 1e308 + 0j, 0.5e308 + 0j, *tail))
     for check in (membership_spotcheck, transform_spotcheck):
-        for member in (bad, huge):
-            with pytest.raises(ValueError):
-                check(member)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for member in (bad, huge, past):
+                with pytest.raises(ValueError):
+                    check(member)
+            assert check(near) is True
 
 
 def test_spotcheck_rejects_near_singular_g():
