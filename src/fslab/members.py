@@ -29,15 +29,16 @@ drives q in z g'/g = beta + (1 - beta) q. Matching coefficients gives
 with D_1 = 1, D_2 = 2 tau, D_3 = 3 sigma. Every member built this way lies in
 the class by construction; membership_spotcheck re-derives the defining ratio
 from the stored a_k alone: z f', z^2 f'' and z^3 f''' have coefficients k a_k,
-(k-1)(k a_k) and (k-2)((k-1)(k a_k)), and their combination is divided by g/z
-by long division. It then checks the ratio's real part at 64 points on
-|z| = 0.3, one fixed circle well inside the disk, and reads all 64 from one
-matrix-vector product: the quotient's n coefficients as 2n floats, real and
-imaginary parts interleaved, times a cached read-only (2n, 64) table of
-Re z**k and -Im z**k at those points (_powers). Univalence of members is
-not verified. Jets are plain tuples of complex numbers, index k holding the
-coefficient of z**k, and their sums are exactly rounded. Entries 0..k of a
-jet do not depend on the order, so a_2 and a_3 need only order 3.
+(k-1)(k a_k) and (k-2)((k-1)(k a_k)). Their combination N_n and g_n, both
+cut at order n, are evaluated at 64 points on |z| = 0.3, one fixed circle
+well inside the disk, and divided point by point; the check reads the real
+part of N_n / g_n. One product reads all 128 values: the two jets' n
+coefficients each as 2n floats, real and imaginary parts interleaved, times
+a cached read-only (2n, 128) table of the circle's powers in the same float
+view (_powers). Univalence of members is not verified. Jets are plain tuples
+of complex numbers, index k holding the coefficient of z**k, and their sums
+are exactly rounded. Entries 0..k of a jet do not depend on the order, so a_2
+and a_3 need only order 3.
 
 The functional depends on a member only through c_1, c_2 (of p) and q_1, q_2.
 With u = 1 - alpha and v = 1 - beta,
@@ -63,7 +64,6 @@ import contextlib
 import functools
 from functools import reduce
 import math
-import sys
 from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
 from numbers import Complex, Integral, Real
@@ -87,14 +87,16 @@ MAX_ATOMS = 4
 # rejected otherwise: a larger drift means the caller built the measure wrong.
 WEIGHT_SUM_TOL = 1e-9
 
-# Slack for the grid membership check. At |z| = 0.3 the order-8 truncation
-# moves Re(ratio) by at most 2 (1 - alpha) 0.3**8 / 0.7 < 1.9e-4 (1.87e-4 at
-# worst on 2,000 random members), well inside the margin (1 - alpha) 0.7 / 1.3
-# that Re p >= (1 - r) / (1 + r) leaves a member, so the slack absorbs roundoff.
-# The product that reads the real parts rounds within a few n 2**-53
-# sum_k |r_k| 0.3**k of their exact values for a quotient r of n terms, about
-# 1e-15 at order 8: its minimum was at most 2.2e-16 from Horner's on the
-# 1,500 quotients of 500 benchmark witness ops, against 1e-6 of slack.
+# Slack for the grid membership check. Re p >= (1 - r) / (1 + r) leaves a
+# member the margin (1 - alpha) 0.7 / 1.3 = 0.538 (1 - alpha) at |z| = 0.3.
+# N_n = alpha g_n + (1 - alpha)(g p)_n, so truncating both jets at order n
+# scales with 1 - alpha too: the lowest margins that a Nelder-Mead search over
+# two atoms each for p and q found were 0.532 (1 - alpha) at order 8, 0.317
+# (1 - alpha) at order 4 and 0.190 (1 - alpha) at order 3, so the slack
+# absorbs only roundoff. The product that reads the jets on the circle
+# rounds within a few n 2**-53 sum_k |r_k| 0.3**k of each exact value for a
+# jet r of n terms: the checked minimum was at most 7.8e-16 from numpy's
+# polyval quotient on the 1,500 checks of 500 benchmark witness ops.
 SPOTCHECK_TOL = 1e-6
 
 
@@ -391,70 +393,56 @@ def fs_functional(member: ClassMember, mu: complex) -> complex:
 _CIRCLE = 0.3 * np.exp(2j * np.pi * np.arange(64) / 64)
 _CIRCLE.flags.writeable = False
 
-# Below this, no partial sum of a product with _powers can overflow: each
-# entry of the table is at most 1 in size, so every partial sum for the float
-# view x of a jet is at most sum |x_i| in size, up to a factor of
-# 1 + 2 n 2**-53 from rounding.
-_NO_OVERFLOW = sys.float_info.max / 2
-
-
 @functools.lru_cache(maxsize=8)
 def _powers(n: int) -> np.ndarray:
-    """The read-only (2n, 64) table whose rows 2k and 2k + 1 hold Re z**k and
-    -Im z**k at the points of _CIRCLE, so that the float view of a jet
-    (r_0, ..., r_{n-1}), real and imaginary parts interleaved, times the table
-    is Re sum_k r_k z**k at each point. A table holds 1 KiB per order, and
-    a caller's spot checks mostly share one order."""
+    """The read-only (2n, 128) float table whose rows 2k and 2k + 1 are the
+    float views of z**k and 1j * z**k at the points of _CIRCLE, real and
+    imaginary parts interleaved. The float view of a jet (r_0, ..., r_{n-1})
+    times the table is then the float view of sum_k r_k z**k at each point.
+    A table holds 2 KiB per order, and a caller's spot checks mostly share
+    one order."""
     zk = np.vander(_CIRCLE, n, increasing=True).T
-    table = np.empty((2 * n, _CIRCLE.size))
-    table[0::2], table[1::2] = zk.real, -zk.imag
+    table = np.empty((2 * n, _CIRCLE.size), complex)
+    table[0::2], table[1::2] = zk, 1j * zk
+    table = table.view(np.float64)
     table.flags.writeable = False
     return table
 
 
-def _real_parts(ratio: list[complex]) -> np.ndarray:
-    """Re sum_k ratio[k] z**k at the points of _CIRCLE, from one product with
-    _powers; ValueError if a coefficient or a value is not finite."""
-    x = np.array(ratio).view(np.float64)
-    # a NaN or an infinity in x fails this test too
-    if sum(map(abs, x.tolist())) < _NO_OVERFLOW:
-        return x @ _powers(len(ratio))
-    _jet(ratio)  # rejects a quotient that overflowed
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = x @ _powers(len(ratio))
-    if not np.isfinite(vals).all():
-        raise ValueError("non-finite spot-check value")
-    return vals
-
-
 def _grid_spotcheck(member: ClassMember, num: tuple[complex, ...]) -> bool:
-    """Re(num / g) > alpha - SPOTCHECK_TOL at the points of _CIRCLE.
+    """Re(num_n / g_n) > alpha - SPOTCHECK_TOL at the points of _CIRCLE.
 
     num and g both vanish at 0 with unit z-coefficient; the common z is
-    cancelled before dividing. A g with b_1 != 1, which only a hand-built
-    member can carry, is a DomainError, and a quotient or a value that is
-    not finite a ValueError. Shared by the two spot checks, which build num
+    cancelled, both jets are cut to the shorter one's n terms, and one float
+    product with _powers evaluates both on the circle before they are divided
+    point by point. A g with b_1 != 1, which only a hand-built member can
+    carry, is a DomainError, and a coefficient or a value that is not finite
+    a ValueError. Shared by the two spot checks, which build num
     independently.
     """
     top, g = _jet(num[1:]), _jet(member.b[1:])
     if g[0] != 1.0:
         raise DomainError(f"g must be normalized with b_1 = 1, got {g[0]!r}")
-    ratio: list[complex] = []  # long division top / g, truncated to the shorter jet
-    for k in range(min(len(top), len(g))):
-        acc = _csum([*map(mul, ratio, g[k:0:-1])]) if k else 0.0
-        ratio.append((top[k] - acc) / g[0])
-    vals = _real_parts(ratio)
-    return bool(vals.min() > member.params.alpha - SPOTCHECK_TOL)
+    n = min(len(top), len(g))
+    with np.errstate(all="ignore"):
+        both = np.array((top[:n], g[:n])).view(np.float64) @ _powers(n)
+        top_n, g_n = both.view(np.complex128)
+        ratio = top_n / g_n
+    # a g_n past DBL_MAX would leave a finite quotient of 0
+    if not (np.isfinite(both).all() and np.isfinite(ratio).all()):
+        raise ValueError("non-finite spot-check value")
+    return bool(ratio.real.min() > member.params.alpha - SPOTCHECK_TOL)
 
 
 def membership_spotcheck(member: ClassMember) -> bool:
     """Grid check of the defining inequality at 64 points on |z| = 0.3.
 
     Rebuilds z f' + (lam - delta + 2 lam delta) z^2 f'' + lam delta z^3 f'''
-    from the stored a-sequence coefficient by coefficient, divides by g, and
-    requires Re(ratio) > alpha - SPOTCHECK_TOL at every grid point. This is a
-    smoke test against construction bugs, not a univalence proof; truncation
-    keeps it honest only well inside the disk, hence the small radius.
+    from the stored a-sequence coefficient by coefficient, divides it by g
+    at every grid point and requires Re(ratio) > alpha - SPOTCHECK_TOL. This
+    is a smoke test against construction bugs, not a univalence proof;
+    truncation keeps it honest only well inside the disk, hence the small
+    radius.
     """
     par = member.params
     s2, s3 = par.lam - par.delta + 2.0 * par.lam * par.delta, par.lam * par.delta

@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+import fslab.extremal
 import fslab.members
 from fslab import ClassParams, HerglotzMeasure, member_from_pq
 from fslab.members import _CIRCLE, SPOTCHECK_TOL, TWO_PI
@@ -64,24 +65,36 @@ def random_member(rng: np.random.Generator, params: ClassParams | None = None, o
     return member_from_pq(params, p, q, order)
 
 
+def capture_spotcheck_jets(monkeypatch) -> list[tuple[tuple[complex, ...], tuple[complex, ...]]]:
+    """Route both spot checks through a wrapper of members._grid_spotcheck
+    that appends the two jets it divides on the circle, the numerator's and
+    g's, each without its zero constant term and cut to the shorter one's
+    length; returns the list they are appended to."""
+    jets = []
+    grid_spotcheck = fslab.members._grid_spotcheck
+
+    def capture(member, num):
+        n = min(len(num), len(member.b)) - 1
+        jets.append((tuple(map(complex, num[1 : n + 1])), tuple(map(complex, member.b[1 : n + 1]))))
+        return grid_spotcheck(member, num)
+
+    for module in (fslab.members, fslab.extremal):
+        monkeypatch.setattr(module, "_grid_spotcheck", capture)
+    return jets
+
+
 def spotcheck_verdicts(monkeypatch, check, members) -> list[tuple[bool, bool]]:
     """For each member, check's boolean and the one that the real parts of
-    numpy's polyval give at the same threshold, on the quotient the check
-    evaluated at the spot checks' circle."""
-    quotients = []
-    real_parts = fslab.members._real_parts
-
-    def capture(ratio):
-        quotients.append(ratio)
-        return real_parts(ratio)
-
-    monkeypatch.setattr(fslab.members, "_real_parts", capture)
+    numpy's polyval(top) / polyval(g) give at the same threshold, on the two
+    jets the check divided at the spot checks' circle."""
+    jets = capture_spotcheck_jets(monkeypatch)
+    polyval = np.polynomial.polynomial.polyval
     verdicts = []
     for m in members:
-        quotients.clear()
+        jets.clear()
         got = check(m)
-        (ratio,) = quotients
-        vals = np.polynomial.polynomial.polyval(_CIRCLE, np.asarray(ratio)).real
+        ((top, g),) = jets
+        vals = (polyval(_CIRCLE, np.asarray(top)) / polyval(_CIRCLE, np.asarray(g))).real
         verdicts.append((got, bool(vals.min() > m.params.alpha - SPOTCHECK_TOL)))
     return verdicts
 

@@ -56,6 +56,11 @@ class Exact:
     def q(self, x, zeta):
         return 4 * (self.e + self.f * x + self.g * x * x) + zeta * 2 * self.u * (1 - x * x)
 
+    def r(self, x, zeta):
+        """R_zeta(x), Q_zeta's counterpart on the edge |c_1| = 2: E and G
+        swapped, and v in place of 2u."""
+        return 4 * (self.g + self.f * x + self.e * x * x) + zeta * self.v * (1 - x * x)
+
     def vertex(self, zeta):
         """The vertex of Q_zeta clipped to [-1, 1], or None where Q_zeta is linear."""
         lead = 4 * self.g - zeta * 2 * self.u
@@ -169,3 +174,23 @@ def test_the_corner_is_redundant():
         assert corner <= max(2 * u + v, abs(ex.q(1, 1))), (par, mu)
         if rho > Fraction(4, 3) / u:
             assert -ex.q(1, 1) - corner == v * (3 * rho * (2 * u + v) - 2 - 2 * v - 4 * u) > 0
+
+
+def test_the_r_vertices_in_closed_form():
+    # with D = 3 rho v - 2v - 2: R+ has its vertex at x = -u/v, where it is
+    # 2u + v - 2u**2; R-'s leading coefficient is 4E + v = -v D, its vertex
+    # lies at x = -u (3 rho - 2)/D, and Q(+-1) - R-(x) = -v ((3 rho - 2) u +- D)**2 / D
+    # there. R_zeta'(x) = 4F + 2 (4E - zeta v) x
+    for par, mu in DRAWS:
+        ex = Exact(par, mu)
+        u, v, rho = ex.u, ex.v, ex.rho
+        big_d = 3 * rho * v - 2 * v - 2
+        x_plus = -u / v
+        assert 4 * ex.f + 2 * (4 * ex.e - v) * x_plus == 0, (par, mu)
+        assert ex.r(x_plus, 1) == 2 * u + v - 2 * u * u, (par, mu)
+        assert 4 * ex.e + v == -v * big_d, (par, mu)
+        x_minus = -u * (3 * rho - 2) / big_d
+        assert 4 * ex.f + 2 * (4 * ex.e + v) * x_minus == 0, (par, mu)
+        for end in (1, -1):
+            want = -v * ((3 * rho - 2) * u + end * big_d) ** 2 / big_d
+            assert ex.q(end, 1) - ex.r(x_minus, -1) == want, (par, mu, end)

@@ -11,11 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import fslab.extremal
 import fslab.members
 from conftest import (
     EDGE_PARAMS,
     atom_measure,
+    capture_spotcheck_jets,
     random_member,
     random_params,
     rotate,
@@ -43,7 +43,7 @@ from fslab import (
     transform_spotcheck,
 )
 from fslab.extremal import _ATOM0, _HALF, _SIDE, _sharp_pair, extremal_member
-from fslab.members import MAX_ATOMS, SPOTCHECK_TOL, _CIRCLE, _jet
+from fslab.members import MAX_ATOMS, SPOTCHECK_TOL, _CIRCLE, _jet, _powers
 from fslab.search import (
     _c12,
     _coefficients,
@@ -617,6 +617,36 @@ def test_spotcheck_accepts_constructed_members(monkeypatch):
     assert spotcheck_verdicts(monkeypatch, membership_spotcheck, members) == [(True, True)] * len(members)
 
 
+# Floors under the minimum of (Re(N_n/g_n) - alpha) / (1 - alpha) on the
+# circle for a member of order n. The exact ratio's minimum is at least
+# Re p >= 0.7 / 1.3 = 0.538; truncation moves it lower: the lowest minima that
+# a Nelder-Mead search over two atoms each for p and q found (60 starts) were
+# 0.190, 0.317 and 0.532 at orders 3, 4 and 8.
+_SPOTCHECK_FLOORS = {3: 0.15, 4: 0.3, 8: 0.5}
+
+
+def test_spotcheck_margin_holds_at_low_orders():
+    # N_n = alpha g_n + (1 - alpha)(g p)_n exactly, so the normalized minimum
+    # does not depend on alpha: members built at alpha = 0 and checked as if
+    # alpha were the floor pass exactly where their minimum exceeds the floor
+    # (less SPOTCHECK_TOL). One-atom p and q at eight angles each on beta = 0,
+    # where g is a rotated Koebe function, and random measures and beta
+    rng = np.random.default_rng(36)
+    angles = [k * PI / 4 for k in range(8)]
+    for order, floor in _SPOTCHECK_FLOORS.items():
+        members = [
+            member_from_pq(ClassParams(lam, delta, 0.0, 0.0), atom_measure(s), atom_measure(t), order)
+            for lam, delta in ((0, 0), (0.5, 0), (0.5, 0.5), (1, 0), (1, 0.5), (1, 1))
+            for s in angles for t in angles
+        ]
+        for _ in range(300):
+            members.append(random_member(rng, replace(random_params(rng), alpha=0.0), order, MAX_ATOMS))
+        for m in members:
+            at_floor = replace(m, params=replace(m.params, alpha=floor))
+            for check in (membership_spotcheck, transform_spotcheck):
+                assert check(at_floor), (order, m.params, m.p_measure, m.q_measure)
+
+
 def test_spotcheck_circle_is_fixed():
     # 64 points on |z| = 0.3, shared by every spot check and never written
     want = 0.3 * np.exp(2j * np.pi * np.arange(64) / 64)
@@ -648,16 +678,6 @@ def _ref_member(params, p, q, order):
     return c, qk, tuple(b), a
 
 
-def _ref_quotient(num, b):
-    # _grid_spotcheck's long division term by term
-    top, g = tuple(map(complex, num[1:])), tuple(map(complex, b[1:]))
-    ratio = []
-    for k in range(min(len(top), len(g))):
-        acc = _ref_csum([ratio[j] * g[k - j] for j in range(k)]) if k else 0.0
-        ratio.append((top[k] - acc) / g[0])
-    return ratio
-
-
 def test_member_and_spotcheck_kernels_are_the_per_term_sums(monkeypatch):
     # the exact sums may take their terms in any form, but every product,
     # and every signed zero, is the per-term reference's
@@ -672,21 +692,8 @@ def test_member_and_spotcheck_kernels_are_the_per_term_sums(monkeypatch):
     ]
     params = [ClassParams(0, 0, 0, 0), ClassParams(0.3, 0.1, 0, 0.4), ClassParams(0.3, 0.1, 0.2, 0),
               *EDGE_PARAMS, random_params(rng)]
-    nums, calls = [], []
-
-    def grid_spotcheck(member, num):
-        nums.append(num)
-        return spotcheck(member, num)
-
-    def real_parts(ratio):
-        vals = product(ratio)
-        calls.append((ratio, vals))
-        return vals
-
-    spotcheck, product = fslab.members._grid_spotcheck, fslab.members._real_parts
-    for module in (fslab.members, fslab.extremal):
-        monkeypatch.setattr(module, "_grid_spotcheck", grid_spotcheck)
-    monkeypatch.setattr(fslab.members, "_real_parts", real_parts)
+    jets = capture_spotcheck_jets(monkeypatch)
+    polyval = np.polynomial.polynomial.polyval
     for order in (3, 8, 60):
         for i, par in enumerate(params):
             for j, p in enumerate(measures):
@@ -696,20 +703,21 @@ def test_member_and_spotcheck_kernels_are_the_per_term_sums(monkeypatch):
                 for got, want in ((m.a, a), (m.b, b), (m.c, c), (m.qk, qk)):
                     assert _bits(got) == _bits(want), (order, par, p, q)
                     assert list(map(type, got)) == list(map(type, want))
-                nums.clear()
-                calls.clear()
-                membership_spotcheck(m)
-                transform_spotcheck(m)
-                assert len(nums) == len(calls) == 2
-                for num, (ratio, vals) in zip(nums, calls):
-                    assert _bits(ratio) == _bits(_ref_quotient(num, m.b)), (order, par, p, q)
-                    # the product rounds otherwise than Horner's recurrence,
-                    # within a few ulps of the terms' sizes on the circle
-                    want = np.polynomial.polynomial.polyval(_CIRCLE, np.asarray(ratio)).real
-                    bound = 4 * len(ratio) * 2**-52 * sum(abs(r) * 0.3**k for k, r in enumerate(ratio))
-                    assert np.abs(vals - want).max() <= bound, (order, par, p, q)
-                    threshold = par.alpha - SPOTCHECK_TOL
-                    assert (vals.min() > threshold) == (want.min() > threshold)
+                jets.clear()
+                verdicts = [membership_spotcheck(m), transform_spotcheck(m)]
+                assert len(jets) == 2
+                for verdict, (top, g) in zip(verdicts, jets):
+                    # the check's product on the captured jets rounds
+                    # otherwise than Horner's recurrence, within a few ulps
+                    # of the terms' sizes on the circle
+                    n = len(top)
+                    both = (np.array((top, g)).view(np.float64) @ _powers(n)).view(np.complex128)
+                    for vals, jet in zip(both, (top, g)):
+                        bound = 4 * n * 2**-52 * sum(abs(r) * 0.3**k for k, r in enumerate(jet))
+                        err = np.abs(vals - polyval(_CIRCLE, np.asarray(jet))).max()
+                        assert err <= bound, (order, par, p, q)
+                    want = (polyval(_CIRCLE, np.asarray(top)) / polyval(_CIRCLE, np.asarray(g))).real
+                    assert (verdict, bool(want.min() > par.alpha - SPOTCHECK_TOL)) == (True, True)
 
 
 def _fake_member_with_constant_c(value: float, order: int) -> ClassMember:
@@ -763,7 +771,9 @@ def test_spotcheck_rejects_non_finite_coefficients():
 
 
 def test_spotcheck_rejects_near_singular_g():
-    # the class normalizes g to b_1 = 1 exactly; nothing else is divided by
+    # the class normalizes g to b_1 = 1 exactly, and the spot checks divide
+    # by no other g: not by one whose b_1 is near 0, nor by one a bit from
+    # 1, where the division itself would be harmless
     for b1 in (1e-13, 1.0 + 2**-52):
         flat = replace(_MEMBER, b=(0.0, b1) + _MEMBER.b[2:])
         for check in (membership_spotcheck, transform_spotcheck):
