@@ -49,14 +49,41 @@ of the class described in :mod:`fslab.members`. Three routes exist:
   -Q+(1) - (v + 4|G|) = v (3 rho (2u + v) - 2 - 2v - 4u) > 0. At alpha=0.6,
   beta=0, mu=1.25 the paper's value is 0.65 and x- = 0.7 gives 0.68; the
   excess stops once rho >= max((4-2 beta)/(3(1-beta)), 4/(3(1-alpha))).
-  Every term is attained, so bound_sharp is sharp; that it is an upper bound
-  is established numerically, not proved: with the q-side analogue of the
-  description, a grid search with polish over (|q_1|, |c_1|, arg c_1)
-  matched it to 1e-15 relative on 300 draws and never beat it beyond
-  roundoff, nor have random search and the acceptance sweep. On cases 1-2
-  and at alpha = 0 |Q-(x-)| never exceeded the paper's value beyond
-  roundoff, and there bound_sharp returns that value bitwise; at alpha = 0
-  this is Koepf's result (Proc. AMS 101, 1987).
+  Every term is attained, so bound_sharp is sharp. That it is an upper bound
+  reduces to two disk problems. Libera-Zlotkiewicz on p and on q gives
+
+      3 sigma (a_3 - mu a_2**2) = E q_1**2 + F c_1 q_1 + G c_1**2
+                                  + u (2 - r**2/2) zeta + v (1 - s**2/4) eta
+
+  with r = |c_1|, s = |q_1| and |zeta|, |eta| <= 1 independent. Homogeneity:
+  along a ray (t r, t s) at fixed arguments the quadratic part is
+  homogeneous of degree 2, so the largest modulus over zeta and eta is
+  2u + v + t**2 K, affine in t**2, and the maximum lies at the origin
+  (2u + v, case 3) or on the edge s = 2 or r = 2 (this holds for complex mu
+  too). On the edge s = 2, q_1 = 2 w and c_1 = 2 z w with |w| = 1, |z| <= 1,
+  the rotation w cancels, and so on r = 2:
+
+      3 sigma bound_sharp = max(2u + v, Phi(4E, 4F, 4G; 2u), Phi(4G, 4F, 4E; v)),
+      Phi(a, b, c; k) = max over |z| <= 1 of |a + b z + c z**2| + k (1 - |z|**2)
+                      = k Y(a/k, b/k, c/k).
+
+  For real a, b, c, Lemma 3 of Choi, Kim and Sugawa (J. Math. Soc. Japan 59,
+  2007) gives Y in closed form, a complete list of candidates: the sum
+  |a| + |b| + |c|, three vertex branches, two R branches |a| + |b| - |c| and
+  -|a| + |b| + |c|, and the circle value (|a| + |c|) sqrt(1 - b**2/(4 a c)).
+  The sum and R branches are values at z = +-1, so on either edge they are
+  the ends |Q+-(+-1)| (the edge r = 2 has the same end values); on s = 2 the
+  vertex branches are |Q+-(x+-)| at an interior vertex. tests/test_exact.py
+  checks the lemma against a polar grid and, in exact rational arithmetic,
+  that the largest candidate off the circle equals the largest of the
+  terms above and that no candidate exceeds it. Two dominances are established numerically, not
+  proved: the vertex branches of the edge r = 2 and the circle branch on
+  either edge never exceed the terms above. A grid search with polish over
+  (|q_1|, |c_1|, arg c_1) matched bound_sharp to 1e-15 relative on 300
+  draws and never beat it beyond roundoff, nor have random search and the
+  acceptance sweep. On cases 1-2 and at alpha = 0 |Q-(x-)| never exceeded
+  the paper's value beyond roundoff, and there bound_sharp returns that
+  value bitwise; at alpha = 0 this is Koepf's result (Proc. AMS 101, 1987).
 
 * complex mu: a triangle-inequality bound. With Psi(s) = 3 sigma (1-s)/tau**2,
 
@@ -279,7 +306,10 @@ def caratheodory_bound(nu: complex) -> float:
         nu = complex(_scalar_mu(nu))
     except DomainError:  # its message names mu
         raise DomainError(f"nu must be a finite real or complex number, got {nu!r}") from None
-    return 2.0 * max(1.0, abs(2.0 * nu - 1.0))
+    try:
+        return 2.0 * max(1.0, abs(2.0 * nu - 1.0))
+    except OverflowError:  # abs() of a finite complex past the float range
+        return math.inf
 
 
 def starlike_fs_bound(beta: float, mu: float) -> float:

@@ -38,34 +38,33 @@ reference.
 
 The polish moves one coordinate of one side at a time. Each round builds one
 value per side, against the other side's _held terms, and each golden-section
-search calls one closure built for its coordinate (_polish), which computes
-once what the coordinate cannot move: for an angle _c12's terms of the other
-atoms. It ends in that value, and reads each atom's z_i and z_i**2 from a
-cache. Every sum adds the terms _c12 adds, in its order and starting from its
-float 0.0, and a weight search divides the raw weights by their _total as
-_weights does, so every value is bitwise the one the uncached form gives. A
-round searches every angle, and every weight of a side with more than one
-atom. A search whose best point does not beat the incumbent is undone by
-setting the coordinate back, which restores the atoms, the cached z_i, z_i**2
-and weights and the incumbent bit for bit, and every held term is rebuilt from
-those caches. So once a round's worth of searches in a row has kept no move,
-every later search would repeat one of them exactly. After a kept move at a
-coordinate, a round's worth less one of searches that keep nothing already
-leads back to that coordinate, with nothing its objective reads changed: its
-search would return the kept (x, v) bit for bit, which cannot beat the
-incumbent. The polish stops before that search, or after a round's worth where
-it has kept no move at all, which makes n_refine a maximum and changes no
-result. On 600 polishes captured from verify benchmark ops (seeds 1-3, ops
-0-199) the stop one search sooner cut the evaluations from 282 to 249 a
-polish, and the median time of a polish went from 0.65 ms, with the uncached
-form's calls per evaluation, to 0.53 ms with the closures and 0.49 ms with
-both; the closures' one call to value per evaluation, in place of the form
-written out in each, costs about 0.04 ms of 0.57 (2-vCPU Intel Xeon virtual
-machine). Only the incumbent and its polished copy are built in full, by
-member_from_pq, and best_value is the returned member's |a_3 - mu a_2**2|. The
-closed form and a member can differ by a few ulps, so the polished member is
-returned only if its value is not below the incumbent's: best_value with the
-polish is never below best_value without it.
+search reads its side's weights, z_i and z_i**2 from the atoms as they stand
+(_side_terms) and calls one closure built for its coordinate (_polish), which
+computes once what the coordinate cannot move: for an angle _c12's terms of
+the other atoms. It ends in that value. Every sum adds the terms _c12 adds, in
+its order and starting from its float 0.0, and a weight search divides the raw
+weights by their _total as _weights does, so every value is bitwise the closed
+form on the atoms with the coordinate at the evaluated point. A round searches
+every angle, and every weight of a side with more than one atom. A search
+writes its coordinate only if its best point beats the incumbent; one that
+does not changes nothing. So once a round's worth of searches in a row has
+kept no move, every later search would repeat one of them exactly. After a
+kept move at a coordinate, a round's worth less one of searches that keep
+nothing already leads back to that coordinate, with nothing its objective
+reads changed: its search would return the kept (x, v) bit for bit, which
+cannot beat the incumbent. The polish stops before that search, or after a
+round's worth where it has kept no move at all, which makes n_refine a maximum
+and changes no result. On 600 polishes captured from verify benchmark ops
+(seeds 1-3, ops 0-199) the stop one search sooner cut the evaluations from 282
+to 249 a polish, and the median time of a polish went from 0.65 ms, with the
+plain form's calls per evaluation, to 0.53 ms with the closures and 0.49 ms
+with both; the closures' one call to value per evaluation, in place of the
+form written out in each, costs about 0.04 ms of 0.57 (2-vCPU Intel Xeon
+virtual machine). Only the incumbent and its polished copy are built in full,
+by member_from_pq, and best_value is the returned member's |a_3 - mu a_2**2|.
+The closed form and a member can differ by a few ulps, so the polished member
+is returned only if its value is not below the incumbent's: best_value with
+the polish is never below best_value without it.
 
 Random phase: _values evaluates a chunk's samples in the same closed form,
 folded by _folded to F = d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2
@@ -402,29 +401,32 @@ def _normalized(atoms) -> list[tuple[float, float]]:
     return list(zip(_weights(atoms), (t for _, t in atoms)))
 
 
+def _side_terms(side):
+    """One side's _weights, z_i = exp(1j t_i) and z_i**2, from its atoms as they stand."""
+    zs = [cmath.exp(1j * t) for _, t in side]
+    return _weights(side), zs, [z * z for z in zs]
+
+
 def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     """Coordinatewise golden-section ascent in place; returns the evaluations.
 
     sides holds p's atoms and then q's, each atom a [w, t] list. Each of at
     most `rounds` rounds moves, side by side, every angle on [0, 2 pi) and
     then every weight (a lone weight is fixed) while the other side's
-    (c_1, c_2) stays put, and keeps a move only if it beats best_v. It
-    returns once a round's worth of searches in a row kept no move, and
-    after a kept move one search sooner, before the search that would
-    repeat the kept one (module docstring). Each round builds one
+    (c_1, c_2) stays put, and writes a coordinate only if its search beats
+    best_v. It returns once a round's worth of searches in a row kept no
+    move, and after a kept move one search sooner, before the search that
+    would repeat the kept one (module docstring). Each round builds one
     _evaluator value per side against the other side's _held terms, and
-    each search calls one closure built for its coordinate, which computes
-    only what the coordinate moves and ends in that value. An angle
-    evaluation makes one exp(1j t) and _c12's additions from atom j on, a
-    weight evaluation takes the _total of the side's raw weights and makes
-    _c12's additions over the cached z_i and z_i**2. Every evaluation is,
-    bit for bit, the closed form of p's _c12 and q's, each over its side's
+    each search reads its side's _side_terms and calls one closure built
+    for its coordinate, which computes only what the coordinate moves and
+    ends in that value. An angle evaluation makes one exp(1j t) and _c12's
+    additions from atom j on, a weight evaluation takes the _total of the
+    side's raw weights and makes _c12's additions. Every evaluation is, bit
+    for bit, the closed form of p's _c12 and q's, each over its side's
     _normalized atoms as (w, exp(1j t)) pairs.
     """
     evals = 0
-    units = [[cmath.exp(1j * t) for _, t in side] for side in sides]
-    squares = [[z * z for z in zs] for zs in units]
-    weights = [_weights(side) for side in sides]
     # each side's coordinates per round: every angle, and every weight of a
     # side with more than one atom
     coords = [[(j, 1, 0.0, TWO_PI) for j in range(len(side))]
@@ -436,11 +438,11 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
     idle, stop = 0, per_round
     for _ in range(rounds):
         for s, side in enumerate(sides):
-            value = _evaluator(coef, mu, s, _held(coef, 1 - s, _c12(zip(weights[1 - s], units[1 - s]))))
-            zs, zzs = units[s], squares[s]  # z_i and z_i**2, kept with side
+            ws, zs, _ = _side_terms(sides[1 - s])
+            value = _evaluator(coef, mu, s, _held(coef, 1 - s, _c12(zip(ws, zs))))
             for j, k, lo, hi in coords[s]:
+                ws, zs, zzs = _side_terms(side)
                 if k:  # everything but atom j's own terms, in _c12's order
-                    ws = weights[s]
                     wj = ws[j]
                     pre1 = pre2 = 0.0
                     for w, z, zz in zip(ws[:j], zs, zzs):
@@ -451,7 +453,6 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
                     def f(x):
                         nonlocal evals
                         evals += 1
-                        side[j][1] = x
                         z = cmath.exp(1j * x)
                         c1 = pre1 + wj * z
                         c2 = pre2 + wj * (z * z)
@@ -460,12 +461,12 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
                             c2 = c2 + b
                         return value(2.0 * c1, 2.0 * c2)
                 else:
-                    raw = [w for w, _ in side]  # _weights' total and divisions, in place
+                    raw = [w for w, _ in side]  # _weights' total and divisions, with x at j
 
                     def f(x):
                         nonlocal evals
                         evals += 1
-                        side[j][0] = raw[j] = x
+                        raw[j] = x
                         total = _total(raw)
                         c1 = c2 = 0.0
                         for r, z, zz in zip(raw, zs, zzs):
@@ -474,18 +475,12 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
                             c2 = c2 + w * zz
                         return value(2.0 * c1, 2.0 * c2)
 
-                saved = side[j][k]
                 x, val = _golden_max(f, lo, hi)
                 if val > best_v:
+                    side[j][k] = x
                     best_v, idle, stop = val, 0, per_round - 1
                 else:
-                    x, idle = saved, idle + 1
-                side[j][k] = x
-                if k:
-                    zs[j] = z = cmath.exp(1j * x)
-                    zzs[j] = z * z
-                else:
-                    weights[s] = _weights(side)
+                    idle += 1
                 if idle == stop:
                     return evals
     return evals

@@ -69,6 +69,16 @@ def _searches():
         yield par, -0.4 + 1.3j, None
 
 
+def _polishes():
+    """(params, mu, budget) whose polishes run many rounds: at most 100 of
+    them from 4-atom incumbents, for real and complex mu, in the case-3/4
+    window and out of it."""
+    _, mu2, mu3 = breakpoints(_PAR)
+    for par, mu in ((_DEFECT, 1.25), (_DEFECT, 1.25 + 0.25j), (_PAR, (mu2 + mu3) / 2), (_PAR, -0.4 + 1.3j)):
+        for seed in (1, 2):
+            yield par, mu, SearchBudget(n_refine=100, max_atoms=4, seed=seed)
+
+
 def _cold_then_warm(lines) -> tuple[str, str]:
     """The digest of lines() with both member jet caches cleared, then again
     on the jets the first pass left cached."""
@@ -77,16 +87,21 @@ def _cold_then_warm(lines) -> tuple[str, str]:
     return _digest(lines()), _digest(lines())
 
 
-def _search_lines():
+def _search_lines(searches=_searches):
     lines = []
-    for par, mu, budget in _searches():
+    for par, mu, budget in searches():
         res = maximize_fs(par, mu, budget)
         member = res.best_member
         lines.append((res.best_value, res.bound, member.p_measure, member.q_measure, member.a))
     return lines
 
 
+def _polish_lines():
+    return _search_lines(_polishes)
+
+
 _SEARCH_DIGEST = "7c55997f912628ec7f498616b70018399fba1098353f93a74c1c5856c0243116"
+_POLISH_DIGEST = "8b56d2e1a8a237cfcf1fde4feeeca73d48a3c49177ffb38c03a897cd4c29a25a"
 _WITNESS_DIGEST = "6674c093bbfcbb5efaec36fd0a7302777140abab0f094f5b53b65427f70c0917"
 _SWEEP_DIGEST = "b703bc19a3dd235ea75f60e8620ce4675c7471e97344a6aa35268bba934706a8"
 
@@ -100,6 +115,15 @@ def test_search_evaluations():
     # polish's stop rule moves these and no result
     evals = [maximize_fs(par, mu, budget).evaluations for par, mu, budget in _searches()]
     assert evals == [10109, 10421, 10579, 5264, 11100, 12164, 10317, 10110, 10421, 10110, 10733, 10164, 10417, 10164]
+
+
+def test_polish_bits():
+    assert _cold_then_warm(_polish_lines) == (_POLISH_DIGEST, _POLISH_DIGEST)
+
+
+def test_polish_evaluations():
+    evals = [maximize_fs(par, mu, budget).evaluations for par, mu, budget in _polishes()]
+    assert evals == [10579, 10579, 12414, 14876, 10417, 10417, 10164, 10110]
 
 
 def _witness_lines():
@@ -266,5 +290,6 @@ def test_no_library_bit_moves_with_a_compensated_sum(monkeypatch, capsys):
         for module in (search, members):
             monkeypatch.setattr(module, "sum", compensated, raising=False)
         assert _cold_then_warm(_search_lines) == (_SEARCH_DIGEST, _SEARCH_DIGEST)
+        assert _cold_then_warm(_polish_lines) == (_POLISH_DIGEST, _POLISH_DIGEST)
         assert _cold_then_warm(_witness_lines) == (_WITNESS_DIGEST, _WITNESS_DIGEST)
         assert _sweep_digest(capsys) == _SWEEP_DIGEST

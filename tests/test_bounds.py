@@ -337,6 +337,13 @@ def test_caratheodory_bound_attained():
         assert abs(best - bnd) < 1e-12
 
 
+def test_caratheodory_bound_is_inf_past_the_float_range():
+    # 2 nu - 1 is finite here but its modulus is not, and abs() of it raises
+    # OverflowError; the bound is inf, as bound_complex's is
+    for nu in (8e307 + 8e307j, -8e307 + 8e307j):
+        assert caratheodory_bound(nu) == math.inf
+
+
 def test_caratheodory_rejects_nonfinite():
     with pytest.raises(DomainError):
         caratheodory_bound(complex(0, float("inf")))

@@ -12,10 +12,18 @@ the bounds module states that 3 sigma bound_real = max(2u + v, |Q+(1)|,
 |Q+(x+)|) and that bound_sharp adds |Q-(x-)|, x+- the vertices of Q+-
 clipped to [-1, 1], each term attained by a member whose p has c_1 = 2x,
 c_2 = 2x**2 + 2(1 - x**2) zeta (zeta = +-1) and whose q is an atom.
+
+The CKS oracle below reaches bound_sharp by another road, the reduction in
+the bounds docstring: 3 sigma bound_sharp = max(2u + v, Phi(4E, 4F, 4G; 2u),
+Phi(4G, 4F, 4E; v)) with Phi(a, b, c; k) = k Y(a/k, b/k, c/k) and Y the
+disk maximum of Choi, Kim and Sugawa's Lemma 3 (J. Math. Soc. Japan 59,
+2007), stated as ROADMAP.md recalls it.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -194,3 +202,81 @@ def test_the_r_vertices_in_closed_form():
         for end in (1, -1):
             want = -v * ((3 * rho - 2) * u + end * big_d) ** 2 / big_d
             assert ex.q(end, 1) - ex.r(x_minus, -1) == want, (par, mu, end)
+
+
+def _cks(a, b, c):
+    """(branch, value) of Y(a, b, c) = max over |z| <= 1 of
+    |a + b z + c z**2| + 1 - |z|**2, CKS Lemma 3 for real a, b, c, each
+    branch picked by exact comparisons; the circle branch's value is
+    irrational, so it is given as its square."""
+    aa, ab, ac = abs(a), abs(b), abs(c)
+    if a * c >= 0:
+        if ab >= 2 * (1 - ac):
+            return "sum", aa + ab + ac
+        return "vertex", 1 + aa + b * b / (4 * (1 - ac))
+    reach = -4 * a * c * (1 / (c * c) - 1)
+    if ab < 2 * (1 - ac) and reach <= b * b:
+        return "vertex-", 1 - aa + b * b / (4 * (1 - ac))
+    if b * b < min(4 * (1 + ac) ** 2, reach):
+        return "vertex+", 1 + aa + b * b / (4 * (1 + ac))
+    if ac * (ab + 4 * aa) <= aa * ab:
+        return "R1", aa + ab - ac
+    if aa * ab <= ac * (ab - 4 * aa):
+        return "R2", -aa + ab + ac
+    return "circle", (aa + ac) ** 2 * (1 - b * b / (4 * a * c))
+
+
+def _edges(ex):
+    """{edge: (a, b, c, k)}: Phi(a, b, c; k) is the maximum on the edge
+    |q_1| = 2 ("s") or |c_1| = 2 ("r") of 3 sigma |a_3 - mu a_2**2|."""
+    e, f, g = 4 * ex.e, 4 * ex.f, 4 * ex.g
+    return {"s": (e, f, g, 2 * ex.u), "r": (g, f, e, ex.v)}
+
+
+def _phi(a, b, c, k):
+    """(branch, value) of Phi(a, b, c; k) = k Y(a/k, b/k, c/k), the circle's squared."""
+    branch, y = _cks(a / k, b / k, c / k)
+    return branch, (k * k if branch == "circle" else k) * y
+
+
+def test_cks_oracle_is_the_sharp_value_exactly():
+    # every edge value is at most Exact.sharp() (the circle's through
+    # squares), and the largest of 2u + v and the edge values off the circle
+    # is Exact.sharp() exactly: the candidates sharp() takes are all there is
+    wins = Counter()
+    for par, mu in DRAWS:
+        ex = Exact(par, mu)
+        sharp = ex.sharp()
+        candidates = [("origin", 2 * ex.u + ex.v)]
+        for edge, abck in _edges(ex).items():
+            branch, value = _phi(*abck)
+            if branch == "circle":
+                assert value <= sharp * sharp, (par, mu, edge)
+            else:
+                assert value <= sharp, (par, mu, edge, branch)
+                candidates.append((f"{edge} {branch}", value))
+        top = max(value for _, value in candidates)
+        assert top == sharp, (par, mu)
+        wins[next(name for name, value in candidates if value == top)] += 1
+    # the draws reach the origin and every branch of the s edge off the circle
+    assert {"origin", "s sum", "s vertex", "s vertex-", "s vertex+", "s R1", "s R2"} <= set(wins), wins
+
+
+def test_cks_lemma_against_a_polar_grid():
+    # max over the grid z = t exp(i phi) <= Y <= that max + L delta, with
+    # L = |b| + 2|c| + 2 bounding |d/dz| of the objective on the disk and
+    # delta = hypot(1/(2 (n_t - 1)), pi/n_phi) the farthest any point of
+    # the disk lies from the grid; the lower end allows the float
+    # evaluation a few ulps
+    n_t, n_phi = 201, 512
+    z = np.linspace(0.0, 1.0, n_t)[:, None] * np.exp(2j * np.pi * np.arange(n_phi) / n_phi)
+    ring = 1.0 - np.abs(z) ** 2
+    delta = math.hypot(1 / (2 * (n_t - 1)), math.pi / n_phi)
+    for par, mu in DRAWS[:100]:
+        for edge, (a, b, c, k) in _edges(Exact(par, mu)).items():
+            branch, y = _cks(a / k, b / k, c / k)
+            y = math.sqrt(y) if branch == "circle" else float(y)
+            fa, fb, fc = float(a / k), float(b / k), float(c / k)
+            grid = float(np.max(np.abs(fa + z * (fb + z * fc)) + ring))
+            slack = 1e-12 * (1 + abs(fa) + abs(fb) + abs(fc))
+            assert grid - slack <= y <= grid + (abs(fb) + 2 * abs(fc) + 2) * delta, (par, mu, edge, branch)

@@ -518,9 +518,9 @@ def test_concurrent_searches_are_the_serial_ones():
 
 # ----- the polish -----
 
-def _uncached_value(coef, mu, sides):
-    """The objective as the closed form gives it without caches and without
-    search._evaluator: each side's _held terms of _c12 over its atoms, their
+def _plain_value(coef, mu, sides):
+    """The objective as the closed form gives it without search._evaluator
+    or the polish's closures: each side's _held terms of _c12 over its atoms, their
     weights divided by their total in order, combined into a_2 and a_3."""
     held = []
     for s, side in enumerate(sides):
@@ -531,79 +531,82 @@ def _uncached_value(coef, mu, sides):
     return abs((b3 + b2 * uc1 + uc2) / coef[3] - mu * (a2 * a2))
 
 
-def test_polish_cache_is_bitwise_the_uncached_form(monkeypatch):
-    # every objective evaluation, through its cached z_i and weights, equals
-    # the uncached closed form on the atoms as they stand
-    rng = np.random.default_rng(31)
+def _traced(monkeypatch):
+    """The list that every objective evaluation _polish makes from here on
+    is appended to, as (x, value)."""
     golden = fslab.search._golden_max
     seen = []
 
-    def checked_golden(f, lo, hi):
+    def traced(f, lo, hi):
         def g(x):
-            got = f(x)
-            seen.append(got == _uncached_value(coef, mu, sides))
-            return got
+            seen.append((x, f(x)))
+            return seen[-1][1]
 
         return golden(g, lo, hi)
 
-    monkeypatch.setattr(fslab.search, "_golden_max", checked_golden)
+    monkeypatch.setattr(fslab.search, "_golden_max", traced)
+    return seen
+
+
+def test_polish_is_bitwise_the_reference_polish(monkeypatch):
+    # every objective evaluation, (x, value) in order, and the sides it
+    # leaves are bit for bit those of the reference, which evaluates the
+    # closed form on the atoms as they stand (repr is exact for floats)
+    rng = np.random.default_rng(31)
+    seen = _traced(monkeypatch)
     for n in range(12):
         par = EDGE_PARAMS[n % 4] if n % 3 == 0 else random_params(rng)
         coef = _coefficients(par)
         mu = float(rng.uniform(-2, 4)) if n % 2 else complex(rng.uniform(-2, 4), rng.uniform(-2, 2))
         sizes = (1, 1) if n == 0 else (1 + n % MAX_ATOMS, 1 + (n // 2) % MAX_ATOMS)
         sides = [[[1.0 - rng.random(), TWO_PI * rng.random()] for _ in range(size)] for size in sizes]
-        start = _uncached_value(coef, mu, sides)
-        before = len(seen)
+        start = _plain_value(coef, mu, sides)
+        reference, want = [[atom[:] for atom in side] for side in sides], []
+        _reference_polish(coef, mu, reference, start, 2, stop=True, evaluations=want)
+        seen.clear()
         evals = _polish(coef, mu, sides, start, 2)
-        assert evals == len(seen) - before > 0
-        assert _uncached_value(coef, mu, sides) >= start  # moves were kept, caches followed
-    assert all(seen), f"{seen.count(False)} of {len(seen)} evaluations differ"
+        assert evals == len(seen) > 0
+        assert repr(seen) == repr(want), n
+        assert repr(sides) == repr(reference), n
+        assert _plain_value(coef, mu, sides) >= start
 
 
 @pytest.mark.parametrize("sizes", [(1, 4), (2, 3), (3, 2), (4, 1), (4, 4)])
 @pytest.mark.parametrize("kept", [True, False])
-def test_polish_cache_is_bitwise_at_every_atom(monkeypatch, sizes, kept):
+def test_polish_is_bitwise_the_reference_at_every_atom(monkeypatch, sizes, kept):
     # every angle and weight search, at every atom of sides of 1-4 atoms
-    # (first, middle and last), evaluates the uncached closed form bit for
-    # bit; half the atoms start at angle 0, where exp(1j t) = 1 + 0j has an
-    # exact zero part and _c12's sum starts at the float 0.0. With no move
-    # kept every search runs with the other atoms where they started.
+    # (first, middle and last), makes the reference's evaluations bit for
+    # bit and leaves its sides; half the atoms start at angle 0, where
+    # exp(1j t) = 1 + 0j has an exact zero part and _c12's sum starts at the
+    # float 0.0. With no move kept every search runs with the other atoms
+    # where they started.
     rng = np.random.default_rng(sum(sizes) + 10 * kept)
-    golden = fslab.search._golden_max
-    seen, searched = [], set()
-
-    def checked_golden(f, lo, hi):
-        def g(x):
-            got = f(x)
-            seen.append(got == _uncached_value(coef, mu, sides))
-            searched.update((s, j, k) for s, side in enumerate(sides)
-                            for j, atom in enumerate(side) for k in (0, 1) if atom[k] == x)
-            return got
-
-        return golden(g, lo, hi)
-
-    monkeypatch.setattr(fslab.search, "_golden_max", checked_golden)
+    seen = _traced(monkeypatch)
+    want_coords = {(s, j, k) for s, size in enumerate(sizes) for j in range(size) for k in (0, 1) if k or size > 1}
     for par in (EDGE_PARAMS[0], EDGE_PARAMS[1], random_params(rng)):
         coef = _coefficients(par)
         for mu in (float(rng.uniform(-2, 4)), complex(rng.uniform(-2, 4), rng.uniform(-2, 2))):
             sides = [[[1.0 - rng.random(), 0.0 if j % 2 else TWO_PI * rng.random()] for j in range(size)]
                      for size in sizes]
-            start = _uncached_value(coef, mu, sides)
-            searched.clear()
-            _polish(coef, mu, sides, start if kept else math.inf, 2)
-            want = {(s, j, k) for s, size in enumerate(sizes) for j in range(size) for k in (0, 1)
-                    if k or size > 1}
-            assert searched == want, (sizes, sorted(want - searched))
-    assert seen and all(seen), f"{seen.count(False)} of {len(seen)} evaluations differ"
+            best_v = _plain_value(coef, mu, sides) if kept else math.inf
+            reference, want, log = [[atom[:] for atom in side] for side in sides], [], []
+            _reference_polish(coef, mu, reference, best_v, 2, stop=True, log=log, evaluations=want)
+            seen.clear()
+            _polish(coef, mu, sides, best_v, 2)
+            assert seen and repr(seen) == repr(want), (sizes, par, mu)
+            assert repr(sides) == repr(reference), (sizes, par, mu)
+            searched = {coordinate for coordinate, *_ in log}
+            assert searched == want_coords, (sizes, sorted(want_coords - searched))
 
 
-def _reference_polish(coef, mu, sides, best_v, rounds, stop=False, log=None):
-    """_polish as a plain loop without caches that runs every round, or with
-    stop ends where _polish does, once a round's worth of searches in a row
-    kept no move, or one search sooner after a kept move; returns the best
-    value it kept and its evaluations, and appends each search's
-    ((side, atom, coordinate), x, v, kept) to log if given."""
+def _reference_polish(coef, mu, sides, best_v, rounds, stop=False, log=None, evaluations=None):
+    """_polish as a plain loop that runs every round, or with stop ends
+    where _polish does, once a round's worth of searches in a row kept no
+    move, or one search sooner after a kept move. Each evaluation writes its
+    x into the atoms and takes the closed form on them as they stand. It
+    returns the best value it kept and its evaluations, appends each
+    search's ((side, atom, coordinate), x, v, kept) to log and each
+    evaluation's (x, value) to evaluations if given."""
     evals = idle = 0
     per_round = sum(len(side) if len(side) == 1 else 2 * len(side) for side in sides)
     end = per_round
@@ -619,7 +622,10 @@ def _reference_polish(coef, mu, sides, best_v, rounds, stop=False, log=None):
                     nonlocal evals
                     evals += 1
                     side[j][k] = x
-                    return _uncached_value(coef, mu, sides)
+                    value = _plain_value(coef, mu, sides)
+                    if evaluations is not None:
+                        evaluations.append((x, value))
+                    return value
 
                 x, v = _golden_max(f, lo, hi)
                 if log is not None:
@@ -646,12 +652,12 @@ def test_polish_fixed_point_is_where_every_round_would_end():
         sizes = (1 + n % MAX_ATOMS, 1 + (n // 4) % MAX_ATOMS)
         sides = [[[1.0 - rng.random(), TWO_PI * rng.random()] for _ in range(size)] for size in sizes]
         rounds = 3 + n % 4
-        start = _uncached_value(coef, mu, sides)
+        start = _plain_value(coef, mu, sides)
         every_round = [[atom[:] for atom in side] for side in sides]
         best, all_evals = _reference_polish(coef, mu, every_round, start, rounds)
         evals = _polish(coef, mu, sides, start, rounds)
         assert sides == every_round
-        assert _uncached_value(coef, mu, sides) == best
+        assert _plain_value(coef, mu, sides) == best
         assert evals <= all_evals
         stopped += evals < all_evals
     assert stopped >= 10
@@ -663,7 +669,7 @@ def test_polish_stops_before_repeating_its_last_kept_search(monkeypatch):
     # it reads changed. The old rule ran it, stopping only after a round's
     # worth in a row kept nothing; _polish returns before it. The loop
     # running every round makes the old rule's searches, its extra one
-    # included, explicitly and without caches.
+    # included, explicitly, each evaluation on the atoms as they stand.
     rng = np.random.default_rng(43)
     golden = fslab.search._golden_max
     made = []
@@ -682,7 +688,7 @@ def test_polish_stops_before_repeating_its_last_kept_search(monkeypatch):
         sides = [[[1.0 - rng.random(), TWO_PI * rng.random()] for _ in range(size)] for size in sizes]
         rounds = 3 + n % 4
         per_round = sum(size if size == 1 else 2 * size for size in sizes)
-        start = _uncached_value(coef, mu, sides)
+        start = _plain_value(coef, mu, sides)
         log = []
         _reference_polish(coef, mu, [[atom[:] for atom in side] for side in sides], start, rounds, log=log)
         old, idle = len(log), 0  # the old rule: a round's worth in a row kept nothing
@@ -708,7 +714,7 @@ def test_polish_stops_before_repeating_its_last_kept_search(monkeypatch):
 
 
 def _reference_search(par, mu, budget):
-    """maximize_fs with no screen, no skip and no polish caches: every sample
+    """maximize_fs with no screen, no skip and no polish closures: every sample
     drawn at once and valued by _values in float64, the earliest that beats
     the seeds kept, then _reference_polish."""
     rng = np.random.Generator(np.random.SFC64(budget.seed))
@@ -753,7 +759,7 @@ def _reference_on(par, mu, budget, u):
 
 
 def test_search_is_the_plain_reference_search():
-    # the whole search, screen, skip and polish caches included, against the
+    # the whole search, screen, skip and polish closures included, against the
     # plain reference, bitwise: real and complex mu (|mu| = 1e300 among
     # them), the edge tuples, 1-4 atoms, 0-3 polish rounds and sample counts
     # on either side of the chunk edges
