@@ -60,11 +60,11 @@ to 249 a polish, and the median time of a polish went from 0.65 ms, with the
 plain form's calls per evaluation, to 0.53 ms with the closures and 0.49 ms
 with both; the closures' one call to value per evaluation, in place of the
 form written out in each, costs about 0.04 ms of 0.57 (2-vCPU Intel Xeon
-virtual machine). Only the incumbent and its polished copy are built in full,
-by member_from_pq, and best_value is the returned member's |a_3 - mu a_2**2|.
-The closed form and a member can differ by a few ulps, so the polished member
-is returned only if its value is not below the incumbent's: best_value with
-the polish is never below best_value without it.
+virtual machine). The incumbent is built in full by member_from_pq, and its
+polished copy only where the polish moved a coordinate; best_value is the
+returned member's |a_3 - mu a_2**2|. The closed form and a member can differ
+by a few ulps, so the polished member is returned only if its value is not
+below the incumbent's: the polish never lowers best_value.
 
 Random phase: _values evaluates a chunk's samples in the same closed form,
 folded by _folded to F = d c_2 + e q_2 + (A q_1 + B c_1) q_1 + C c_1**2
@@ -539,12 +539,12 @@ def maximize_fs(
 
     best_member = member_from_pq(params, p, q)
     best_value = abs(fs_functional(best_member, mu))
-    if budget.n_refine:
-        sides = [[[w, t] for w, t in m.atoms] for m in (p, q)]
-        evals += _polish(coef, mu, sides, best_v, budget.n_refine)
-        # The polish ranks moves by the closed form, which can differ from
-        # a member's value by a few ulps, so it is kept only if its member
-        # is not below the incumbent's.
+    sides = [[[w, t] for w, t in m.atoms] for m in (p, q)]
+    evals += _polish(coef, mu, sides, best_v, budget.n_refine)
+    # A polish that moved no coordinate builds nothing. It ranks moves by the
+    # closed form, which can differ from a member's value by a few ulps, so a
+    # moved copy is kept only if its member is not below the incumbent's.
+    if sides != [[[w, t] for w, t in m.atoms] for m in (p, q)]:
         polished = member_from_pq(params, *(HerglotzMeasure(_normalized(side)) for side in sides))
         polished_value = abs(fs_functional(polished, mu))
         if polished_value >= best_value:

@@ -4,6 +4,8 @@ coefficient transforms that only the tests use."""
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -101,3 +103,38 @@ def spotcheck_verdicts(monkeypatch, check, members) -> list[tuple[bool, bool]]:
 
 def atom_measure(angle: float = 0.0) -> HerglotzMeasure:
     return HerglotzMeasure(((1.0, angle),))
+
+
+@functools.lru_cache(maxsize=2)
+def _polar_grid(n_t: int, n_phi: int):
+    """z = t exp(i phi) at n_t radii from 0 to 1 and n_phi angles, 1 - |z|**2,
+    and delta = hypot(1/(2 (n_t - 1)), pi/n_phi), the farthest any point of
+    the closed disk lies from the grid."""
+    z = np.linspace(0.0, 1.0, n_t)[:, None] * np.exp(2j * np.pi * np.arange(n_phi) / n_phi)
+    return z, 1.0 - np.abs(z) ** 2, math.hypot(1 / (2 * (n_t - 1)), math.pi / n_phi)
+
+
+def phi_enclosure(a, b, c, k, n_t: int = 401, n_phi: int = 1024) -> tuple[float, float]:
+    """(lower, upper) of Phi(a, b, c; k), the maximum over |z| <= 1 of
+    |a + b z + c z**2| + k (1 - |z|**2), for complex a, b, c and k >= 0:
+    the maximum over the polar grid, and that plus (|b| + 2|c| + 2k) delta,
+    |b| + 2|c| + 2k bounding |d/dz| of the objective on the disk. Both ends
+    are float values, a few ulps off."""
+    z, ring, delta = _polar_grid(n_t, n_phi)
+    lower = float(np.max(np.abs(a + z * (b + z * c)) + k * ring))
+    return lower, lower + (abs(b) + 2 * abs(c) + 2 * k) * delta
+
+
+def sharp_enclosure(par: ClassParams, mu: complex) -> tuple[float, float]:
+    """(lower, upper) of the largest |a_3 - mu a_2**2| over the class at real
+    or complex mu, max(2u + v, Phi(4E, 4F, 4G; 2u), Phi(4G, 4F, 4E; v)) /
+    (3 sigma) with the bounds docstring's E, F and G at rho = mu sigma /
+    tau**2: its homogeneity lemma, which holds for complex mu too, puts the
+    maximum at the origin or on one of these two edges."""
+    u, v = 1.0 - par.alpha, 1.0 - par.beta
+    rho = mu * par.sigma / par.tau**2
+    e = v + 2 * v * v - 3 * rho * v * v  # 4E, 4F and 4G
+    f = 4 * u * v * (1 - 3 * rho / 2)
+    g = 2 * u - 3 * rho * u * u
+    edges = phi_enclosure(e, f, g, 2 * u), phi_enclosure(g, f, e, v)
+    return tuple(max(2 * u + v, *ends) / (3 * par.sigma) for ends in zip(*edges))

@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import EDGE_PARAMS, random_params
-from fslab import bound_real, bound_sharp, breakpoints
+from conftest import EDGE_PARAMS, phi_enclosure, random_params
+from fslab import ClassParams, bound_real, bound_sharp, breakpoints
 
 EPS = 2.0**-52
 
@@ -44,6 +44,23 @@ def _draws(seed: int, n: int):
         mu3 = breakpoints(par)[2]
         mu = breakpoints(par)[i % 3] if i % 7 == 0 else float(rng.uniform(-3.0, 2.0 * mu3))
         yield par, mu
+
+
+def _near_ties(seed: int):
+    """(params, mu) at the ties the dominances of bound_sharp turn on: alpha
+    and beta at 0 and within 1e-8 and 2**-52 of 1, random lam >= delta, and
+    rho = mu sigma / tau**2 at the sign changes of G (2/(3u)), E
+    ((1 + 2v)/(3v)) and D ((2 + 2v)/(3v)), at 2/3 and at 4/(3u), each times
+    1 - 1e-12, 1 and 1 + 1e-12."""
+    rng = np.random.default_rng(seed)
+    for alpha in (0.0, 0.3, 0.9, 1 - 1e-8, 1 - EPS):
+        for beta in (0.0, 0.4, 1 - 1e-8, 1 - EPS):
+            lam = float(rng.random())
+            par = ClassParams(lam, float(rng.random()) * lam, alpha, beta)
+            u, v = 1 - alpha, 1 - beta
+            for rho in (2 / (3 * u), (1 + 2 * v) / (3 * v), (2 + 2 * v) / (3 * v), 2 / 3, 4 / (3 * u)):
+                for factor in (1 - 1e-12, 1.0, 1 + 1e-12):
+                    yield par, rho * factor * par.tau**2 / par.sigma
 
 
 class Exact:
@@ -119,7 +136,7 @@ class Exact:
         return a3 - self.mu * a2 * a2
 
 
-DRAWS = list(_draws(2019, 600))
+DRAWS = [*_draws(2019, 600), *_near_ties(2019)]
 
 
 def test_paper_value_is_the_zeta_plus_one_restriction():
@@ -263,20 +280,14 @@ def test_cks_oracle_is_the_sharp_value_exactly():
 
 
 def test_cks_lemma_against_a_polar_grid():
-    # max over the grid z = t exp(i phi) <= Y <= that max + L delta, with
-    # L = |b| + 2|c| + 2 bounding |d/dz| of the objective on the disk and
-    # delta = hypot(1/(2 (n_t - 1)), pi/n_phi) the farthest any point of
-    # the disk lies from the grid; the lower end allows the float
-    # evaluation a few ulps
-    n_t, n_phi = 201, 512
-    z = np.linspace(0.0, 1.0, n_t)[:, None] * np.exp(2j * np.pi * np.arange(n_phi) / n_phi)
-    ring = 1.0 - np.abs(z) ** 2
-    delta = math.hypot(1 / (2 * (n_t - 1)), math.pi / n_phi)
+    # conftest.phi_enclosure brackets Phi = k Y on a 201 x 512 grid, its
+    # lower end within a few ulps of float evaluation: CKS's Y checks the
+    # enclosure that tests/test_search.py reads for complex mu
     for par, mu in DRAWS[:100]:
         for edge, (a, b, c, k) in _edges(Exact(par, mu)).items():
-            branch, y = _cks(a / k, b / k, c / k)
+            branch, y = _phi(a, b, c, k)
             y = math.sqrt(y) if branch == "circle" else float(y)
-            fa, fb, fc = float(a / k), float(b / k), float(c / k)
-            grid = float(np.max(np.abs(fa + z * (fb + z * fc)) + ring))
-            slack = 1e-12 * (1 + abs(fa) + abs(fb) + abs(fc))
-            assert grid - slack <= y <= grid + (abs(fb) + 2 * abs(fc) + 2) * delta, (par, mu, edge, branch)
+            fa, fb, fc, fk = map(float, (a, b, c, k))
+            lower, upper = phi_enclosure(fa, fb, fc, fk, 201, 512)
+            slack = 1e-12 * (fk + abs(fa) + abs(fb) + abs(fc))
+            assert lower - slack <= y <= upper, (par, mu, edge, branch)
