@@ -50,20 +50,21 @@ SHARP_TOL = 1e-8
 # (about 0.4 s end to end at 1000), and nothing needs more.
 _MAX_ORDER = 1000
 
-# Largest --steps `sweep` accepts: about 1.2 s end to end at the cap as CSV
-# and 6.9 s as JSON, and a plot needs far fewer rows.
+# Largest --steps `sweep` accepts: about 0.7 s end to end at the cap as CSV
+# and 3.7 s as JSON (2-vCPU Intel Xeon virtual machine), and a plot needs far
+# fewer rows.
 _MAX_STEPS = 1_000_000
 
 # Rows `sweep` formats and writes at a time, CSV or JSON, so its memory
 # stays flat in --steps. A block's arrays stay below the 4 MiB mmap threshold
 # of the allocator warm-up (:mod:`fslab`), so glibc keeps them on the heap:
-# 32,768-row blocks were mapped and faulted in afresh, about 33,000 minor
+# 32,768-row blocks were mapped and faulted in afresh, about 20,000 minor
 # faults per 200,000-row sweep against 2 at 2,048 rows.
 _SWEEP_BLOCK = 2048
 
-# Bytes of one float field in _csv_rows: a sign, 21 (character, point) pairs
-# and 3 separator bytes.
-_CSV_FIELD = 46
+# Bytes of one float field in _csv_rows: a sign, 22 character slots (up to
+# 21 characters and a point) and 3 separator bytes.
+_CSV_FIELD = 26
 
 # Largest --samples and --refine `verify` accepts, which is more search than
 # a check needs: about 2 s end to end at the --samples cap. At the --refine
@@ -308,11 +309,11 @@ def _csv_rows(mu, case_id, value, scaled, complex_bound) -> str:
     "%.17g,%d,%.17g,%.17g,%.17g" % row plus a newline gives for each row.
 
     Each row fills a slot of 4 _CSV_FIELD bytes, NUL where unused, one field
-    per float. A float field is its sign, then characters
-    E_0..E_20 = "0000" and _decimal17's digits, each followed by a possible
-    point. The units digit is E_{4+X}; the field shows E_j for
-    4 + min(X, 0) <= j < 4 + max(k, X + 1), where the last nonzero digit is
-    the k-th, and a point after the units digit when characters follow it.
+    per float. A float field is its sign, then 22 slots over the characters
+    E_0..E_20 = "0000" and _decimal17's digits: slot j holds E_j up to the
+    units digit E_{4+X}, then the point at 5 + X, then E_{j-1}. The field
+    shows slot j for 4 + min(X, 0) <= j < 5 + max(k, X + 1), where the last
+    nonzero digit is the k-th, and the point only when characters follow it.
     That drops trailing fractional zeros and a bare point, as %g does. Case
     ids are 1..4, one digit each. A row with a value off _decimal17's mask is
     %-formatted into its slot instead.
@@ -321,29 +322,28 @@ def _csv_rows(mu, case_id, value, scaled, complex_bound) -> str:
     x = np.stack((mu, value, scaled, complex_bound), axis=1).ravel()
     ok, exp, digits = _decimal17(x)
     k = np.max((digits != ord("0")) * np.arange(1, 18, dtype=np.int8)[:, None], axis=0)
-    end = 4 + np.maximum(k, exp + 1)
-    j = np.arange(21, dtype=np.int8)[:, None]
+    end = 5 + np.maximum(k, exp + 1)
+    j = np.arange(22, dtype=np.int8)[:, None]
     text = np.zeros((_CSV_FIELD, x.size), np.uint8)
     text[0] = np.signbit(x) * np.uint8(ord("-"))
-    chars = text[1:43:2]
-    chars[:4] = ord("0")
-    chars[4:] = digits
+    chars = text[1:23]
+    chars[:5] = ord("0")
+    chars[5:] = digits
+    np.copyto(chars[4:21], digits, where=j[4:21] <= 4 + exp)
     chars *= j >= 4 + np.minimum(exp, 0)
     chars *= j < end
-    points = text[2:43:2]
-    points[:] = j == 4 + exp
-    points *= j + 1 < end
-    points *= ord(".")
+    point = (6 + exp.astype(np.intp)) * x.size + np.arange(x.size)  # text[6 + X, i]
+    text.reshape(-1)[point] = (6 + exp < end) * np.uint8(ord("."))
     rows = text.reshape(_CSV_FIELD, n, 4)  # [byte, row, field]
-    rows[43] = ord(",")
-    rows[43, :, 3] = ord("\n")
-    rows[44, :, 0] = case_id + ord("0")
-    rows[45, :, 0] = ord(",")
-    slow = np.flatnonzero(~ok.reshape(n, 4).all(axis=1))
+    rows[23] = ord(",")
+    rows[23, :, 3] = ord("\n")
+    rows[24, :, 0] = case_id + ord("0")
+    rows[25, :, 0] = ord(",")
+    slow = np.flatnonzero(~(ok[0::4] & ok[1::4] & ok[2::4] & ok[3::4]))
     cols = (mu, case_id, value, scaled, complex_bound)
     lines = ["%.17g,%d,%.17g,%.17g,%.17g\n" % r for r in zip(*(c[slow].tolist() for c in cols))]
     # at most 102 bytes (four 24-byte floats like -2.2250738585072014e-308, the case
-    # digit, four commas and a newline): the "S" dtype NUL-pads each row to its 184-byte slot
+    # digit, four commas and a newline): the "S" dtype NUL-pads each row to its 104-byte slot
     slots = np.array(lines, f"S{4 * _CSV_FIELD}").view(np.uint8).reshape(-1, 4, _CSV_FIELD)
     rows[:, slow] = slots.transpose(2, 0, 1)
     return text.T.tobytes().translate(None, b"\0").decode("ascii")

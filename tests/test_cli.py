@@ -400,7 +400,7 @@ def test_csv_rows_match_percent_formatting_on_edge_families():
 
 def test_csv_rows_longest_fallback_row_fits_its_slot():
     # no float prints longer than these 24 characters under %.17g, so a
-    # %-formatted row has at most 102 bytes and fits its 184-byte slot whole
+    # %-formatted row has at most 102 bytes and fits its 104-byte slot whole
     longest = (-2.2250738585072014e-308, 4, -1.7976931348623157e308,
                -4.9406564584124654e-324, -1.2345678901234567e-300)
     assert {len("%.17g" % v) for v in longest[:1] + longest[2:]} == {24}
@@ -408,6 +408,44 @@ def test_csv_rows_longest_fallback_row_fits_its_slot():
     rows = [(0.5, 1, 0.25, 0.75, 1.5), longest, (2.5, 2, 0.125, 0.375, 3.5)]
     cols = [np.array(c) for c in zip(*rows)]
     assert fslab.cli._csv_rows(*cols) == "".join(_ROW_FORMAT % r for r in rows)
+
+
+@pytest.mark.parametrize("column", [0, 2, 3, 4], ids=["mu", "value", "scaled_value", "complex_bound"])
+def test_csv_rows_any_float_field_sends_its_row_to_the_fallback(column):
+    # one field off the fast path, in the first, a middle or the last row of
+    # a block whose every other field is on it, %-formats exactly that row
+    n = 9
+    fast = [np.linspace(0.5, 4.5, n) * (1 + c) for c in range(5)]
+    fast[1] = np.arange(n) % 4 + 1
+    assert fslab.cli._decimal17(np.concatenate(fast[:1] + fast[2:]))[0].all()
+    for row in (0, n // 2, n - 1):
+        for v in (0.0, 1e17, math.inf, 5e-324):
+            cols = [c.copy() for c in fast]
+            cols[column][row] = v
+            want = "".join(_ROW_FORMAT % r for r in zip(*(c.tolist() for c in cols)))
+            assert fslab.cli._csv_rows(*cols) == want, (row, v)
+
+
+def test_csv_rows_shift_the_point_at_both_ends_of_the_field():
+    # fixed-notation fields whose point sits at either end of the 22
+    # character slots, or is dropped with the trailing zeros, all on the
+    # fast path
+    widest = -0.00012345678901234567  # X = -4, 17 digits: every slot is used
+    values = [
+        widest, -widest,
+        12345678901234567.0, -12345678901234567.0,  # X = 16, 17 digits: no point
+        1234567890123456.7, -1234567890123456.7,  # X = 15: one fractional digit
+        -9876543210987654.3,  # X = 15, rounded to an integer: no point
+        0.25, 1234.5, 100.0, -100.0,  # trailing zeros trimmed
+    ]
+    assert len("%.17g" % widest) == 1 + 22
+    assert "." not in "%.17g" % values[2]
+    assert ("%.17g" % values[4]).split(".")[1] == "8"
+    assert fslab.cli._decimal17(np.array(values))[0].all()
+    for v in values:  # all four float fields of a row
+        cols = (np.full(3, v), np.array([1, 2, 3]), np.full(3, v), np.full(3, -v), np.full(3, v))
+        assert fslab.cli._csv_rows(*cols) == "".join(_ROW_FORMAT % r for r in zip(*(c.tolist() for c in cols)))
+    _check_csv_rows(values)
 
 
 def _sweep_argvs():
@@ -529,7 +567,7 @@ def test_long_sweep_does_not_refault_its_blocks():
     # each block's arrays stay below the warm-up's 4 MiB mmap threshold, so
     # a 100,000-row sweep keeps them on the heap from block to block; with
     # 32,768-row blocks glibc mapped and faulted in every block afresh, about
-    # 17,000 minor faults per sweep as CSV and as JSON
+    # 12,600 minor faults per sweep as CSV and 17,700 as JSON
     src = str(Path(fslab.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", REFAULT_LONG_SWEEPS], env=env, capture_output=True, text=True,
