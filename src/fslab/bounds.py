@@ -212,8 +212,16 @@ def _sharp(params: ClassParams, mu: float) -> tuple[float, BoundReport, float | 
     interior vertex x- of Q- (module docstring) where |Q-(x-)| / (3 sigma)
     beats the paper's value strictly, else None. On cases 1-2 and at
     alpha = 0 that value is returned bitwise, not raced against terms equal
-    to it up to roundoff, and x = +-1 never beat it on cases 3-4."""
+    to it up to roundoff, and x = +-1 never beat it on cases 3-4. Where the
+    paper's order of evaluation overflows on case 1 or 4, the branch is
+    mu (C / tau)**2 - A B / (3 sigma) (negated on case 1), whose
+    intermediates stay below the larger of |mu| and the value."""
     report = bound_real(params, mu)
+    if report.case_id in (1, 4) and not math.isfinite(report.value):
+        a, b = params.alpha, params.beta
+        c_tau = (2.0 - a - b) / params.tau
+        value = report.mu * c_tau * c_tau - (3.0 - 2.0 * b) * (3.0 - 2.0 * a - b) / (3.0 * params.sigma)
+        return (value if report.case_id == 4 else -value), report, None
     if report.case_id > 2 and params.alpha != 0.0:
         u, v = 1.0 - params.alpha, 1.0 - params.beta
         rho = _rho(params, report.mu)
@@ -232,7 +240,10 @@ def bound_sharp(params: ClassParams, mu: float) -> float:
     """Sharp bound on |a_3 - mu a_2**2| for real mu, valid on all four cases.
 
     The larger of bound_real's value and the two-atom term (see the module
-    docstring); :func:`fslab.extremal.sharp_witness` attains it.
+    docstring); :func:`fslab.extremal.sharp_witness` attains it. It stays
+    finite wherever its exact value is, while bound_real keeps the paper's
+    order of evaluation and its overflow (inf at alpha, beta -> 1 and
+    |mu| near DBL_MAX).
     """
     return _sharp(params, mu)[0]
 

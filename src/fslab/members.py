@@ -64,7 +64,7 @@ import contextlib
 import functools
 from functools import reduce
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate, repeat
 from numbers import Complex, Integral, Real
 from operator import add, attrgetter, mul
@@ -139,11 +139,11 @@ class ClassParams:
 
     def __post_init__(self) -> None:
         vals = (self.lam, self.delta, self.alpha, self.beta)
-        for field, v in zip(fields(self), vals):
+        for name, v in zip(self.__dataclass_fields__, vals):
             x = _finite_real(v)
             if x is None:
                 raise DomainError(f"parameters must be finite reals, got {vals!r}")
-            object.__setattr__(self, field.name, x)
+            object.__setattr__(self, name, x)
         if not (0.0 <= self.delta <= self.lam <= 1.0):
             raise DomainError(
                 f"need 0 <= delta <= lam <= 1, got lam={self.lam}, delta={self.delta}"
@@ -228,13 +228,13 @@ class ClassMember:
         return self.a[3]
 
 
-def _total(terms, start=0.0):
-    """The terms added left to right from start, on every Python. Builtin sum
-    adds floats with compensation from Python 3.12 on and complex numbers
-    from 3.14 on, and 3.14 adds its int start to a complex number as a real
-    one, keeping a -0.0 imaginary part: each moves bits. From 0j, a complex
-    total is builtin sum's on Python 3.10 to 3.13, where 0 + c is 0j + c."""
-    return reduce(add, terms, start)
+# _total(terms, start): the terms added left to right from start, on every
+# Python, with no Python frame of its own. Builtin sum adds floats with
+# compensation from Python 3.12 on and complex numbers from 3.14 on, and 3.14
+# adds its int start to a complex number as a real one, keeping a -0.0
+# imaginary part: each moves bits. From 0j, a complex total is builtin sum's
+# on Python 3.10 to 3.13, where 0 + c is 0j + c.
+_total = functools.partial(reduce, add)
 
 
 def herglotz_coeffs(measure: HerglotzMeasure, n: int) -> tuple[complex, ...]:
@@ -293,7 +293,7 @@ def _starlike(q_coeffs: Sequence[complex], v: float, n: int) -> tuple[complex, .
     """starlike_from_q's recurrence for checked inputs, with v = 1 - beta."""
     b: list[complex] = [0.0, 1.0]
     for k in range(2, n + 1):
-        # a plain sum from 0j, not _csum: its rounding and signed zeros are b's
+        # a plain sum from 0j, not exactly rounded as a_k's: its rounding and signed zeros are b's
         b.append(v * _total(map(mul, q_coeffs[1:k], b[k - 1 : 0 : -1]), 0j) / (k - 1))
     return tuple(b)
 
@@ -336,13 +336,6 @@ def _jet(coeffs: Sequence[complex]) -> tuple[complex, ...]:
 _REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
-def _csum(terms: Sequence[complex]) -> complex:
-    # exactly rounded component-wise sum, so the order of the terms cannot
-    # matter; fsum reads the parts straight from a C iterator (map), with no
-    # per-term Python frame or list
-    return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
-
-
 def member_from_pq(
     params: ClassParams,
     p: HerglotzMeasure,
@@ -364,17 +357,24 @@ def member_from_pq(
     d = denominators(params, order)
 
     u = 1.0 - params.alpha
-    mix = [params.alpha * complex(k == 0) + u * ck for k, ck in enumerate(c)]
-    g = _jet(b)
-    a = (0.0 + 0.0j, 1.0 + 0.0j) + tuple(
-        _csum([*map(mul, g[: k + 1], mix[k::-1])]) / d[k] for k in range(2, order + 1)
-    )
-    return ClassMember(params, p, q, c, qk, b, a, d)
+    # alpha + u p's coefficients; 0j + makes a zero part +0.0, whose sign a_k can carry
+    mix = [params.alpha * (1.0 + 0.0j) + u * c[0], *(0j + u * ck for ck in c[1:])]
+    g = (0j, 1.0 + 0.0j, *b[2:])  # _starlike's finite jet, complex throughout
+    a = [0.0 + 0.0j, 1.0 + 0.0j]
+    for k in range(2, order + 1):
+        # exactly rounded in each part, from C iterators: the terms' order cannot matter
+        terms = [*map(mul, g[: k + 1], mix[k::-1])]
+        a.append(complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms))) / d[k])
+    return ClassMember(params, p, q, c, qk, b, tuple(a), d)
 
 
 def _scalar_mu(mu) -> float | complex:
     """The one check of a scalar mu: a finite complex (numpy's too) or float,
     else DomainError."""
+    if type(mu) is float or type(mu) is complex:  # skips the ABC checks (about 1 us)
+        if cmath.isfinite(mu):
+            return mu
+        raise DomainError(f"mu must be finite, got {mu!r}")
     if isinstance(mu, Complex) and not isinstance(mu, (bool, np.bool_)):
         with contextlib.suppress(OverflowError):  # an int or a Fraction past the float range
             x = complex(mu) if isinstance(mu, (complex, np.complexfloating)) else float(mu)

@@ -145,8 +145,8 @@ chunk in stream order replaces it only with a strictly larger value, and
 then with its earliest sample reaching that value. So the result is the
 earliest candidate, seeds first, that reaches the maximum: bitwise identical
 for the same inputs and budget, ties included, independent of the chunk size.
-Weight totals are added left to right from 0.0 on every Python (the
-members module's _total, which also adds the member builds' complex sums):
+Weight totals are added left to right from an explicit 0.0 on every Python
+(members._total, which also adds the member builds' complex sums from 0j):
 builtin sum adds floats with Neumaier's compensation from Python 3.12 on, and
 with that sum emulated it moved 3 of 600 verify benchmark results (seeds 1-3,
 ops 0-199) while the search totalled weights with it; tests/test_bits.py
@@ -157,7 +157,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,12 +218,12 @@ class SearchBudget:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            raw = getattr(self, field.name)
+        for name in self.__dataclass_fields__:
+            raw = getattr(self, name)
             value = _whole(raw)
             if value is None:
-                raise DomainError(f"{field.name} must be an integer, got {raw!r}")
-            object.__setattr__(self, field.name, value)
+                raise DomainError(f"{name} must be an integer, got {raw!r}")
+            object.__setattr__(self, name, value)
         if self.n_samples < 1:
             raise DomainError("n_samples must be positive")
         if self.n_refine < 0:
@@ -393,7 +393,7 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
 
 def _weights(atoms) -> list[float]:
     """The atoms' weights divided by their _total."""
-    total = _total([w for w, _ in atoms])
+    total = _total([w for w, _ in atoms], 0.0)
     return [w / total for w, _ in atoms]
 
 
@@ -467,7 +467,7 @@ def _polish(coef, mu: complex, sides, best_v: float, rounds: int) -> int:
                         nonlocal evals
                         evals += 1
                         raw[j] = x
-                        total = _total(raw)
+                        total = _total(raw, 0.0)
                         c1 = c2 = 0.0
                         for r, z, zz in zip(raw, zs, zzs):
                             w = r / total

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,6 +275,29 @@ def test_sharp_domain_edges(lam, frac, alpha, beta, mu, on_break):
     paper = bound_real(par, mu).value
     assert math.isfinite(sharp) and sharp > 0.0
     assert paper <= sharp <= bound_complex(par, mu) * (1 + 1e-12) + 1e-12
+
+
+_NEAR_ONE = 1.0 - 2**-52
+
+
+@pytest.mark.parametrize(
+    "lam,delta,mu", [(1, 1, 1e308), (1, 1, -1e308), (0, 0, 1e308), (0, 0, -1e308), (0.5, 0.2, 1.7e308)]
+)
+def test_sharp_is_finite_where_only_the_paper_order_overflows(lam, delta, mu):
+    # the paper's order of evaluation overflows here (rho itself at
+    # lam = delta = 1, 3 rho next to C**2 at lam = delta = 0) although the
+    # exact value is about 1e277: bound_real keeps the paper's inf, and
+    # bound_sharp is the exact value, which sharp_witness attains
+    par = ClassParams(lam, delta, _NEAR_ONE, _NEAR_ONE)
+    assert bound_real(par, mu).value == math.inf
+    lam, delta, alpha, beta = map(Fraction, (par.lam, par.delta, par.alpha, par.beta))
+    tau, sigma = 1 + lam - delta + 2 * lam * delta, 1 + 2 * lam - 2 * delta + 6 * lam * delta
+    big_a, big_b, big_c = 3 - 2 * beta, 3 - 2 * alpha - beta, 2 - alpha - beta
+    exact = abs(Fraction(mu) * big_c**2 / tau**2 - big_a * big_b / (3 * sigma))
+    sharp = bound_sharp(par, mu)
+    assert abs(Fraction(sharp) / exact - 1) <= 1e-14, (sharp, float(exact))
+    witness = abs(fs_functional(sharp_witness(par, mu), mu))
+    assert abs(sharp / witness - 1) <= 1e-14, (sharp, witness)
 
 
 @settings(max_examples=200, deadline=None)

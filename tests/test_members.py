@@ -7,6 +7,8 @@ import math
 import warnings
 from dataclasses import astuple, replace
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ from fslab import (
     transform_spotcheck,
 )
 from fslab.extremal import _ATOM0, _HALF, _SIDE, _sharp_pair, extremal_member
-from fslab.members import MAX_ATOMS, SPOTCHECK_TOL, _CIRCLE, _jet, _powers
+from fslab.members import MAX_ATOMS, SPOTCHECK_TOL, _CIRCLE, _jet, _powers, _scalar_mu, _total
 from fslab.search import (
     _c12,
     _coefficients,
@@ -558,6 +560,58 @@ def test_fs_functional_at_a_numpy_scalar_mu_is_the_python_scalars():
         assert type(got) is complex and type(want) is complex
         assert got == want, (mu, got, want)
     assert fs_functional(member, np.float32(0.5)) == 0.5666143625757851
+
+
+class _Float(float):
+    pass
+
+
+class _Complex(complex):
+    pass
+
+
+def _abc_routes(mu):
+    """mu as numpy's scalar and as a subclass instance: neither is an exact
+    float or complex, so _scalar_mu reads them through its ABC checks."""
+    if type(mu) is complex:
+        return np.complex128(mu), _Complex(mu)
+    return np.float64(mu), _Float(mu)
+
+
+@pytest.mark.parametrize("mu", [1.25, -0.0, 5e-324, 1e308, 1 + 2j, complex(-0.0, 0.0)])
+def test_scalar_mu_exact_types_read_as_their_abc_route(mu):
+    # an exact float or complex skips the ABC checks and comes back as it
+    # is; every route returns the same type and bits
+    assert type(_scalar_mu(mu)) is type(mu) and repr(_scalar_mu(mu)) == repr(mu)
+    for other in _abc_routes(mu):
+        got = _scalar_mu(other)
+        assert type(got) is type(mu) and repr(got) == repr(mu), other
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, complex(0.0, math.inf)])
+def test_scalar_mu_non_finite_is_one_error_on_every_route(mu):
+    for v in (mu, *_abc_routes(mu)):
+        with pytest.raises(DomainError) as err:
+            _scalar_mu(v)
+        assert str(err.value) == f"mu must be finite, got {mu!r}", v
+    for v in (True, np.bool_(True)):
+        with pytest.raises(DomainError, match="mu must be a real or complex number"):
+            _scalar_mu(v)
+
+
+def test_total_adds_left_to_right_from_its_start():
+    # no compensation and no reordering: bit for bit a left-to-right reduce,
+    # signed zeros included, where an exactly rounded sum differs
+    floats = [1e100, 1.0, -1e100, 0.1, 0.2, 0.3]
+    assert math.fsum(floats) != reduce(add, floats, 0.0)
+    for start in (0.0, -0.0):
+        assert _total(floats, start).hex() == reduce(add, floats, start).hex()
+        assert _total([-0.0], start).hex() == reduce(add, [-0.0], start).hex()
+    complexes = [complex(-0.0, -0.0), complex(1e100, -0.0), complex(1.0, 0.5), complex(-1e100, -0.0)]
+    for terms in (complexes, complexes[:1]):
+        for start in (0j, complex(-0.0, -0.0)):
+            got, want = _total(terms, start), reduce(add, terms, start)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 # ----- rotation -----
